@@ -8,9 +8,8 @@ from .corpus import (ChangeGrid, CorpusError, EmbeddingTable, Entity,
                      save_examples, shared_entities)
 from .evaluation import (ConsistencyReport, MetricsReport, consistency_score,
                          discretize, score_corpus, score_grids, summary_set)
-from .model import (ModelParams, StepEntityEncoding, build_vocab, decode,
-                    encode, init_params, load_checkpoint, predict_grid,
-                    save_checkpoint)
+from .model import (CellBatch, ModelParams, build_vocab, encode_cells,
+                    init_params, load_checkpoint, predict_grid, save_checkpoint)
 from .training import (BatchStats, GroupBatch, NumericalError, TrainingConfig,
                        TrainResult, batch_loss, consistency_loss, make_batches,
                        summarize, train)

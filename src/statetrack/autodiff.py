@@ -4,7 +4,7 @@ Operations record onto an explicit :class:`ComputationTape` when one is
 active (``with ComputationTape() as tape:``); with no tape active they run
 forward-only, which is what evaluation paths use.  Only the operations the
 model actually needs are provided, and broadcasting is restricted to
-exact-shape or scalar operands.
+exact-shape operands, scalars, and one row added to every row (biases).
 """
 
 from __future__ import annotations
@@ -151,21 +151,25 @@ def zeros(shape) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops (exact-shape or scalar broadcast only)
+# elementwise ops (exact-shape, scalar, or trailing-row broadcast only)
 
 def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    # b may also be one row broadcast over a's leading axes (a bias)
+    if (a.shape != b.shape and a.size != 1 and b.size != 1
+            and not (b.values.ndim == 1 and a.shape[-1:] == b.shape)):
         raise DimensionError(
             f"{op}: shapes {list(a.shape)} and {list(b.shape)} are not broadcastable")
 
 
 def _accumulate(t: Tensor, g: np.ndarray, get_adj) -> None:
-    # sum-reduce the upstream gradient when t was scalar-broadcast
+    # sum-reduce the upstream gradient over the axes t was broadcast along
     buf = get_adj(t)
     if g.shape == buf.shape:
         buf += g
-    else:
+    elif buf.size == 1:
         buf += g.sum()
+    else:
+        buf += g.reshape(-1, buf.size).sum(axis=0)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -200,23 +204,43 @@ def scale(a: Tensor, k: float) -> Tensor:
     return _record(out, fn)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.values))
-    y = out.values
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g * (1.0 - y * y)
-
-    return _record(out, fn)
-
-
-def sigmoid(a: Tensor) -> Tensor:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 0.5*(tanh(x/2)+1) saturates cleanly instead of overflowing exp
-    out = Tensor(0.5 * (np.tanh(0.5 * a.values) + 1.0))
-    y = out.values
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
-    def fn(g, get_adj):
-        get_adj(a)[...] += g * y * (1.0 - y)
+
+def lstm_step(x: Tensor, state: Tensor, wh: Tensor) -> Tensor:
+    """One fused LSTM time step for a batch of rows.
+
+    x: [n, 4h] input pre-activations (input projection plus bias), gate
+    order [input, forget, cell, output]; state: [n, 2h] holding [h | c];
+    wh: [h, 4h] recurrent weights.  Returns the next [h | c].  The gate
+    nonlinearities, the cell update and their gradients are one tape node.
+    """
+    hd = wh.shape[0]
+    if (x.values.ndim != 2 or state.values.ndim != 2 or wh.shape != (hd, 4 * hd)
+            or x.shape != (state.shape[0], 4 * hd) or state.shape[1] != 2 * hd):
+        raise DimensionError(f"lstm_step: shapes {list(x.shape)}, {list(state.shape)} and "
+                             f"{list(wh.shape)} do not fit one step")
+    h_prev, c_prev = state.values[:, :hd], state.values[:, hd:]
+    z = x.values + h_prev @ wh.values
+    gates = _sigmoid(z)  # the cell candidate block uses tanh instead
+    i, f, o = gates[:, :hd], gates[:, hd:2 * hd], gates[:, 3 * hd:]
+    g = np.tanh(z[:, 2 * hd:3 * hd])
+    c = f * c_prev + i * g
+    tc = np.tanh(c)
+    out = Tensor(np.concatenate([o * tc, c], axis=1))
+
+    def fn(grad, get_adj):
+        gh, gc = grad[:, :hd], grad[:, hd:]
+        dc = gc + gh * o * (1.0 - tc * tc)
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)], axis=1)
+        get_adj(x)[...] += dz
+        get_adj(wh)[...] += h_prev.T @ dz
+        state_adj = get_adj(state)
+        state_adj[:, :hd] += dz @ wh.values.T
+        state_adj[:, hd:] += dc * f
 
     return _record(out, fn)
 
@@ -238,40 +262,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, fn)
 
 
-def matvec(a: Tensor, x: Tensor) -> Tensor:
-    """A @ x for A of shape [m, k] and x of shape [k]."""
-    if a.values.ndim != 2 or x.values.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise DimensionError(f"matvec: shapes {list(a.shape)} and {list(x.shape)} do not chain")
-    out = Tensor(a.values @ x.values)
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matmul: [n, p, k] x [n, k, q] -> [n, p, q]."""
+    if (a.values.ndim != 3 or b.values.ndim != 3 or a.shape[0] != b.shape[0]
+            or a.shape[2] != b.shape[1]):
+        raise DimensionError(f"bmm: shapes {list(a.shape)} and {list(b.shape)} do not chain")
+    out = Tensor(a.values @ b.values)
 
     def fn(g, get_adj):
-        get_adj(a)[...] += np.outer(g, x.values)
-        get_adj(x)[...] += a.values.T @ g
+        get_adj(a)[...] += g @ b.values.transpose(0, 2, 1)
+        get_adj(b)[...] += a.values.transpose(0, 2, 1) @ g
 
     return _record(out, fn)
 
 
-def matvec_t(a: Tensor, x: Tensor) -> Tensor:
-    """A.T @ x for A of shape [m, k] and x of shape [m]."""
-    if a.values.ndim != 2 or x.values.ndim != 1 or a.shape[0] != x.shape[0]:
-        raise DimensionError(f"matvec_t: shapes {list(a.shape)} and {list(x.shape)} do not chain")
-    out = Tensor(a.values.T @ x.values)
+def transpose(a: Tensor) -> Tensor:
+    if a.values.ndim != 2:
+        raise DimensionError(f"transpose: expected a 2-D tensor, got shape {list(a.shape)}")
+    out = Tensor(a.values.T.copy())
 
     def fn(g, get_adj):
-        get_adj(a)[...] += np.outer(x.values, g)
-        get_adj(x)[...] += a.values @ g
-
-    return _record(out, fn)
-
-
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 1 or a.shape != b.shape:
-        raise DimensionError(f"dot: shapes {list(a.shape)} and {list(b.shape)} must be equal 1-D")
-    out = Tensor(np.dot(a.values, b.values))
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g * b.values
-        get_adj(b)[...] += g * a.values
+        get_adj(a)[...] += g.T
 
     return _record(out, fn)
 
@@ -279,40 +290,49 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape ops
 
-def concat(*parts: Tensor) -> Tensor:
-    """Concatenate flattened parts into one 1-D tensor."""
+def concat(parts, axis: int = 0) -> Tensor:
+    """Join tensors along an existing axis; the other axes must agree."""
     if not parts:
         raise DimensionError("concat: needs at least one part")
-    out = Tensor(np.concatenate([p.values.reshape(-1) for p in parts]))
-    sizes = [p.size for p in parts]
+    try:
+        out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
+    except ValueError as exc:
+        raise DimensionError(
+            f"concat: shapes {[list(p.shape) for p in parts]} do not join on axis {axis}") from exc
+    bounds = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def fn(g, get_adj):
-        offset = 0
-        for p, n in zip(parts, sizes):
-            get_adj(p)[...] += g[offset:offset + n].reshape(p.shape)
-            offset += n
+        for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
+            get_adj(p)[...] += piece
 
     return _record(out, fn)
 
 
-def narrow(a: Tensor, start: int, length: int) -> Tensor:
-    """A contiguous 1-D slice of the flattened tensor (rows of a matrix are contiguous)."""
-    if start < 0 or length < 1 or start + length > a.size:
-        raise DimensionError(f"narrow: [{start}, {start + length}) out of range for size {a.size}")
-    out = Tensor(a.values.reshape(-1)[start:start + length].copy())
+def narrow(a: Tensor, start: int, length: int, axis: int = 0) -> Tensor:
+    """The slice [start, start + length) along one axis (rows by default, columns with axis=1)."""
+    if a.values.ndim <= axis or start < 0 or length < 1 or start + length > a.shape[axis]:
+        raise DimensionError(
+            f"narrow: [{start}, {start + length}) on axis {axis} out of range for shape {list(a.shape)}")
+    index = (slice(None),) * axis + (slice(start, start + length),)
+    out = Tensor(a.values[index].copy())
 
     def fn(g, get_adj):
-        get_adj(a).reshape(-1)[start:start + length] += g
+        get_adj(a)[index] += g
 
     return _record(out, fn)
 
 
-def row(a: Tensor, i: int) -> Tensor:
-    """Row i of a 2-D tensor, as a 1-D tensor."""
-    if a.values.ndim != 2:
-        raise DimensionError(f"row: expected a 2-D tensor, got shape {list(a.shape)}")
-    cols = a.shape[1]
-    return narrow(a, i * cols, cols)
+def gather_rows(a: Tensor, index) -> Tensor:
+    """Rows a[index[0]], a[index[1]], ... stacked; an index may repeat."""
+    index = np.asarray(index, dtype=np.intp)
+    if a.values.ndim < 1 or index.ndim != 1 or np.any((index < 0) | (index >= a.shape[0])):
+        raise DimensionError(f"gather_rows: index out of range for shape {list(a.shape)}")
+    out = Tensor(a.values[index])
+
+    def fn(g, get_adj):
+        np.add.at(get_adj(a), index, g)
+
+    return _record(out, fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -349,49 +369,52 @@ def mean(a: Tensor) -> Tensor:
     return _record(out, fn)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Max-shifted softmax of a 1-D tensor; output is strictly positive and sums to 1."""
-    if a.values.ndim != 1 or a.size < 1:
-        raise DimensionError(f"softmax: expected a non-empty 1-D tensor, got shape {list(a.shape)}")
-    shifted = a.values - a.values.max()
-    e = np.exp(shifted)
-    out = Tensor(e / e.sum())
+def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Max-shifted softmax along the last axis, row by row.
+
+    Entries where `mask` is False get probability exactly 0 and no gradient;
+    every row must keep at least one entry.  Kept entries are strictly
+    positive and each row sums to 1.
+    """
+    if a.values.ndim < 1 or a.shape[-1] < 1:
+        raise DimensionError(f"softmax: expected non-empty rows, got shape {list(a.shape)}")
+    mask = np.ones(a.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != a.shape or not mask.any(axis=-1).all():
+        raise DimensionError(f"softmax: mask must match {list(a.shape)} and keep an entry per row")
+    top = np.where(mask, a.values, -np.inf).max(axis=-1, keepdims=True)
+    e = np.where(mask, np.exp(np.where(mask, a.values - top, 0.0)), 0.0)
+    out = Tensor(e / e.sum(axis=-1, keepdims=True))
     y = out.values
 
     def fn(g, get_adj):
-        get_adj(a)[...] += y * (g - np.dot(g, y))
+        get_adj(a)[...] += y * (g - (g * y).sum(axis=-1, keepdims=True))
 
     return _record(out, fn)
 
 
-def mse(a: Tensor, b: Tensor) -> Tensor:
-    """Mean of squared componentwise differences, as a scalar."""
-    if a.shape != b.shape:
-        raise DimensionError(f"mse: shapes {list(a.shape)} and {list(b.shape)} differ")
-    diff = a.values - b.values
-    n = a.size
-    out = Tensor(np.dot(diff.reshape(-1), diff.reshape(-1)) / n)
+def nll(dist: Tensor, index) -> Tensor:
+    """Negative log likelihood of class index[r] under each row r of dist.
 
-    def fn(g, get_adj):
-        get_adj(a)[...] += g * (2.0 / n) * diff
-        get_adj(b)[...] -= g * (2.0 / n) * diff
-
-    return _record(out, fn)
-
-
-def nll(dist: Tensor, index: int) -> Tensor:
-    """Negative log likelihood of class `index` under a 1-D distribution."""
-    if dist.values.ndim != 1:
-        raise DimensionError(f"nll: expected a 1-D distribution, got shape {list(dist.shape)}")
-    if not 0 <= index < dist.size:
-        raise DimensionError(f"nll: index {index} out of range for size {dist.size}")
-    p = dist.values[index]
+    `index` has dist's shape without the last (class) axis, so a 1-D
+    distribution with an int index gives a scalar and a [rows, classes]
+    grid with one index per row gives one loss per row.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    if dist.values.ndim < 1 or index.shape != dist.shape[:-1]:
+        raise DimensionError(
+            f"nll: index shape {list(index.shape)} does not match distributions {list(dist.shape)}")
+    if np.any((index < 0) | (index >= dist.shape[-1])):
+        raise DimensionError(f"nll: index out of range for {dist.shape[-1]} classes")
+    picked = index[..., None]
+    p = np.take_along_axis(dist.values, picked, axis=-1)[..., 0]
     with np.errstate(divide="ignore"):
         # -log(0) = inf is deliberate: the training loop aborts on it
         out = Tensor(-np.log(p))
 
     def fn(g, get_adj):
-        get_adj(dist)[index] += -g / p
+        grad = np.zeros_like(dist.values)
+        np.put_along_axis(grad, picked, (-g / p)[..., None], axis=-1)
+        get_adj(dist)[...] += grad
 
     return _record(out, fn)
 

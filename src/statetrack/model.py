@@ -6,12 +6,12 @@ token a mention of the conditioned entity / is it a verb).  A bidirectional
 LSTM produces contextual vectors; a bilinear attention conditioned on the
 mean entity-mention vector and mean verb vector pools them; a single affine
 layer plus softmax yields the cell distribution.  Every grid cell is
-predicted independently.
+predicted independently, but all cells of a batch are computed together:
+one tape op per layer (per time step inside the LSTM), not per cell.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -39,12 +39,6 @@ class LstmWeights:
     wx: Tensor  # [input_dim, 4*hidden]
     wh: Tensor  # [hidden, 4*hidden]
     b: Tensor   # [4*hidden]
-
-
-@dataclass
-class StepEntityEncoding:
-    pooled: Tensor     # attention-weighted sum of contextual vectors, [hidden_size]
-    attention: Tensor  # per-token weights, sums to 1
 
 
 @dataclass
@@ -158,82 +152,99 @@ def init_params(vocab: dict[str, int], embedding_dim: int, hidden_size: int,
 # ---------------------------------------------------------------------------
 # forward pass
 
-def _lstm_run(w: LstmWeights, xs: Sequence[Tensor], hidden: int) -> list[Tensor]:
-    h = ad.zeros(hidden)
-    c = ad.zeros(hidden)
-    outs = []
-    for x in xs:
-        gates = ad.add(ad.add(ad.matvec_t(w.wx, x), ad.matvec_t(w.wh, h)), w.b)
-        i = ad.sigmoid(ad.narrow(gates, 0, hidden))
-        f = ad.sigmoid(ad.narrow(gates, hidden, hidden))
-        g = ad.tanh(ad.narrow(gates, 2 * hidden, hidden))
-        o = ad.sigmoid(ad.narrow(gates, 3 * hidden, hidden))
-        c = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h = ad.mul(o, ad.tanh(c))
-        outs.append(h)
-    return outs
+@dataclass
+class CellBatch:
+    """Encoder outputs for a batch of cells, one row per cell.
 
-
-def _mean_of(vectors: list[Tensor], size: int) -> Tensor:
-    # mean over an empty selection is the zero vector by convention
-    if not vectors:
-        return ad.zeros(size)
-    acc = vectors[0]
-    for v in vectors[1:]:
-        acc = ad.add(acc, v)
-    return ad.scale(acc, 1.0 / len(vectors)) if len(vectors) > 1 else acc
-
-
-def encode(params: ModelParams, example: ProcessExample, step: int, entity: int) -> StepEntityEncoding:
-    """Contextual encoding of one sentence conditioned on one entity."""
-    if not (0 <= step < example.n_steps and 0 <= entity < example.n_entities):
-        raise IndexError(f"step {step} / entity {entity} out of range for {example.id}")
-    tokens = example.steps[step]
-    mention = set(example.entities[entity].mention_tokens(step))
-    verbs = set(example.verb_tokens(step))
-    unk = params.vocab[UNK_TOKEN]
-    hd = params.hidden_size // 2
-
-    xs = []
-    for i, tok in enumerate(tokens):
-        word = ad.row(params.embedding, params.vocab.get(tok, unk))
-        flags = ad.constant([1.0 if i in mention else 0.0, 1.0 if i in verbs else 0.0])
-        xs.append(ad.concat(word, flags))
-
-    h_fwd = _lstm_run(params.fwd, xs, hd)
-    h_bwd = list(reversed(_lstm_run(params.bwd, list(reversed(xs)), hd)))
-    ctx = [ad.concat(a, b) for a, b in zip(h_fwd, h_bwd)]
-    ctx_mat = ad.reshape(ad.concat(*ctx), (len(tokens), params.hidden_size))
-
-    entity_mean = _mean_of([ctx[i] for i in sorted(mention)], params.hidden_size)
-    verb_mean = _mean_of([ctx[i] for i in sorted(verbs)], params.hidden_size)
-    focus = ad.concat(entity_mean, verb_mean)
-
-    scores = ad.add(ad.matvec(ctx_mat, ad.matvec(params.attn_w, focus)), params.attn_b)
-    attention = ad.softmax(scores)
-    pooled = ad.matvec_t(ctx_mat, attention)
-    return StepEntityEncoding(pooled=pooled, attention=attention)
-
-
-def decode(params: ModelParams, enc: StepEntityEncoding) -> Tensor:
-    """Distribution over the four state changes for one encoded cell."""
-    logits = ad.add(ad.matvec_t(params.dec_w, enc.pooled), params.dec_b)
-    return ad.softmax(logits)
-
-
-def grid_distributions(params: ModelParams, example: ProcessExample,
-                       entities: Sequence[int] | None = None) -> dict[int, list[Tensor]]:
-    """Per-entity columns of cell distribution tensors, keyed by entity index.
-
-    `entities` restricts which columns are computed (the consistency loss only
-    needs the shared ones); None means all.
+    Rows run item by item and step-major within an item, so item k's rows
+    reshape to [n_steps, len(entities_k), ...].  Attention columns past a
+    sentence's end hold exactly 0.
     """
-    cols = range(example.n_entities) if entities is None else entities
-    out: dict[int, list[Tensor]] = {}
-    for j in cols:
-        out[j] = [decode(params, encode(params, example, t, j))
-                  for t in range(example.n_steps)]
-    return out
+
+    attention: Tensor  # [cells, longest sentence], each row sums to 1
+    pooled: Tensor     # [cells, hidden_size], attention-weighted contextual vectors
+    dists: Tensor      # [cells, N_CHANGES], state-change distributions
+
+
+def _lstm_over_time(w: LstmWeights, words: Tensor, token_rows: np.ndarray,
+                    flags: np.ndarray, unshuffle: np.ndarray, n_cells: int) -> Tensor:
+    """One LSTM direction over every cell at once.
+
+    Input row `tau * n_cells + c` is cell c's token at time tau.  Each
+    cell's tokens come first and its padding last, so a cell's valid states
+    never depend on its padding and no mask is needed.  The hidden outputs
+    come back in the rows `unshuffle` picks from the time-major states.
+    """
+    d = words.shape[1]
+    # the word projection is shared by every cell reading the token; the two
+    # indicator flags go through the last two rows of wx
+    xs = ad.add(ad.add(ad.gather_rows(ad.matmul(words, ad.narrow(w.wx, 0, d)), token_rows),
+                       ad.matmul(ad.constant(flags), ad.narrow(w.wx, d, 2))), w.b)
+    state = ad.zeros((n_cells, 2 * w.wh.shape[0]))
+    states = []
+    for tau in range(len(token_rows) // n_cells):
+        state = ad.lstm_step(ad.narrow(xs, tau * n_cells, n_cells), state, w.wh)
+        states.append(state)
+    return ad.narrow(ad.gather_rows(ad.concat(states), unshuffle), 0, w.wh.shape[0], axis=1)
+
+
+def encode_cells(params: ModelParams,
+                 items: Sequence[tuple[ProcessExample, Sequence[int]]]) -> CellBatch:
+    """Encode and decode every (step, entity) cell of every item in one pass.
+
+    Each item pairs a paragraph with the entity indices whose columns are
+    wanted.  A cell's result depends only on its own sentence and entity,
+    never on the other cells it is batched with.
+    """
+    unk = params.vocab[UNK_TOKEN]
+    word_ids: list[int] = []
+    cells = []   # (first token row, sentence length) per cell
+    marked = []  # (cell, token position, 0 = entity mention / 1 = verb)
+    for example, entities in items:
+        for t, tokens in enumerate(example.steps):
+            first = len(word_ids)
+            word_ids.extend(params.vocab.get(tok, unk) for tok in tokens)
+            verbs = example.verb_tokens(t)
+            for j in entities:
+                if not 0 <= j < example.n_entities:
+                    raise IndexError(f"entity {j} out of range for {example.id}")
+                c = len(cells)
+                cells.append((first, len(tokens)))
+                marked.extend((c, i, 0) for i in example.entities[j].mention_tokens(t))
+                marked.extend((c, i, 1) for i in verbs)
+
+    first, lengths = np.array(cells, dtype=np.intp).T[:, :, None]
+    n, width = len(cells), int(lengths.max())
+    marks = np.zeros((n, width, 2))  # the two indicator flags, in token order
+    marks[tuple(np.array(marked, dtype=np.intp).reshape(-1, 3).T)] = 1.0
+    pos = np.arange(width)
+    mask = pos < lengths
+    # order[k, c, tau]: the token position direction k reads at time tau; the
+    # backward direction reverses each cell's tokens and leaves padding last
+    order = np.stack([np.broadcast_to(pos, (n, width)), np.where(mask, lengths - 1 - pos, pos)])
+    # time-major inputs (row tau * n + c); padding reads token row 0 with no flags
+    rows = np.where(mask, first + order, 0).transpose(0, 2, 1).reshape(2, -1)
+    flags = np.take_along_axis(marks[None], order[..., None], axis=2)
+    flags = flags.transpose(0, 2, 1, 3).reshape(2, -1, 2)
+    # reversal is its own inverse, so the same order gathers the outputs back
+    # to cell-major rows (c * width + position)
+    unshuffle = (order * n + np.arange(n)[:, None]).reshape(2, -1)
+    # mean over the mention / verb positions; an empty selection gives the zero vector
+    pool = marks.transpose(0, 2, 1) / np.maximum(marks.sum(axis=1), 1.0)[:, :, None]
+
+    words = ad.gather_rows(params.embedding, word_ids)
+    hidden = params.hidden_size
+    outputs = [_lstm_over_time(w, words, rows[k], flags[k], unshuffle[k], n)
+               for k, w in enumerate((params.fwd, params.bwd))]
+    ctx = ad.reshape(ad.concat(outputs, axis=1), (n, width, hidden))
+
+    focus = ad.reshape(ad.bmm(ad.constant(pool), ctx), (n, 2 * hidden))
+    query = ad.reshape(ad.matmul(focus, ad.transpose(params.attn_w)), (n, hidden, 1))
+    scores = ad.add(ad.reshape(ad.bmm(ctx, query), (n, width)), params.attn_b)
+    attention = ad.softmax(scores, mask)
+    pooled = ad.reshape(ad.bmm(ad.reshape(attention, (n, 1, width)), ctx), (n, hidden))
+    dists = ad.softmax(ad.add(ad.matmul(pooled, params.dec_w), params.dec_b))
+    return CellBatch(attention=attention, pooled=pooled, dists=dists)
 
 
 def predict_grid(params: ModelParams, example: ProcessExample) -> ChangeGrid:
@@ -242,12 +253,9 @@ def predict_grid(params: ModelParams, example: ProcessExample) -> ChangeGrid:
     Pure function of (params, example): given immutable params it is safe to
     call concurrently across examples.
     """
-    cols = grid_distributions(params, example)
-    arr = np.empty((example.n_steps, example.n_entities, N_CHANGES))
-    for j, col in cols.items():
-        for t, cell in enumerate(col):
-            arr[t, j] = cell.values
-    return ChangeGrid.from_dists(arr)
+    batch = encode_cells(params, [(example, range(example.n_entities))])
+    return ChangeGrid.from_dists(
+        batch.dists.values.reshape(example.n_steps, example.n_entities, N_CHANGES))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation, model
 from .autodiff import ComputationTape, Tensor
-from .corpus import ChangeGrid, ProcessExample, TopicGroup, shared_entities
+from .corpus import N_CHANGES, ChangeGrid, ProcessExample, TopicGroup, shared_entities
 from .model import ModelParams
 
 logger = logging.getLogger(__name__)
@@ -115,13 +115,6 @@ def consistency_loss(pred_a: ChangeGrid, example_a: ProcessExample,
     return acc / len(pairs)
 
 
-def _summary_tensor(column: list[Tensor]) -> Tensor:
-    acc = column[0]
-    for cell in column[1:]:
-        acc = ad.add(acc, cell)
-    return ad.scale(acc, 1.0 / len(column)) if len(column) > 1 else acc
-
-
 def combine_losses(sup: Tensor, con_sum: Tensor, lambda_weight: float) -> Tensor:
     """lambda*sup + (1-lambda)*con_sum; with lambda=1 this equals sup exactly."""
     return ad.add(ad.scale(sup, lambda_weight), ad.scale(con_sum, 1.0 - lambda_weight))
@@ -140,12 +133,8 @@ def batch_loss(params: ModelParams, batch: GroupBatch,
     if primary.gold is None:
         raise ValueError(f"primary example {primary.id} has no gold labels")
 
-    primary_cols = model.grid_distributions(params, primary)
-    gold = primary.gold.labels
-    cell_losses = [ad.nll(primary_cols[j][t], int(gold[t, j]))
-                   for j in range(primary.n_entities)
-                   for t in range(primary.n_steps)]
-    sup = ad.mean(ad.concat(*cell_losses))
+    primary_dists = model.encode_cells(params, [(primary, range(primary.n_entities))]).dists
+    sup = ad.mean(ad.nll(primary_dists, primary.gold.labels.reshape(-1)))
     sup_value = sup.item()
 
     if not cfg.consistency_enabled:
@@ -153,27 +142,46 @@ def batch_loss(params: ModelParams, batch: GroupBatch,
     if sup_value > cfg.sup_threshold:
         return sup, BatchStats(sup_loss=sup_value, switched=True)
 
-    primary_summaries: dict[int, Tensor] = {}
-    con_terms = []
-    for i, member in enumerate(batch.members):
-        if i == batch.primary_index:
-            continue
-        pairs = shared_entities(member, primary)
-        if not pairs:
-            continue
-        member_cols = model.grid_distributions(params, member,
-                                               entities=[ia for ia, _ in pairs])
-        mses = []
-        for ia, ib in pairs:
-            if ib not in primary_summaries:
-                primary_summaries[ib] = _summary_tensor(primary_cols[ib])
-            mses.append(ad.mse(_summary_tensor(member_cols[ia]), primary_summaries[ib]))
-        con_terms.append(ad.scale(ad.total(ad.concat(*mses)), 1.0 / len(pairs)))
-
-    # an empty sum still goes through the combined formula, giving lambda*sup
-    con_sum = ad.total(ad.concat(*con_terms)) if con_terms else ad.zeros(())
+    others = [m for i, m in enumerate(batch.members) if i != batch.primary_index]
+    aligned = [(m, pairs) for m in others if (pairs := shared_entities(m, primary))]
+    if aligned:
+        member_dists = model.encode_cells(
+            params, [(m, [ia for ia, _ in pairs]) for m, pairs in aligned]).dists
+        diff, weight = _summary_differences(primary, aligned)
+        d = ad.matmul(ad.constant(diff), ad.concat([primary_dists, member_dists]))
+        con_sum = ad.total(ad.mul(ad.mul(d, d), ad.constant(weight)))
+    else:
+        # an empty sum still goes through the combined formula, giving lambda*sup
+        con_sum = ad.zeros(())
     total = combine_losses(sup, con_sum, cfg.lambda_weight)
     return total, BatchStats(sup_loss=sup_value, con_loss=con_sum.item())
+
+
+def _summary_differences(primary: ProcessExample,
+                         aligned: list[tuple[ProcessExample, list[tuple[int, int]]]]):
+    """Constant matrices (diff, weight) turning stacked cell distributions into
+    the consistency sum.
+
+    The stacked rows are the primary's cells, then each aligned member's
+    cells for its shared entities, in pair order; every block is step-major.
+    Row r of `diff @ stacked` is member summary minus primary summary for one
+    shared entity pair, and `weight` makes the weighted sum of its squares
+    the per-member mean over pairs of the mean squared error, summed over
+    members.
+    """
+    n_rows = sum(len(pairs) for _, pairs in aligned)
+    offset = primary.n_steps * primary.n_entities
+    diff = np.zeros((n_rows, offset + sum(m.n_steps * len(pairs) for m, pairs in aligned)))
+    weight = np.zeros((n_rows, N_CHANGES))
+    row = 0
+    for member, pairs in aligned:
+        for q, (_, ib) in enumerate(pairs):
+            diff[row, offset + q + len(pairs) * np.arange(member.n_steps)] = 1.0 / member.n_steps
+            diff[row, ib + primary.n_entities * np.arange(primary.n_steps)] = -1.0 / primary.n_steps
+            weight[row] = 1.0 / (N_CHANGES * len(pairs))
+            row += 1
+        offset += member.n_steps * len(pairs)
+    return diff, weight
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,24 @@ def test_criterion_1_gradient_correctness():
         assert elapsed < 10.0, f"gradient check took {elapsed:.1f}s (budget 10s)"
 
 
+def test_criterion_1_batch_tape_size():
+    """The consistency-engaged batch of criterion 1 records a bounded number of
+    tape nodes.  Encoding each (step, entity) cell separately, one token-vector
+    op at a time, recorded 1,888 nodes on this batch; batching every cell of a
+    call into one op per layer (per time step inside the LSTM) records 134.
+    The bound is a tenth of the per-cell count."""
+    a = hand_example("a", "moves")
+    b = hand_example("b", "travels")
+    group = TopicGroup(topic="grp", labeled=[a, b])
+    params = md.init_params(md.build_vocab([group]), embedding_dim=4, hidden_size=4, seed=12)
+    cfg = st.TrainingConfig(lambda_weight=0.05, sup_threshold=10.0,
+                            hidden_size=4, embedding_dim=4)
+    with st.ComputationTape() as tape:
+        _, stats = st.batch_loss(params, st.make_batches(group)[0], cfg)
+    assert not stats.switched and stats.con_loss > 0.0
+    assert len(tape.nodes) <= 188, f"{len(tape.nodes)} tape nodes (bound 188)"
+
+
 def test_criterion_2_loss_algebra():
     """lambda=1, disabled consistency, and the threshold rule all reduce
     batch_loss to the supervised term exactly; the hand-combined value is exact."""

@@ -1,10 +1,13 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from statetrack import autodiff as ad
 from statetrack import model
 from statetrack.corpus import ChangeGrid, Entity, ProcessExample, generate_synthetic
-from statetrack.model import (CheckpointError, build_vocab, decode, encode,
+from statetrack.model import (CheckpointError, build_vocab, encode_cells,
                               init_params, load_checkpoint, predict_grid,
                               save_checkpoint)
 
@@ -92,16 +95,66 @@ def oracle_cell(params, example, t, j):
 # ---------------------------------------------------------------------------
 # encode
 
+def encode_one(params, example, t, j):
+    """(pooled, attention over the sentence's tokens, distribution) of one cell,
+    read from a batch holding every cell of the paragraph."""
+    batch = encode_cells(params, [(example, range(example.n_entities))])
+    row = t * example.n_entities + j
+    n = len(example.steps[t])
+    assert np.all(batch.attention.values[row, n:] == 0.0)
+    return (batch.pooled.values[row], batch.attention.values[row, :n],
+            batch.dists.values[row])
+
+
+def assert_matches_oracle(params, items, batch):
+    row = 0
+    for example, entities in items:
+        for t in range(example.n_steps):
+            for j in entities:
+                pooled_o, attn_o, dist_o = oracle_cell(params, example, t, j)
+                n = len(example.steps[t])
+                assert batch.pooled.values[row] == pytest.approx(pooled_o, abs=1e-12)
+                assert batch.attention.values[row, :n] == pytest.approx(attn_o, abs=1e-12)
+                assert np.all(batch.attention.values[row, n:] == 0.0)
+                assert batch.dists.values[row] == pytest.approx(dist_o, abs=1e-12)
+                row += 1
+    assert row == batch.dists.shape[0]
+
+
+def ragged_batch():
+    """Two paragraphs whose sentences have unequal lengths, within and across
+    paragraphs, plus matching params.  'heat' is never mentioned, step 0 of b
+    has no verb, 'x' maps to <unk> and 'water' in a has a two-token mention."""
+    a = ProcessExample(
+        id="a", topic="t",
+        steps=(("water", "moves"), ("the", "sugar", "melts", "in", "hot", "water", "x")),
+        entities=(Entity(name="water", mentions=((0, 0, 1), (1, 4, 6))),
+                  Entity(name="sugar", mentions=((1, 1, 2),))),
+        verbs=((0, 1), (1, 2)))
+    b = ProcessExample(
+        id="b", topic="t",
+        steps=(("salt",), ("the", "salt", "is", "gone"), ("water", "is", "warm")),
+        entities=(Entity(name="salt", mentions=((0, 0, 1), (1, 1, 2))),
+                  Entity(name="water", mentions=((2, 0, 1),)),
+                  Entity(name="heat", mentions=())),
+        verbs=((1, 3), (2, 1)))
+    a.validate()
+    b.validate()
+    tokens = sorted({tok for ex in (a, b) for sent in ex.steps for tok in sent} - {"x"})
+    vocab = {model.UNK_TOKEN: 0, **{tok: i + 1 for i, tok in enumerate(tokens)}}
+    return a, b, init_params(vocab, 3, 6, seed=17)
+
+
 def test_zero_attention_weights_give_uniform_attention():
     ex = tiny_example()
     params = tiny_params(ex)
     params.attn_w.values[...] = 0.0
     params.attn_b.values[...] = 0.0
-    enc = encode(params, ex, 0, 0)
+    pooled, attention, _ = encode_one(params, ex, 0, 0)
     n = len(ex.steps[0])
-    assert enc.attention.values == pytest.approx([1.0 / n] * n, abs=1e-15)
+    assert attention == pytest.approx([1.0 / n] * n, abs=1e-15)
     pooled_oracle, _, _ = oracle_cell(params, ex, 0, 0)
-    assert enc.pooled.values == pytest.approx(pooled_oracle, abs=1e-12)
+    assert pooled == pytest.approx(pooled_oracle, abs=1e-12)
 
 
 def test_single_token_sentence_attention_is_one():
@@ -111,37 +164,50 @@ def test_single_token_sentence_attention_is_one():
         verbs=())
     ex.validate()
     params = tiny_params(ex)
-    enc = encode(params, ex, 0, 0)
-    assert enc.attention.values == pytest.approx([1.0])
+    pooled, attention, _ = encode_one(params, ex, 0, 0)
+    assert attention == pytest.approx([1.0])
     pooled_oracle, _, _ = oracle_cell(params, ex, 0, 0)
-    assert enc.pooled.values == pytest.approx(pooled_oracle, abs=1e-12)
+    assert pooled == pytest.approx(pooled_oracle, abs=1e-12)
 
 
 def test_encode_matches_oracle_on_random_instance():
     ex = tiny_example(entities=("water", "sugar", "salt"), n_steps=3)
     params = tiny_params(ex, emb_dim=4, hidden=4, seed=9)
-    for t in range(ex.n_steps):
-        for j in range(ex.n_entities):
-            enc = encode(params, ex, t, j)
-            pooled_o, attn_o, _ = oracle_cell(params, ex, t, j)
-            assert enc.pooled.values == pytest.approx(pooled_o, abs=1e-12)
-            assert enc.attention.values == pytest.approx(attn_o, abs=1e-12)
+    items = [(ex, range(ex.n_entities))]
+    assert_matches_oracle(params, items, encode_cells(params, items))
+
+
+def test_multi_paragraph_batch_matches_oracle():
+    # unequal sentence lengths within and across paragraphs, entity subsets
+    # and repeats, an unmentioned entity, a step without a verb, an <unk> token
+    a, b, params = ragged_batch()
+    items = [(a, [1, 0]), (b, range(b.n_entities)), (a, [1])]
+    assert_matches_oracle(params, items, encode_cells(params, items))
+
+
+def test_cell_does_not_depend_on_batch_companions():
+    a, b, params = ragged_batch()
+    alone = encode_cells(params, [(b, [2, 0])]).dists.values
+    padded = encode_cells(params, [(a, [0, 1]), (b, [2, 0])]).dists.values
+    assert padded[-alone.shape[0]:] == pytest.approx(alone, abs=1e-12)
+    first = encode_cells(params, [(b, [2, 0]), (a, [1])]).dists.values
+    assert first[:alone.shape[0]] == pytest.approx(alone, abs=1e-12)
 
 
 def test_attention_sums_to_one():
     ex = tiny_example()
     params = tiny_params(ex, seed=123)
-    enc = encode(params, ex, 1, 1)
-    assert abs(enc.attention.values.sum() - 1.0) <= 1e-9
-    assert len(enc.pooled.values) == params.hidden_size
+    pooled, attention, _ = encode_one(params, ex, 1, 1)
+    assert abs(attention.sum() - 1.0) <= 1e-9
+    assert len(pooled) == params.hidden_size
 
 
 def test_entity_absent_from_step_uses_zero_mean_path():
     ex = tiny_example()  # entity 1 is not mentioned in step 0
     params = tiny_params(ex)
-    enc = encode(params, ex, 0, 1)
-    assert np.all(np.isfinite(enc.pooled.values))
-    assert abs(enc.attention.values.sum() - 1.0) <= 1e-9
+    pooled, attention, _ = encode_one(params, ex, 0, 1)
+    assert np.all(np.isfinite(pooled))
+    assert abs(attention.sum() - 1.0) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +218,8 @@ def test_zero_decoder_gives_uniform():
     params = tiny_params(ex)
     params.dec_w.values[...] = 0.0
     params.dec_b.values[...] = 0.0
-    dist = decode(params, encode(params, ex, 0, 0))
-    assert dist.values == pytest.approx([0.25] * 4, abs=1e-15)
+    _, _, dist = encode_one(params, ex, 0, 0)
+    assert dist == pytest.approx([0.25] * 4, abs=1e-15)
 
 
 def test_decoder_bias_dominates_with_zero_weights():
@@ -161,8 +227,8 @@ def test_decoder_bias_dominates_with_zero_weights():
     params = tiny_params(ex)
     params.dec_w.values[...] = 0.0
     params.dec_b.values[...] = [10.0, 0.0, 0.0, 0.0]
-    dist = decode(params, encode(params, ex, 0, 0))
-    assert dist.values[0] > 0.999
+    _, _, dist = encode_one(params, ex, 0, 0)
+    assert dist[0] > 0.999
 
 
 def test_full_grid_matches_oracle_cellwise():
@@ -225,13 +291,35 @@ def test_supervised_loss_gradient_matches_fd():
     params = tiny_params(ex, emb_dim=3, hidden=4, seed=6)
 
     def loss():
-        cols = model.grid_distributions(params, ex)
-        cells = [ad.nll(cols[j][t], int(ex.gold.labels[t, j]))
-                 for j in range(ex.n_entities) for t in range(ex.n_steps)]
-        return ad.mean(ad.concat(*cells))
+        dists = encode_cells(params, [(ex, range(ex.n_entities))]).dists
+        return ad.mean(ad.nll(dists, ex.gold.labels.reshape(-1)))
 
     errs = ad.check_gradients(loss, params.named_tensors(), eps=1e-5)
     assert max(errs.values()) < 1e-4, errs
+
+
+def test_predict_grid_is_thread_safe():
+    groups = generate_synthetic(seed=42, topics=16, paragraphs_per_topic=3, noise=0.15)
+    examples = [ex for g in groups for ex in g.members]
+    params = init_params(build_vocab(groups), 16, 8, seed=1)
+    serial = [predict_grid(params, ex).dists.tobytes() for ex in examples]
+    results = [[], []]
+
+    def work(out):
+        out.extend(predict_grid(params, ex).dists.tobytes() for ex in examples)
+
+    threads = [threading.Thread(target=work, args=(out,)) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == [serial, serial]
 
 
 # ---------------------------------------------------------------------------

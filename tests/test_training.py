@@ -227,6 +227,22 @@ def test_active_consistency_changes_the_loss():
     assert loss.item() == pytest.approx(expected, rel=1e-12)
 
 
+def test_consistency_term_equals_float_consistency_loss():
+    # members with different step counts and different shared-entity sets:
+    # the tape's consistency sum must equal the float API summed over members
+    a = example_with("a", "t", ("water", "sugar", "salt"), gold_rows=[[0, 3, 3], [3, 1, 3]])
+    b = example_with("b", "t", ("salt", "water"), verb="travels")
+    c = example_with("c", "t", ("sugar", "iron"), gold_rows=[[0, 3], [3, 2], [1, 3]])
+    d = example_with("d", "t", ("iron",))  # shares nothing with the primary
+    g = TopicGroup(topic="t", labeled=[a, c], unlabeled=[b, d])
+    params = params_for([g], seed=8)
+    cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
+    _, stats = batch_loss(params, make_batches(g)[0], cfg)
+    grids = {ex.id: model.predict_grid(params, ex) for ex in g.members}
+    expected = sum(consistency_loss(grids[m.id], m, grids["a"], a) for m in (b, c, d))
+    assert stats.con_loss == pytest.approx(expected, rel=1e-12)
+
+
 def test_singleton_group_goes_through_formula():
     a = example_with("a", "t", ("water",), gold_rows=[[0], [3]])
     g = TopicGroup(topic="t", labeled=[a])
