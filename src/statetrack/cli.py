@@ -12,6 +12,7 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,33 +34,32 @@ class UsageError(ValueError):
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TrainingConfig):
+    """Every setting of a `train` run; each field is a config-file key and a flag's dest."""
+
     train: str | None = None
     dev: str | None = None
-    test: str | None = None
     embeddings: str | None = None
     checkpoint: str = "checkpoint.json"
     report: str = "report.json"
     label_fraction: float = 1.0
     use_unlabeled: bool = False
-    lambda_weight: float = 0.05
-    sup_threshold: float = 0.2
-    learning_rate: float = 0.1
-    epochs: int = 50
-    seed: int = 0
-    hidden_size: int = 8
-    embedding_dim: int = 16
-    consistency_enabled: bool = True
 
-    def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            lambda_weight=self.lambda_weight, sup_threshold=self.sup_threshold,
-            learning_rate=self.learning_rate, epochs=self.epochs, seed=self.seed,
-            hidden_size=self.hidden_size, embedding_dim=self.embedding_dim,
-            consistency_enabled=self.consistency_enabled)
+    def validate(self) -> None:
+        hints = typing.get_type_hints(type(self))
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+            if float in kinds:
+                kinds += (int,)
+            if isinstance(value, bool) and bool not in kinds or not isinstance(value, kinds):
+                raise ValueError(f"{f.name!r} must be {f.type}, got {value!r}")
+        super().validate()
+        if not 0.0 < self.label_fraction <= 1.0:
+            raise ValueError("label-fraction must lie in (0, 1]")
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)} | {"lambda"}
+_FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -75,29 +75,16 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
         for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
+            name = "lambda_weight" if key == "lambda" else key
+            if name not in _FIELDS:
                 raise UsageError(f"config file: unknown key {key!r}")
-            setattr(cfg, "lambda_weight" if key == "lambda" else key, value)
-    overrides = {
-        "train": args.train, "dev": args.dev, "test": args.test,
-        "embeddings": args.embeddings, "checkpoint": args.checkpoint,
-        "report": args.report, "label_fraction": args.label_fraction,
-        "lambda_weight": args.lambda_weight, "sup_threshold": args.sup_threshold,
-        "learning_rate": args.lr, "epochs": args.epochs, "seed": args.seed,
-        "hidden_size": args.hidden, "embedding_dim": args.emb_dim,
-    }
-    for name, value in overrides.items():
-        if value is not None:
             setattr(cfg, name, value)
-    if args.use_unlabeled:
-        cfg.use_unlabeled = True
-    if args.no_consistency:
-        cfg.consistency_enabled = False
+    for name in _FIELDS:
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     try:
-        if not 0.0 < cfg.label_fraction <= 1.0:
-            raise UsageError("label-fraction must lie in (0, 1]")
-        cfg.training_config().validate()
-    except (ValueError, TypeError) as exc:
+        cfg.validate()
+    except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return cfg
 
@@ -123,12 +110,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             groups, cfg.label_fraction, seed=cfg.seed,
             reuse_unlabeled=cfg.use_unlabeled)
     embeddings = corpus.EmbeddingTable.load(cfg.embeddings) if cfg.embeddings else None
-
-    tcfg = cfg.training_config()
-    if embeddings is None:
-        result = training.train(groups, tcfg, dev=dev_groups)
-    else:
-        result = _train_with_embeddings(groups, tcfg, dev_groups, embeddings)
+    result = training.train(groups, cfg, dev=dev_groups, embeddings=embeddings)
 
     model.save_checkpoint(result.params, cfg.checkpoint)
     report = {
@@ -138,13 +120,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_json(cfg.report, report)
     logger.info("wrote checkpoint %s and report %s", cfg.checkpoint, cfg.report)
     return EXIT_OK
-
-
-def _train_with_embeddings(groups, tcfg, dev_groups, embeddings):
-    vocab = model.build_vocab(groups)
-    probe = model.init_params(vocab, tcfg.embedding_dim, tcfg.hidden_size,
-                              seed=tcfg.seed, embeddings=embeddings)
-    return training.train(groups, tcfg, dev=dev_groups, initial_params=probe)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -212,25 +187,25 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--train", help="training corpus (JSONL)")
     p.add_argument("--dev", help="dev corpus for model selection (JSONL)")
-    p.add_argument("--test", help="test corpus (JSONL)")
     p.add_argument("--embeddings", help="embedding text file (token + decimals per line)")
     p.add_argument("--checkpoint", help="output checkpoint path")
     p.add_argument("--report", help="output training report path")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--label-fraction", dest="label_fraction", type=float, default=None,
                    help="fraction of labeled paragraphs kept per topic")
-    p.add_argument("--use-unlabeled", dest="use_unlabeled", action="store_true",
+    p.add_argument("--use-unlabeled", dest="use_unlabeled", action="store_true", default=None,
                    help="keep demoted paragraphs as unlabeled group members")
-    p.add_argument("--no-consistency", dest="no_consistency", action="store_true",
-                   help="train the purely supervised arm (lambda = 1)")
+    p.add_argument("--no-consistency", dest="consistency_enabled", action="store_false",
+                   default=None, help="train the purely supervised arm (lambda = 1)")
     p.add_argument("--lambda", dest="lambda_weight", type=float, default=None,
                    help="supervised weight in the combined loss")
     p.add_argument("--sup-threshold", dest="sup_threshold", type=float, default=None,
                    help="supervised loss above this skips the consistency term")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--hidden", type=int, default=None, help="total hidden size (even)")
-    p.add_argument("--emb-dim", dest="emb_dim", type=int, default=None)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
+    p.add_argument("--hidden", dest="hidden_size", type=int, default=None,
+                   help="total hidden size (even)")
+    p.add_argument("--emb-dim", dest="embedding_dim", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,6 +19,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -161,28 +162,56 @@ class TopicGroup:
 # ---------------------------------------------------------------------------
 # serialization
 
+def _is_list_of(value, item: type) -> bool:
+    # types match exactly, so JSON true/false never pass as integers
+    return type(value) is list and set(map(type, value)) <= {item}
+
+
+def _is_rows(value, item: type, length: int | None = None) -> bool:
+    """Whether parsed JSON is a list of lists of `item`, each `length` long if given."""
+    return (_is_list_of(value, list) and (length is None or set(map(len, value)) <= {length})
+            and set(map(type, chain.from_iterable(value))) <= {item})
+
+
 def _parse_example(obj: dict, where: str) -> ProcessExample:
+    def get(container: dict, key: str, ok, expected: str):
+        if key not in container:
+            raise CorpusError(f"{where}: missing field {key!r}")
+        if not ok(container[key]):
+            raise CorpusError(f"{where}: field {key!r} must be {expected}, got {container[key]!r}")
+        return container[key]
+
+    def is_str(value) -> bool:
+        return type(value) is str
+
+    entities = tuple(
+        Entity(name=get(e, "name", is_str, "a string"),
+               mentions=tuple(map(tuple, get(e, "mentions", lambda v: _is_rows(v, int, 3),
+                                             "a list of [step, start, end]"))))
+        for e in get(obj, "entities", lambda v: _is_list_of(v, dict), "a list of objects"))
+    gold = None
+    if obj.get("gold") is not None:
+        rows = get(obj, "gold", lambda v: _is_rows(v, str, len(entities)),
+                   f"a list of rows of {len(entities)} labels")
+        labels = list(chain.from_iterable(rows))
+        if unknown := sorted(set(labels) - set(CHANGE_NAMES)):
+            raise CorpusError(f"{where}: unknown state change {unknown[0]!r}")
+        gold = ChangeGrid.from_labels(np.array([CHANGE_NAMES.index(label) for label in labels],
+                                               dtype=np.int64).reshape(len(rows), len(entities)))
+    ex = ProcessExample(
+        id=get(obj, "id", is_str, "a string"),
+        topic=get(obj, "topic", is_str, "a string"),
+        steps=tuple(map(tuple, get(obj, "steps", lambda v: _is_rows(v, str),
+                                   "a list of token lists"))),
+        entities=entities,
+        verbs=tuple(map(tuple, get(obj, "verbs", lambda v: _is_rows(v, int, 2),
+                                   "a list of [step, token index]"))),
+        gold=gold,
+    )
     try:
-        entities = tuple(
-            Entity(name=e["name"], mentions=tuple(tuple(m) for m in e["mentions"]))
-            for e in obj["entities"])
-        gold = None
-        if obj.get("gold") is not None:
-            rows = []
-            for r in obj["gold"]:
-                rows.append([StateChange[label].value for label in r])
-            gold = ChangeGrid.from_labels(rows)
-        ex = ProcessExample(
-            id=obj["id"],
-            topic=obj["topic"],
-            steps=tuple(tuple(s) for s in obj["steps"]),
-            entities=entities,
-            verbs=tuple(tuple(v) for v in obj["verbs"]),
-            gold=gold,
-        )
-    except KeyError as exc:
-        raise CorpusError(f"{where}: missing field {exc}") from exc
-    ex.validate()
+        ex.validate()
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: {exc}") from exc
     return ex
 
 
@@ -201,8 +230,9 @@ def example_to_json(ex: ProcessExample) -> dict:
 
 
 def load_examples(path) -> list[ProcessExample]:
-    """Parse a JSONL corpus file, in file order."""
+    """Parse a JSONL corpus file, in file order; paragraph ids must be unique."""
     out = []
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for n, line in enumerate(fh, start=1):
             if not line.strip():
@@ -213,7 +243,12 @@ def load_examples(path) -> list[ProcessExample]:
                 raise CorpusError(f"{path} line {n}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
                 raise CorpusError(f"{path} line {n}: expected a JSON object")
-            out.append(_parse_example(obj, where=f"{path} line {n}"))
+            ex = _parse_example(obj, where=f"{path} line {n}")
+            if ex.id in first_line:
+                raise CorpusError(f"{path} line {n}: duplicate paragraph id {ex.id!r} "
+                                  f"(first on line {first_line[ex.id]})")
+            first_line[ex.id] = n
+            out.append(ex)
     return out
 
 

@@ -68,19 +68,41 @@ class ModelParams:
         return [t for t in self.named_tensors().values() if t.requires_grad]
 
     def copy(self) -> "ModelParams":
-        def dup(t: Tensor) -> Tensor:
-            return Tensor(t.values.copy(), requires_grad=t.requires_grad)
+        return _assemble(dict(self.vocab), self.embedding_frozen,
+                         {name: t.values.copy() for name, t in self.named_tensors().items()})
 
-        return ModelParams(
-            vocab=dict(self.vocab),
-            embedding=dup(self.embedding),
-            embedding_frozen=self.embedding_frozen,
-            fwd=LstmWeights(dup(self.fwd.wx), dup(self.fwd.wh), dup(self.fwd.b)),
-            bwd=LstmWeights(dup(self.bwd.wx), dup(self.bwd.wh), dup(self.bwd.b)),
-            attn_w=dup(self.attn_w), attn_b=dup(self.attn_b),
-            dec_w=dup(self.dec_w), dec_b=dup(self.dec_b),
-            hidden_size=self.hidden_size, embedding_dim=self.embedding_dim,
-        )
+
+def param_layout(vocab_size: int, embedding_dim: int,
+                 hidden_size: int) -> list[tuple[str, tuple[int, ...], int | None]]:
+    """Every parameter tensor as (name, shape, init fan-in), in checkpoint and
+    seeded-init draw order; a fan-in of None marks a zero-initialized bias."""
+    hd = hidden_size // 2
+    in_dim = embedding_dim + 2
+
+    def lstm(direction: str):
+        return [(f"{direction}_wx", (in_dim, 4 * hd), in_dim),
+                (f"{direction}_wh", (hd, 4 * hd), hd),
+                (f"{direction}_b", (4 * hd,), None)]
+
+    return [("embedding", (vocab_size, embedding_dim), embedding_dim),
+            *lstm("fwd"), *lstm("bwd"),
+            ("attn_w", (hidden_size, 2 * hidden_size), 2 * hidden_size),
+            ("attn_b", (), None),
+            ("dec_w", (hidden_size, N_CHANGES), hidden_size),
+            ("dec_b", (N_CHANGES,), None)]
+
+
+def _assemble(vocab: dict[str, int], embedding_frozen: bool,
+              arrays: dict[str, np.ndarray]) -> ModelParams:
+    """ModelParams from the named arrays of `param_layout`; a frozen embedding gets no gradient."""
+    t = {name: Tensor(a, requires_grad=not (name == "embedding" and embedding_frozen))
+         for name, a in arrays.items()}
+    return ModelParams(
+        vocab=vocab, embedding=t["embedding"], embedding_frozen=embedding_frozen,
+        fwd=LstmWeights(t["fwd_wx"], t["fwd_wh"], t["fwd_b"]),
+        bwd=LstmWeights(t["bwd_wx"], t["bwd_wh"], t["bwd_b"]),
+        attn_w=t["attn_w"], attn_b=t["attn_b"], dec_w=t["dec_w"], dec_b=t["dec_b"],
+        hidden_size=t["dec_w"].shape[0], embedding_dim=t["embedding"].shape[1])
 
 
 def build_vocab(groups: Iterable[TopicGroup]) -> dict[str, int]:
@@ -97,11 +119,6 @@ def build_vocab(groups: Iterable[TopicGroup]) -> dict[str, int]:
     return vocab
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
-    r = 1.0 / np.sqrt(fan_in)
-    return Tensor(rng.uniform(-r, r, size=shape), requires_grad=True)
-
-
 def init_params(vocab: dict[str, int], embedding_dim: int, hidden_size: int,
                 seed: int, embeddings: EmbeddingTable | None = None) -> ModelParams:
     """Seeded parameter init: weights uniform in [-1/sqrt(fan_in), +], biases zero.
@@ -111,42 +128,21 @@ def init_params(vocab: dict[str, int], embedding_dim: int, hidden_size: int,
     """
     if hidden_size % 2 != 0:
         raise ValueError("hidden_size must be even (half per direction)")
+    if embeddings is not None and embeddings.dimension != embedding_dim:
+        raise ValueError(
+            f"embedding file dimension {embeddings.dimension} != configured {embedding_dim}")
     rng = np.random.default_rng(seed)
-    if embeddings is not None:
-        if embeddings.dimension != embedding_dim:
-            raise ValueError(
-                f"embedding file dimension {embeddings.dimension} != configured {embedding_dim}")
-        mat = np.stack([embeddings.lookup(tok) if tok != UNK_TOKEN else embeddings.unk_vector
-                        for tok in vocab])
-        emb = Tensor(mat, requires_grad=False)
-        frozen = True
-    else:
-        emb = _uniform(rng, (len(vocab), embedding_dim), embedding_dim)
-        frozen = False
-
-    hd = hidden_size // 2
-    in_dim = embedding_dim + 2
-
-    def lstm() -> LstmWeights:
-        return LstmWeights(
-            wx=_uniform(rng, (in_dim, 4 * hd), in_dim),
-            wh=_uniform(rng, (hd, 4 * hd), hd),
-            b=Tensor(np.zeros(4 * hd), requires_grad=True),
-        )
-
-    return ModelParams(
-        vocab=vocab,
-        embedding=emb,
-        embedding_frozen=frozen,
-        fwd=lstm(),
-        bwd=lstm(),
-        attn_w=_uniform(rng, (hidden_size, 2 * hidden_size), 2 * hidden_size),
-        attn_b=Tensor(np.zeros(()), requires_grad=True),
-        dec_w=_uniform(rng, (hidden_size, N_CHANGES), hidden_size),
-        dec_b=Tensor(np.zeros(N_CHANGES), requires_grad=True),
-        hidden_size=hidden_size,
-        embedding_dim=embedding_dim,
-    )
+    arrays = {}
+    for name, shape, fan_in in param_layout(len(vocab), embedding_dim, hidden_size):
+        if name == "embedding" and embeddings is not None:
+            arrays[name] = np.stack([embeddings.lookup(tok) if tok != UNK_TOKEN
+                                     else embeddings.unk_vector for tok in vocab])
+        elif fan_in is None:
+            arrays[name] = np.zeros(shape)
+        else:
+            r = 1.0 / np.sqrt(fan_in)
+            arrays[name] = rng.uniform(-r, r, size=shape)
+    return _assemble(vocab, embeddings is not None, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +275,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    """Rebuild params from a checkpoint, rejecting shape mismatches."""
+    """Rebuild params from a checkpoint, rejecting shape mismatches and non-finite values."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -296,16 +292,8 @@ def load_checkpoint(path) -> ModelParams:
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"{path}: missing checkpoint field: {exc}") from exc
 
-    hd = hidden // 2
-    expected = {
-        "embedding": (len(vocab), emb_dim),
-        "fwd_wx": (emb_dim + 2, 4 * hd), "fwd_wh": (hd, 4 * hd), "fwd_b": (4 * hd,),
-        "bwd_wx": (emb_dim + 2, 4 * hd), "bwd_wh": (hd, 4 * hd), "bwd_b": (4 * hd,),
-        "attn_w": (hidden, 2 * hidden), "attn_b": (),
-        "dec_w": (hidden, N_CHANGES), "dec_b": (N_CHANGES,),
-    }
-    tensors: dict[str, Tensor] = {}
-    for name, shape in expected.items():
+    arrays = {}
+    for name, shape, _ in param_layout(len(vocab), emb_dim, hidden):
         if name not in raw:
             raise CheckpointError(f"{path}: missing tensor '{name}'")
         got = tuple(raw[name]["shape"])
@@ -315,16 +303,7 @@ def load_checkpoint(path) -> ModelParams:
         values = np.asarray(raw[name]["values"], dtype=np.float64)
         if values.size != int(np.prod(shape)):
             raise CheckpointError(f"{path}: tensor '{name}' has wrong number of values")
-        trainable = not (name == "embedding" and frozen)
-        tensors[name] = Tensor(values.reshape(shape), requires_grad=trainable)
-
-    return ModelParams(
-        vocab=vocab,
-        embedding=tensors["embedding"],
-        embedding_frozen=frozen,
-        fwd=LstmWeights(tensors["fwd_wx"], tensors["fwd_wh"], tensors["fwd_b"]),
-        bwd=LstmWeights(tensors["bwd_wx"], tensors["bwd_wh"], tensors["bwd_b"]),
-        attn_w=tensors["attn_w"], attn_b=tensors["attn_b"],
-        dec_w=tensors["dec_w"], dec_b=tensors["dec_b"],
-        hidden_size=hidden, embedding_dim=emb_dim,
-    )
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: tensor '{name}' holds a non-finite value")
+        arrays[name] = values.reshape(shape)
+    return _assemble(vocab, frozen, arrays)

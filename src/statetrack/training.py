@@ -21,7 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from . import evaluation, model
 from .autodiff import ComputationTape, Tensor
-from .corpus import N_CHANGES, ChangeGrid, ProcessExample, TopicGroup, shared_entities
+from .corpus import (N_CHANGES, ChangeGrid, EmbeddingTable, ProcessExample, TopicGroup,
+                     shared_entities)
 from .model import ModelParams
 
 logger = logging.getLogger(__name__)
@@ -91,11 +92,46 @@ def make_batches(group: TopicGroup) -> list[GroupBatch]:
 # ---------------------------------------------------------------------------
 # summaries and consistency
 
+def _summaries(cells: Tensor, picks: list[tuple[int, int, int]]) -> Tensor:
+    """Summary distributions as one matmul over step-major cell rows: row r is
+    the mean of rows first, first + width, ... for picks[r] = (first, width, steps)."""
+    avg = np.zeros((len(picks), cells.shape[0]))
+    for r, (first, width, steps) in enumerate(picks):
+        avg[r, first + width * np.arange(steps)] = 1.0 / steps
+    return ad.matmul(ad.constant(avg), cells)
+
+
+def consistency_sum(primary: Tensor, width: int, members: Tensor,
+                    blocks: Sequence[tuple[int, int, Sequence[tuple[int, int]]]]) -> Tensor:
+    """Sum over members of the mean over shared entities of the mean squared
+    difference between member and primary summary distributions.
+
+    Cells are step-major: `primary` has `width` entities per step, and
+    `members` stacks one block per (steps, block width, pairs) in `blocks`,
+    each pair aligning a block column with a primary entity.  Each side is
+    summarized by its own matmul before subtracting, so a self-pair gives 0.
+    """
+    steps = primary.shape[0] // width
+    member_picks, primary_picks, weight, offset = [], [], [], 0
+    for block_steps, block_width, pairs in blocks:
+        member_picks += [(offset + column, block_width, block_steps) for column, _ in pairs]
+        primary_picks += [(entity, width, steps) for _, entity in pairs]
+        weight += [[1.0 / (N_CHANGES * len(pairs))] * N_CHANGES] * len(pairs)
+        offset += block_steps * block_width
+    diff = ad.add(_summaries(members, member_picks),
+                  ad.scale(_summaries(primary, primary_picks), -1.0))
+    return ad.total(ad.mul(ad.mul(diff, diff), ad.constant(weight)))
+
+
+def _cells(grid: ChangeGrid) -> Tensor:
+    if grid.is_hard:
+        raise ValueError("summaries need a distribution grid")
+    return ad.constant(grid.dists.reshape(-1, N_CHANGES))
+
+
 def summarize(grid: ChangeGrid, entity: int) -> np.ndarray:
     """Per-entity summary distribution: the entity's step distributions averaged over steps."""
-    if grid.is_hard:
-        raise ValueError("summarize needs a distribution grid")
-    return grid.dists[:, entity, :].sum(axis=0) / grid.dists.shape[0]
+    return _summaries(_cells(grid), [(entity, grid.shape[1], grid.shape[0])]).values[0]
 
 
 def consistency_loss(pred_a: ChangeGrid, example_a: ProcessExample,
@@ -103,16 +139,14 @@ def consistency_loss(pred_a: ChangeGrid, example_a: ProcessExample,
     """Mean squared error between summary distributions, averaged over shared entities.
 
     Entities are matched by exact (case/space-insensitive) name; pairs with no
-    shared entity contribute 0 rather than a penalty.
+    shared entity contribute 0 rather than a penalty.  This is the training
+    term of member a against primary b.
     """
     pairs = shared_entities(example_a, example_b)
     if not pairs:
         return 0.0
-    acc = 0.0
-    for ia, ib in pairs:
-        diff = summarize(pred_a, ia) - summarize(pred_b, ib)
-        acc += float(np.mean(diff * diff))
-    return acc / len(pairs)
+    return consistency_sum(_cells(pred_b), pred_b.shape[1], _cells(pred_a),
+                           [(*pred_a.shape, pairs)]).item()
 
 
 def combine_losses(sup: Tensor, con_sum: Tensor, lambda_weight: float) -> Tensor:
@@ -147,41 +181,15 @@ def batch_loss(params: ModelParams, batch: GroupBatch,
     if aligned:
         member_dists = model.encode_cells(
             params, [(m, [ia for ia, _ in pairs]) for m, pairs in aligned]).dists
-        diff, weight = _summary_differences(primary, aligned)
-        d = ad.matmul(ad.constant(diff), ad.concat([primary_dists, member_dists]))
-        con_sum = ad.total(ad.mul(ad.mul(d, d), ad.constant(weight)))
+        con_sum = consistency_sum(
+            primary_dists, primary.n_entities, member_dists,
+            [(m.n_steps, len(pairs), [(q, ib) for q, (_, ib) in enumerate(pairs)])
+             for m, pairs in aligned])
     else:
         # an empty sum still goes through the combined formula, giving lambda*sup
         con_sum = ad.zeros(())
     total = combine_losses(sup, con_sum, cfg.lambda_weight)
     return total, BatchStats(sup_loss=sup_value, con_loss=con_sum.item())
-
-
-def _summary_differences(primary: ProcessExample,
-                         aligned: list[tuple[ProcessExample, list[tuple[int, int]]]]):
-    """Constant matrices (diff, weight) turning stacked cell distributions into
-    the consistency sum.
-
-    The stacked rows are the primary's cells, then each aligned member's
-    cells for its shared entities, in pair order; every block is step-major.
-    Row r of `diff @ stacked` is member summary minus primary summary for one
-    shared entity pair, and `weight` makes the weighted sum of its squares
-    the per-member mean over pairs of the mean squared error, summed over
-    members.
-    """
-    n_rows = sum(len(pairs) for _, pairs in aligned)
-    offset = primary.n_steps * primary.n_entities
-    diff = np.zeros((n_rows, offset + sum(m.n_steps * len(pairs) for m, pairs in aligned)))
-    weight = np.zeros((n_rows, N_CHANGES))
-    row = 0
-    for member, pairs in aligned:
-        for q, (_, ib) in enumerate(pairs):
-            diff[row, offset + q + len(pairs) * np.arange(member.n_steps)] = 1.0 / member.n_steps
-            diff[row, ib + primary.n_entities * np.arange(primary.n_steps)] = -1.0 / primary.n_steps
-            weight[row] = 1.0 / (N_CHANGES * len(pairs))
-            row += 1
-        offset += member.n_steps * len(pairs)
-    return diff, weight
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +225,13 @@ def _evaluate_split(params: ModelParams, groups: Sequence[TopicGroup]) -> tuple[
 
 def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
           dev: Sequence[TopicGroup] = (),
-          initial_params: ModelParams | None = None) -> TrainResult:
+          embeddings: EmbeddingTable | None = None) -> TrainResult:
     """Train on all batches of all groups, keeping the best-dev checkpoint.
 
     Group order is reshuffled every epoch from the run seed; batch order
     within a group is fixed.  Groups without any labeled member are skipped
-    and counted.  A non-finite loss aborts with full context.  Pass
-    initial_params to start from pre-built weights (e.g. file-loaded
-    embeddings) instead of the seeded random init.
+    and counted.  A non-finite loss aborts with full context.  With an
+    embedding table the word vectors come from it and stay frozen.
     """
     cfg.validate()
     trainable_groups = [g for g in groups if g.labeled]
@@ -236,11 +243,8 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
         raise ValueError("no labeled examples anywhere in the training corpus")
 
     rng = np.random.default_rng(cfg.seed)
-    if initial_params is not None:
-        params = initial_params
-    else:
-        vocab = model.build_vocab(groups)
-        params = model.init_params(vocab, cfg.embedding_dim, cfg.hidden_size, seed=cfg.seed)
+    params = model.init_params(model.build_vocab(groups), cfg.embedding_dim, cfg.hidden_size,
+                               seed=cfg.seed, embeddings=embeddings)
 
     epochs_log = []
     best_f1 = -1.0

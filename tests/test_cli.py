@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -121,6 +123,59 @@ def test_train_rejects_bad_config_key(tmp_path):
     assert run_cli("train", "--config", str(cfg_path)) == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", "x"), ("epochs", 1.5), ("hidden_size", True), ("use_unlabeled", 1),
+    ("consistency_enabled", "no"), ("train", ["t.jsonl"]), ("label_fraction", None),
+])
+def test_train_rejects_mistyped_config_value(tmp_path, gen_dir, capsys, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": str(gen_dir / "train.jsonl"), key: value}))
+    assert run_cli("train", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "ck.json"),
+                   "--report", str(tmp_path / "r.json")) == cli.EXIT_USAGE
+    assert f"'{key}' must be" in capsys.readouterr().err
+
+
+def test_run_config_fields_are_the_config_keys_and_flag_dests(tmp_path, gen_dir):
+    # a valid non-default value for every field, ints standing in for floats
+    wanted = {"train": "t.jsonl", "dev": "d.jsonl", "embeddings": "e.txt",
+              "checkpoint": "c.json", "report": "r.json", "label_fraction": 0.5,
+              "use_unlabeled": True, "lambda_weight": 1, "sup_threshold": 0.5,
+              "learning_rate": 2, "epochs": 3, "seed": 4, "hidden_size": 6,
+              "embedding_dim": 5, "consistency_enabled": False}
+    fields = [f.name for f in dataclasses.fields(cli.RunConfig)]
+    assert sorted(fields) == sorted(wanted)
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(wanted))
+    args = cli.build_parser().parse_args(["train", "--config", str(cfg_path)])
+    assert dataclasses.asdict(cli._build_run_config(args)) == wanted
+
+    flags = argparse.ArgumentParser()
+    cli._add_common_train_flags(flags)
+    actions = {a.dest: a for a in flags._actions}
+    argv = ["train"]
+    for name in fields:
+        argv.append(actions[name].option_strings[0])
+        if actions[name].nargs != 0:
+            argv.append(str(wanted[name]))
+    args = cli.build_parser().parse_args(argv)
+    assert dataclasses.asdict(cli._build_run_config(args)) == wanted
+
+    _, _, rep = train_small(tmp_path, gen_dir)
+    assert set(json.loads(rep.read_text())["config"]) == set(fields) | {"demoted_paragraphs"}
+
+
+def test_train_test_option_is_gone(tmp_path, gen_dir):
+    outputs = ["--checkpoint", str(tmp_path / "ck.json"), "--report", str(tmp_path / "r.json"),
+               "--epochs", "1"]
+    assert run_cli("train", "--train", str(gen_dir / "train.jsonl"),
+                   "--test", str(gen_dir / "test.jsonl"), *outputs) == cli.EXIT_USAGE
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"train": str(gen_dir / "train.jsonl"),
+                                    "test": str(gen_dir / "test.jsonl")}))
+    assert run_cli("train", "--config", str(cfg_path), *outputs) == cli.EXIT_USAGE
+
+
 def test_train_requires_corpus_path(tmp_path):
     assert run_cli("train", "--epochs", "1") == cli.EXIT_USAGE
 
@@ -136,6 +191,19 @@ def test_unknown_flag_is_usage_error():
 
 def test_missing_subcommand_is_usage_error():
     assert run_cli() == cli.EXIT_USAGE
+
+
+def test_train_malformed_corpus_is_data_error(tmp_path, gen_dir, capsys):
+    lines = (gen_dir / "train.jsonl").read_text().splitlines()
+    bad = json.loads(lines[1])
+    bad["steps"] = 5
+    lines[1] = json.dumps(bad)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    code = run_cli("train", "--train", str(path), "--checkpoint", str(tmp_path / "ck.json"),
+                   "--report", str(tmp_path / "rep.json"), "--epochs", "1")
+    assert code == cli.EXIT_DATA
+    assert f"{path} line 2: field 'steps'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

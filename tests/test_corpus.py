@@ -62,6 +62,34 @@ def test_malformed_line_reports_line_number(tmp_path):
         corpus.load_corpus(path)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("steps", 5, "field 'steps' must be a list of token lists"),
+    ("entities", None, "field 'entities' must be a list of objects"),
+    ("verbs", [[0, "2"], [1, 2]], "field 'verbs' must be a list of [step, token index]"),
+    ("entities", [{"name": "water", "mentions": [[0, 1]]},
+                  {"name": "oxygen", "mentions": [[1, 1, 2]]}],
+     "field 'mentions' must be a list of [step, start, end]"),
+    ("gold", [["JUMP", "NONE"], ["NONE", "NONE"]], "unknown state change 'JUMP'"),
+])
+def test_malformed_record_names_file_and_line(tmp_path, field, value, message):
+    good = corpus.example_to_json(make_example(id="good"))
+    bad = corpus.example_to_json(make_example(id="bad"))
+    bad[field] = value
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as info:
+        corpus.load_examples(path)
+    assert str(info.value).startswith(f"{path} line 2: ")
+    assert message in str(info.value)
+
+
+def test_duplicate_paragraph_id_rejected(tmp_path):
+    examples = [make_example(id="p0"), make_example(id="p1"), make_example(id="p0")]
+    path = write_corpus(tmp_path / "c.jsonl", examples)
+    with pytest.raises(CorpusError, match=r"line 3: duplicate paragraph id 'p0' \(first on line 1\)"):
+        corpus.load_examples(path)
+
+
 def test_mention_outside_sentence_rejected():
     ex = ProcessExample(
         id="oops", topic="t", steps=(("a", "b"),),

@@ -355,6 +355,20 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
+    import json
+
+    params = tiny_params(tiny_example())
+    path = tmp_path / "ck.json"
+    save_checkpoint(params, path)
+    payload = json.loads(path.read_text())
+    payload["tensors"]["dec_b"]["values"][1] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match="dec_b"):
+        load_checkpoint(path)
+
+
 def test_init_requires_even_hidden():
     with pytest.raises(ValueError):
         init_params({model.UNK_TOKEN: 0}, 4, 5, seed=0)
