@@ -18,7 +18,6 @@ from pathlib import Path
 
 from . import corpus, evaluation, model, training
 from .corpus import CorpusError
-from .model import CheckpointError
 from .training import NumericalError, TrainingConfig
 
 logger = logging.getLogger("statetrack")
@@ -90,7 +89,7 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_json(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with corpus.atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
@@ -128,14 +127,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     examples = corpus.flatten_groups(groups)
     if not examples:
         raise CorpusError(f"{args.corpus}: corpus is empty")
-    labeled = [ex for ex in examples if ex.gold is not None]
-    if not labeled:
+    if all(ex.gold is None for ex in examples):
         raise CorpusError(f"{args.corpus}: no gold labels to evaluate against")
 
-    preds = {ex.id: evaluation.discretize(model.predict_grid(params, ex))
-             for ex in examples}
-    metrics = evaluation.score_corpus((preds[ex.id], ex.gold) for ex in labeled)
-    consistency = evaluation.consistency_score(groups, preds)
+    metrics, consistency = training._evaluate_split(params, groups)
     payload = {**metrics.to_json(), **consistency.to_json()}
     print(json.dumps(payload, indent=2))
     if args.out:
@@ -148,9 +143,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     examples = corpus.load_examples(args.corpus)
     if not examples:
         raise CorpusError(f"{args.corpus}: corpus is empty")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            hard = evaluation.discretize(model.predict_grid(params, ex))
+    with corpus.atomic_open(args.out) as fh:
+        for ex, grid in zip(examples, model.predict_grids(params, examples)):
+            hard = evaluation.discretize(grid)
             obj = corpus.example_to_json(dataclasses.replace(ex, gold=hard))
             obj["summary"] = {
                 ent.name: sorted(c.name for c in evaluation.summary_set(hard, j))
@@ -254,15 +249,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CorpusError, CheckpointError, ValueError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -267,8 +270,42 @@ def load_corpus(path) -> list[TopicGroup]:
     return group_by_topic(load_examples(path))
 
 
+@contextmanager
+def atomic_open(path) -> Iterator[TextIO]:
+    """Write a UTF-8 text file that appears whole or not at all.
+
+    The text goes to a temporary file in the target's directory, which
+    replaces the target once the block ends; on any error it is removed and
+    the old file is left as it was.  Like `open(path, "w")`, this writes
+    through a symlink, keeps an existing file's mode and gives a new file
+    the umask's.  A pipe or device (say /dev/stdout) cannot be replaced and
+    is written in place.  There is no fsync, so this holds against a crashed
+    process, not against power loss.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    directory, name = os.path.split(os.path.realpath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+            yield fh
+        os.replace(tmp, os.path.join(directory, name))
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_examples(path, examples: Iterable[ProcessExample]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for ex in examples:
             fh.write(json.dumps(example_to_json(ex), ensure_ascii=False))
             fh.write("\n")
@@ -330,6 +367,8 @@ class EmbeddingTable:
                     vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
                 except ValueError as exc:
                     raise CorpusError(f"{path} line {n}: bad decimal") from exc
+                if not np.isfinite(vec).all():
+                    raise CorpusError(f"{path} line {n}: non-finite decimal")
                 if dim is None:
                     dim = vec.size
                 elif vec.size != dim:

@@ -9,6 +9,7 @@ entity receives anywhere in a paragraph) are equal.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -36,11 +37,7 @@ class MetricsReport:
                    predicted_positives=predicted_positives, matched=matched)
 
     def to_json(self) -> dict:
-        return {
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "gold_positives": self.gold_positives,
-            "predicted_positives": self.predicted_positives, "matched": self.matched,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass

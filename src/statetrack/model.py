@@ -21,11 +21,13 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import (N_CHANGES, ChangeGrid, EmbeddingTable, ProcessExample,
-                     TopicGroup)
+                     TopicGroup, atomic_open)
 
 UNK_TOKEN = "<unk>"
 
 CHECKPOINT_VERSION = 1
+
+PREDICT_CHUNK = 64  # paragraphs per encoder pass in predict_grids
 
 
 class CheckpointError(ValueError):
@@ -243,15 +245,26 @@ def encode_cells(params: ModelParams,
     return CellBatch(attention=attention, pooled=pooled, dists=dists)
 
 
+def predict_grids(params: ModelParams, examples: Sequence[ProcessExample]) -> list[ChangeGrid]:
+    """`predict_grid` of each paragraph (a cell depends only on its own sentence),
+    from one encoder pass per PREDICT_CHUNK paragraphs, which bounds the memory."""
+    grids = []
+    for start in range(0, len(examples), PREDICT_CHUNK):
+        chunk = examples[start:start + PREDICT_CHUNK]
+        dists = encode_cells(params, [(ex, range(ex.n_entities)) for ex in chunk]).dists.values
+        ends = np.cumsum([ex.n_steps * ex.n_entities for ex in chunk])[:-1]
+        grids += [ChangeGrid.from_dists(rows.reshape(ex.n_steps, ex.n_entities, N_CHANGES))
+                  for ex, rows in zip(chunk, np.split(dists, ends))]
+    return grids
+
+
 def predict_grid(params: ModelParams, example: ProcessExample) -> ChangeGrid:
     """Distribution grid for a whole paragraph.
 
     Pure function of (params, example): given immutable params it is safe to
     call concurrently across examples.
     """
-    batch = encode_cells(params, [(example, range(example.n_entities))])
-    return ChangeGrid.from_dists(
-        batch.dists.values.reshape(example.n_steps, example.n_entities, N_CHANGES))
+    return predict_grids(params, [example])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,41 +282,56 @@ def save_checkpoint(params: ModelParams, path) -> None:
             for name, t in params.named_tensors().items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh)
         fh.write("\n")
 
 
+_CHECKPOINT_FIELDS = {"hidden_size": int, "embedding_dim": int, "embedding_frozen": bool,
+                      "vocab": list, "tensors": dict}
+
+
 def load_checkpoint(path) -> ModelParams:
-    """Rebuild params from a checkpoint, rejecting shape mismatches and non-finite values."""
+    """Rebuild params from a checkpoint, rejecting malformed structure, shape
+    mismatches and non-finite values with a CheckpointError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"{path}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{path}: checkpoint must hold a JSON object")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')}")
-    try:
-        hidden = int(payload["hidden_size"])
-        emb_dim = int(payload["embedding_dim"])
-        frozen = bool(payload["embedding_frozen"])
-        vocab = {tok: i for i, tok in enumerate(payload["vocab"])}
-        raw = payload["tensors"]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: missing checkpoint field: {exc}") from exc
+    for key, kind in _CHECKPOINT_FIELDS.items():
+        got = type(payload.get(key))
+        if got is not kind:  # exact, so a bool is not an int
+            raise CheckpointError(f"{path}: field '{key}' must be {kind.__name__}, "
+                                  f"got {got.__name__}")
+    if set(map(type, payload["vocab"])) != {str} or UNK_TOKEN not in payload["vocab"]:
+        raise CheckpointError(f"{path}: vocab must list token strings including {UNK_TOKEN}")
+    vocab = {tok: i for i, tok in enumerate(payload["vocab"])}
+    raw = payload["tensors"]
 
     arrays = {}
-    for name, shape, _ in param_layout(len(vocab), emb_dim, hidden):
-        if name not in raw:
-            raise CheckpointError(f"{path}: missing tensor '{name}'")
-        got = tuple(raw[name]["shape"])
-        if got != shape:
+    for name, shape, _ in param_layout(len(vocab), payload["embedding_dim"],
+                                       payload["hidden_size"]):
+        entry = raw.get(name)
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"{path}: tensor '{name}' is missing or not an object")
+        got, values = entry.get("shape"), entry.get("values")
+        if not isinstance(got, list) or tuple(got) != shape:
             raise CheckpointError(
-                f"{path}: tensor '{name}' has shape {list(got)}, expected {list(shape)}")
-        values = np.asarray(raw[name]["values"], dtype=np.float64)
-        if values.size != int(np.prod(shape)):
+                f"{path}: tensor '{name}' has shape {got}, expected {list(shape)}")
+        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+            raise CheckpointError(f"{path}: tensor '{name}' values must be a list of numbers")
+        if len(values) != int(np.prod(shape)):
             raise CheckpointError(f"{path}: tensor '{name}' has wrong number of values")
+        try:
+            values = np.asarray(values, dtype=np.float64)
+        except OverflowError:  # an integer past the float range
+            values = np.array(np.inf)
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: tensor '{name}' holds a non-finite value")
         arrays[name] = values.reshape(shape)
-    return _assemble(vocab, frozen, arrays)
+    return _assemble(vocab, payload["embedding_frozen"], arrays)

@@ -12,7 +12,9 @@ loss lambda*sup + (1-lambda)*sum(agreement) takes over, batch by batch.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +24,7 @@ from . import autodiff as ad
 from . import evaluation, model
 from .autodiff import ComputationTape, Tensor
 from .corpus import (N_CHANGES, ChangeGrid, EmbeddingTable, ProcessExample, TopicGroup,
-                     shared_entities)
+                     flatten_groups, shared_entities)
 from .model import ModelParams
 
 logger = logging.getLogger(__name__)
@@ -44,6 +46,10 @@ class TrainingConfig:
     consistency_enabled: bool = True
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name!r} must be finite, got {value!r}")
         if not 0.0 <= self.lambda_weight <= 1.0:
             raise ValueError("lambda_weight must lie in [0, 1]")
         if self.sup_threshold < 0.0:
@@ -208,19 +214,15 @@ def _sgd_step(params: ModelParams, lr: float) -> None:
             t.zero_grad()
 
 
-def _evaluate_split(params: ModelParams, groups: Sequence[TopicGroup]) -> tuple[float, float]:
-    """Micro F1 over labeled examples and consistency score over all examples."""
-    preds: dict[str, ChangeGrid] = {}
-    pairs = []
-    for g in groups:
-        for ex in g.members:
-            hard = evaluation.discretize(model.predict_grid(params, ex))
-            preds[ex.id] = hard
-            if ex.gold is not None:
-                pairs.append((hard, ex.gold))
-    f1 = evaluation.score_corpus(pairs).f1 if pairs else 0.0
-    consistency = evaluation.consistency_score(groups, preds).score
-    return f1, consistency
+def _evaluate_split(params: ModelParams, groups: Sequence[TopicGroup]
+                    ) -> tuple[evaluation.MetricsReport, evaluation.ConsistencyReport]:
+    """Micro P/R/F1 over labeled examples and consistency score over all examples."""
+    examples = flatten_groups(groups)
+    hard = [evaluation.discretize(grid) for grid in model.predict_grids(params, examples)]
+    metrics = evaluation.score_corpus((h, ex.gold) for ex, h in zip(examples, hard)
+                                      if ex.gold is not None)
+    return metrics, evaluation.consistency_score(
+        groups, {ex.id: h for ex, h in zip(examples, hard)})
 
 
 def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
@@ -272,7 +274,8 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
 
         dev_f1 = dev_consistency = None
         if dev:
-            dev_f1, dev_consistency = _evaluate_split(params, dev)
+            metrics, consistency = _evaluate_split(params, dev)
+            dev_f1, dev_consistency = metrics.f1, consistency.score
             # ties keep the later epoch's checkpoint
             if dev_f1 >= best_f1:
                 best_f1 = dev_f1

@@ -126,6 +126,8 @@ def test_train_rejects_bad_config_key(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("seed", "x"), ("epochs", 1.5), ("hidden_size", True), ("use_unlabeled", 1),
     ("consistency_enabled", "no"), ("train", ["t.jsonl"]), ("label_fraction", None),
+    ("sup_threshold", float("nan")), ("learning_rate", float("inf")),
+    ("lambda_weight", float("-inf")), ("label_fraction", float("nan")),
 ])
 def test_train_rejects_mistyped_config_value(tmp_path, gen_dir, capsys, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -133,6 +135,18 @@ def test_train_rejects_mistyped_config_value(tmp_path, gen_dir, capsys, key, val
     assert run_cli("train", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "ck.json"),
                    "--report", str(tmp_path / "r.json")) == cli.EXIT_USAGE
     assert f"'{key}' must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--lr", "inf", "learning_rate"), ("--sup-threshold", "nan", "sup_threshold"),
+    ("--lambda", "nan", "lambda_weight"), ("--label-fraction", "inf", "label_fraction"),
+])
+def test_train_rejects_non_finite_flag_value(tmp_path, gen_dir, capsys, flag, value, field):
+    assert run_cli("train", "--train", str(gen_dir / "train.jsonl"), flag, value,
+                   "--checkpoint", str(tmp_path / "ck.json"),
+                   "--report", str(tmp_path / "r.json")) == cli.EXIT_USAGE
+    assert f"'{field}' must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "ck.json").exists()
 
 
 def test_run_config_fields_are_the_config_keys_and_flag_dests(tmp_path, gen_dir):
@@ -307,3 +321,12 @@ def test_train_with_embedding_file(tmp_path, gen_dir):
     params = load_checkpoint(ck)
     assert params.embedding_frozen
     assert not params.embedding.requires_grad
+
+
+def test_train_with_non_finite_embedding_is_data_error(tmp_path, gen_dir, capsys):
+    emb_path = tmp_path / "emb.txt"
+    emb_path.write_text("water 1.0 0.5 0.0 2.0\nthe nan 1.0 0.0 0.0\n", encoding="utf-8")
+    code, ck, _ = train_small(tmp_path, gen_dir, "--embeddings", str(emb_path))
+    assert code == cli.EXIT_DATA
+    assert f"{emb_path} line 2" in capsys.readouterr().err
+    assert not ck.exists()

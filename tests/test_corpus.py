@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -260,6 +263,73 @@ def test_embedding_table_dimension_mismatch(tmp_path):
     path.write_text("a 1.0 2.0\nb 3.0\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="line 2"):
         EmbeddingTable.load(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
+def test_embedding_table_rejects_non_finite_values(tmp_path, bad):
+    path = tmp_path / "emb.txt"
+    path.write_text(f"water 1.0 2.0\nthe {bad} 1.0\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match=f"{path} line 2"):
+        EmbeddingTable.load(path)
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+def test_failed_write_keeps_old_file_and_leaves_no_stray_file(tmp_path):
+    path = tmp_path / "split.jsonl"
+    corpus.save_examples(path, [make_example()])
+    old = path.read_bytes()
+
+    def fails_part_way():
+        yield make_example(id="x2")
+        raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError, match="interrupted"):
+        corpus.save_examples(path, fails_part_way())
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["split.jsonl"]
+
+
+def test_atomic_open_gives_the_modes_of_open(tmp_path):
+    def mode(p):
+        return stat.S_IMODE(os.stat(p).st_mode)
+
+    reference = tmp_path / "reference"
+    open(reference, "w").close()
+    fresh = tmp_path / "fresh"
+    with corpus.atomic_open(fresh) as fh:
+        fh.write("new\n")
+    assert fresh.read_text() == "new\n"
+    assert mode(fresh) == mode(reference)
+    os.chmod(fresh, 0o640)
+    with corpus.atomic_open(fresh) as fh:
+        fh.write("newer\n")
+    assert fresh.read_text() == "newer\n"
+    assert mode(fresh) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["fresh", "reference"]
+
+
+def test_atomic_open_writes_through_symlinks_and_pipes(tmp_path):
+    target = tmp_path / "target.jsonl"
+    target.write_text("old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    with corpus.atomic_open(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    with corpus.atomic_open(fifo) as fh:
+        fh.write("streamed\n")
+    reader.join(timeout=10)
+    assert read == ["streamed\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "pipe", "target.jsonl"]
 
 
 # ---------------------------------------------------------------------------

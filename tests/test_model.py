@@ -1,15 +1,18 @@
+import json
 import sys
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from statetrack import autodiff as ad
-from statetrack import model
+from statetrack import cli, model
 from statetrack.corpus import ChangeGrid, Entity, ProcessExample, generate_synthetic
 from statetrack.model import (CheckpointError, build_vocab, encode_cells,
                               init_params, load_checkpoint, predict_grid,
-                              save_checkpoint)
+                              predict_grids, save_checkpoint)
 
 RNG = np.random.default_rng(77)
 
@@ -322,6 +325,32 @@ def test_predict_grid_is_thread_safe():
     assert results == [serial, serial]
 
 
+def assert_grids_match_one_by_one(params, examples):
+    grids = predict_grids(params, examples)
+    assert len(grids) == len(examples)
+    for ex, grid in zip(examples, grids):
+        alone = predict_grid(params, ex).dists
+        assert grid.dists.shape == alone.shape
+        assert np.max(np.abs(grid.dists - alone)) <= 1e-12
+
+
+def test_predict_grids_match_predict_grid_on_ragged_batch():
+    a, b, params = ragged_batch()
+    assert_grids_match_one_by_one(params, [a, b, a])
+
+
+def test_predict_grids_match_predict_grid_across_chunk_boundary():
+    groups = generate_synthetic(seed=5, topics=23, paragraphs_per_topic=3, noise=0.15)
+    examples = [ex for g in groups for ex in g.members][:model.PREDICT_CHUNK + 1]
+    assert len(examples) == model.PREDICT_CHUNK + 1
+    assert_grids_match_one_by_one(init_params(build_vocab(groups), 6, 4, seed=3), examples)
+
+
+def test_predict_grids_of_no_paragraphs_is_empty():
+    _, _, params = ragged_batch()
+    assert predict_grids(params, []) == []
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -355,7 +384,8 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 pytest.param(10**400, id="huge-int")])
 def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
     import json
 
@@ -372,3 +402,73 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
 def test_init_requires_even_hidden():
     with pytest.raises(ValueError):
         init_params({model.UNK_TOKEN: 0}, 4, 5, seed=0)
+
+
+def saved_payload(path):
+    save_checkpoint(tiny_params(tiny_example()), path)
+    return json.loads(path.read_text())
+
+
+DROP = object()
+
+
+def mutated(payload, keys, value):
+    """`payload` with the entry at the path `keys` set to `value`, or removed for DROP."""
+    if not keys:
+        return value
+    node = payload
+    for key in keys[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[keys[-1]]
+    else:
+        node[keys[-1]] = value
+    return payload
+
+
+@pytest.mark.parametrize("keys, value, field", [
+    (("tensors", "dec_b", "shape"), DROP, "dec_b"),
+    (("tensors", "attn_w"), [1, 2], "attn_w"),
+    (("tensors", "fwd_b", "values", 0), "x", "fwd_b"),
+    (("tensors", "bwd_wh", "values"), {}, "bwd_wh"),
+    (("tensors",), 5, "tensors"),
+    (("hidden_size",), "x", "hidden_size"),
+    (("vocab", 0), "<UNK>", "vocab"),
+    ((), [1, 2], "JSON object"),
+], ids=["no-shape", "entry-not-object", "string-value", "values-object", "tensors-number",
+        "hidden-size-string", "no-unk-token", "top-level-array"])
+def test_checkpoint_structure_errors_name_file_and_field(tmp_path, capsys, keys, value, field):
+    path = tmp_path / "ck.json"
+    path.write_text(json.dumps(mutated(saved_payload(path), keys, value)))
+    with pytest.raises(CheckpointError, match=field) as info:
+        load_checkpoint(path)
+    assert str(path) in str(info.value)
+    assert cli.main(["eval", str(path), str(tmp_path / "absent.jsonl")]) == cli.EXIT_DATA
+    assert str(path) in capsys.readouterr().err
+
+
+SWAPS = [None, True, 0, 0.5, "x", [], {}]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hst.data())
+def test_any_single_checkpoint_mutation_loads_or_raises_checkpoint_error(tmp_path_factory, data):
+    """Drop a key, swap a value for one of another JSON type, or truncate a list,
+    anywhere in a valid checkpoint; loading never fails any other way."""
+    path = tmp_path_factory.mktemp("ck") / "ck.json"
+    payload = saved_payload(path)
+    keys, node = (), payload
+    while isinstance(node, (dict, list)) and node and data.draw(hst.booleans()):
+        key = data.draw(hst.sampled_from(sorted(node) if isinstance(node, dict)
+                                         else range(len(node))))
+        keys, parent, node = keys + (key,), node, node[key]
+    values = [v for v in SWAPS if type(v) is not type(node)]
+    if keys and isinstance(parent, dict):
+        values.append(DROP)
+    if isinstance(node, list) and node:
+        values += [node[:n] for n in sorted({0, len(node) - 1})]
+    path.write_text(json.dumps(mutated(payload, keys, data.draw(hst.sampled_from(values)))))
+    try:
+        load_checkpoint(path)
+    except CheckpointError as exc:
+        assert str(path) in str(exc)
