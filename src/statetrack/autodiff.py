@@ -110,7 +110,7 @@ class ComputationTape:
         def get_adj(t: Tensor) -> np.ndarray:
             buf = adjoints.get(id(t))
             if buf is None:
-                buf = np.zeros_like(t.values)
+                buf = np.zeros(t.shape)  # float64, as every Tensor is
                 adjoints[id(t)] = buf
                 holders[id(t)] = t
             return buf
@@ -209,38 +209,65 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def lstm_step(x: Tensor, state: Tensor, wh: Tensor) -> Tensor:
-    """One fused LSTM time step for a batch of rows.
+def bilstm(inputs, recurrent, cells: int) -> Tensor:
+    """Both directions of a BiLSTM over every time step, as one tape node.
 
-    x: [n, 4h] input pre-activations (input projection plus bias), gate
-    order [input, forget, cell, output]; state: [n, 2h] holding [h | c];
-    wh: [h, 4h] recurrent weights.  Returns the next [h | c].  The gate
-    nonlinearities, the cell update and their gradients are one tape node.
+    inputs: one [steps * cells, 4h] tensor of input pre-activations (input
+    projection plus bias) per direction, time-major (row tau * cells + c),
+    gate order [input, forget, cell, output]; recurrent: one [h, 4h] weight
+    per direction.  The directions run stacked, each from a zero state.
+    Returns the hidden states as [directions * steps * cells, h], row
+    k * steps * cells + tau * cells + c.  With no tape active no gate
+    activations are kept; with one, backward is backpropagation through time.
     """
-    hd = wh.shape[0]
-    if (x.values.ndim != 2 or state.values.ndim != 2 or wh.shape != (hd, 4 * hd)
-            or x.shape != (state.shape[0], 4 * hd) or state.shape[1] != 2 * hd):
-        raise DimensionError(f"lstm_step: shapes {list(x.shape)}, {list(state.shape)} and "
-                             f"{list(wh.shape)} do not fit one step")
-    h_prev, c_prev = state.values[:, :hd], state.values[:, hd:]
-    z = x.values + h_prev @ wh.values
-    gates = _sigmoid(z)  # the cell candidate block uses tanh instead
-    i, f, o = gates[:, :hd], gates[:, hd:2 * hd], gates[:, 3 * hd:]
-    g = np.tanh(z[:, 2 * hd:3 * hd])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    out = Tensor(np.concatenate([o * tc, c], axis=1))
+    if not inputs or len(inputs) != len(recurrent):
+        raise DimensionError(f"bilstm: {len(inputs)} inputs for {len(recurrent)} recurrent weights")
+    hd, rows = recurrent[0].shape[0], inputs[0].shape[0]
+    if (cells < 1 or rows % cells
+            or any(r.shape != (hd, 4 * hd) for r in recurrent)
+            or any(a.shape != (rows, 4 * hd) for a in inputs)):
+        raise DimensionError(f"bilstm: inputs {[list(a.shape) for a in inputs]} and recurrent "
+                             f"{[list(r.shape) for r in recurrent]} do not fit {cells} cells")
+    steps, dirs = rows // cells, len(inputs)
+    x = np.stack([a.values for a in inputs]).reshape(dirs, steps, cells, 4 * hd)
+    w = np.stack([r.values for r in recurrent])
+    hs = np.empty((dirs, steps, cells, hd))
+    h = c = np.zeros((dirs, cells, hd))
+    saved = [] if _STATE.current is not None else None
+    for tau in range(steps):
+        z = x[:, tau] + h @ w
+        gates = _sigmoid(z)  # the cell candidate block uses tanh instead
+        i, f, o = gates[..., :hd], gates[..., hd:2 * hd], gates[..., 3 * hd:]
+        g = np.tanh(z[..., 2 * hd:3 * hd])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = hs[:, tau] = o * tc
+        if saved is not None:
+            saved.append((h_prev, c_prev, i, f, g, o, tc))
+    out = Tensor(hs.reshape(-1, hd))
 
     def fn(grad, get_adj):
-        gh, gc = grad[:, :hd], grad[:, hd:]
-        dc = gc + gh * o * (1.0 - tc * tc)
-        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                             dc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)], axis=1)
-        get_adj(x)[...] += dz
-        get_adj(wh)[...] += h_prev.T @ dz
-        state_adj = get_adj(state)
-        state_adj[:, :hd] += dz @ wh.values.T
-        state_adj[:, hd:] += dc * f
+        grad = grad.reshape(dirs, steps, cells, hd)
+        x_adj = [get_adj(a).reshape(steps, cells, 4 * hd) for a in inputs]
+        w_adj = [get_adj(r) for r in recurrent]
+        w_t = w.transpose(0, 2, 1)
+        dh = gc = 0.0
+        for tau in reversed(range(steps)):
+            h_prev, c_prev, i, f, g, o, tc = saved[tau]
+            gh = grad[:, tau] + dh
+            dc = gc + gh * o * (1.0 - tc * tc)
+            dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                                 dc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)], axis=-1)
+            for k in range(dirs):
+                x_adj[k][tau] += dz[k]
+            if tau:  # the zero initial state takes no gradient
+                # into the adjoint step by step: a local sum would round
+                # differently once another call's gradient is in the buffer
+                dw = h_prev.transpose(0, 2, 1) @ dz
+                for k in range(dirs):
+                    w_adj[k] += dw[k]
+                dh, gc = dz @ w_t, dc * f
 
     return _record(out, fn)
 
@@ -290,34 +317,15 @@ def transpose(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # shape ops
 
-def concat(parts, axis: int = 0) -> Tensor:
-    """Join tensors along an existing axis; the other axes must agree."""
-    if not parts:
-        raise DimensionError("concat: needs at least one part")
-    try:
-        out = Tensor(np.concatenate([p.values for p in parts], axis=axis))
-    except ValueError as exc:
+def narrow(a: Tensor, start: int, length: int) -> Tensor:
+    """The rows [start, start + length)."""
+    if a.values.ndim < 1 or start < 0 or length < 1 or start + length > a.shape[0]:
         raise DimensionError(
-            f"concat: shapes {[list(p.shape) for p in parts]} do not join on axis {axis}") from exc
-    bounds = np.cumsum([p.shape[axis] for p in parts])[:-1]
+            f"narrow: rows [{start}, {start + length}) out of range for shape {list(a.shape)}")
+    out = Tensor(a.values[start:start + length].copy())
 
     def fn(g, get_adj):
-        for p, piece in zip(parts, np.split(g, bounds, axis=axis)):
-            get_adj(p)[...] += piece
-
-    return _record(out, fn)
-
-
-def narrow(a: Tensor, start: int, length: int, axis: int = 0) -> Tensor:
-    """The slice [start, start + length) along one axis (rows by default, columns with axis=1)."""
-    if a.values.ndim <= axis or start < 0 or length < 1 or start + length > a.shape[axis]:
-        raise DimensionError(
-            f"narrow: [{start}, {start + length}) on axis {axis} out of range for shape {list(a.shape)}")
-    index = (slice(None),) * axis + (slice(start, start + length),)
-    out = Tensor(a.values[index].copy())
-
-    def fn(g, get_adj):
-        get_adj(a)[index] += g
+        get_adj(a)[start:start + length] += g
 
     return _record(out, fn)
 

@@ -158,9 +158,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     sizes = {"train": args.train_topics, "dev": args.dev_topics, "test": args.test_topics}
+    for split, count in sizes.items():
+        if count < 0:
+            raise UsageError(f"--{split}-topics must be >= 0, got {count}")
     total = sum(sizes.values())
     if total < 1:
         raise UsageError("at least one topic across the three splits is required")
+    if args.paragraphs < 1:
+        raise UsageError(f"--paragraphs must be >= 1, got {args.paragraphs}")
+    if not 0.0 <= args.noise <= 1.0:  # also rejects NaN
+        raise UsageError(f"--noise must lie in [0, 1], got {args.noise}")
     groups = corpus.generate_synthetic(seed=args.seed, topics=total,
                                        paragraphs_per_topic=args.paragraphs,
                                        noise=args.noise)

@@ -7,7 +7,7 @@ LSTM produces contextual vectors; a bilinear attention conditioned on the
 mean entity-mention vector and mean verb vector pools them; a single affine
 layer plus softmax yields the cell distribution.  Every grid cell is
 predicted independently, but all cells of a batch are computed together:
-one tape op per layer (per time step inside the LSTM), not per cell.
+one tape op per layer (one for the whole BiLSTM), not per cell or time step.
 """
 
 from __future__ import annotations
@@ -164,26 +164,14 @@ class CellBatch:
     dists: Tensor      # [cells, N_CHANGES], state-change distributions
 
 
-def _lstm_over_time(w: LstmWeights, words: Tensor, token_rows: np.ndarray,
-                    flags: np.ndarray, unshuffle: np.ndarray, n_cells: int) -> Tensor:
-    """One LSTM direction over every cell at once.
-
-    Input row `tau * n_cells + c` is cell c's token at time tau.  Each
-    cell's tokens come first and its padding last, so a cell's valid states
-    never depend on its padding and no mask is needed.  The hidden outputs
-    come back in the rows `unshuffle` picks from the time-major states.
-    """
+def _input_preactivations(w: LstmWeights, words: Tensor, token_rows: np.ndarray,
+                          flags: np.ndarray) -> Tensor:
+    """One LSTM direction's gate pre-activations before the recurrence, one row
+    per entry of `token_rows`.  The word projection is shared by every cell
+    reading the token; the two indicator flags go through the last two rows of wx."""
     d = words.shape[1]
-    # the word projection is shared by every cell reading the token; the two
-    # indicator flags go through the last two rows of wx
-    xs = ad.add(ad.add(ad.gather_rows(ad.matmul(words, ad.narrow(w.wx, 0, d)), token_rows),
-                       ad.matmul(ad.constant(flags), ad.narrow(w.wx, d, 2))), w.b)
-    state = ad.zeros((n_cells, 2 * w.wh.shape[0]))
-    states = []
-    for tau in range(len(token_rows) // n_cells):
-        state = ad.lstm_step(ad.narrow(xs, tau * n_cells, n_cells), state, w.wh)
-        states.append(state)
-    return ad.narrow(ad.gather_rows(ad.concat(states), unshuffle), 0, w.wh.shape[0], axis=1)
+    return ad.add(ad.add(ad.gather_rows(ad.matmul(words, ad.narrow(w.wx, 0, d)), token_rows),
+                         ad.matmul(ad.constant(flags), ad.narrow(w.wx, d, 2))), w.b)
 
 
 def encode_cells(params: ModelParams,
@@ -218,23 +206,28 @@ def encode_cells(params: ModelParams,
     pos = np.arange(width)
     mask = pos < lengths
     # order[k, c, tau]: the token position direction k reads at time tau; the
-    # backward direction reverses each cell's tokens and leaves padding last
+    # backward direction reverses each cell's tokens and leaves padding last, so
+    # a cell's valid states never depend on its padding and no mask is needed
     order = np.stack([np.broadcast_to(pos, (n, width)), np.where(mask, lengths - 1 - pos, pos)])
     # time-major inputs (row tau * n + c); padding reads token row 0 with no flags
     rows = np.where(mask, first + order, 0).transpose(0, 2, 1).reshape(2, -1)
     flags = np.take_along_axis(marks[None], order[..., None], axis=2)
     flags = flags.transpose(0, 2, 1, 3).reshape(2, -1, 2)
-    # reversal is its own inverse, so the same order gathers the outputs back
-    # to cell-major rows (c * width + position)
-    unshuffle = (order * n + np.arange(n)[:, None]).reshape(2, -1)
+    # reversal is its own inverse, so the same order gathers the states of
+    # direction k (rows k * width * n + tau * n + c) back to cell-major rows
+    # (c * width + position); row r of direction k is gathered as row 2r + k
+    unshuffle = (order * n + np.arange(n)[:, None]
+                 + np.arange(2)[:, None, None] * width * n).transpose(1, 2, 0).reshape(-1)
     # mean over the mention / verb positions; an empty selection gives the zero vector
     pool = marks.transpose(0, 2, 1) / np.maximum(marks.sum(axis=1), 1.0)[:, :, None]
 
     words = ad.gather_rows(params.embedding, word_ids)
     hidden = params.hidden_size
-    outputs = [_lstm_over_time(w, words, rows[k], flags[k], unshuffle[k], n)
-               for k, w in enumerate((params.fwd, params.bwd))]
-    ctx = ad.reshape(ad.concat(outputs, axis=1), (n, width, hidden))
+    directions = (params.fwd, params.bwd)
+    states = ad.bilstm([_input_preactivations(w, words, rows[k], flags[k])
+                        for k, w in enumerate(directions)], [w.wh for w in directions], n)
+    # the reshape puts rows 2r and 2r + 1 side by side: [forward | backward]
+    ctx = ad.reshape(ad.gather_rows(states, unshuffle), (n, width, hidden))
 
     focus = ad.reshape(ad.bmm(ad.constant(pool), ctx), (n, 2 * hidden))
     query = ad.reshape(ad.matmul(focus, ad.transpose(params.attn_w)), (n, hidden, 1))

@@ -79,8 +79,9 @@ def test_criterion_1_batch_tape_size():
     """The consistency-engaged batch of criterion 1 records a bounded number of
     tape nodes.  Encoding each (step, entity) cell separately, one token-vector
     op at a time, recorded 1,888 nodes on this batch; batching every cell of a
-    call into one op per layer (per time step inside the LSTM) records 134.
-    The bound is a tenth of the per-cell count."""
+    call into one op per layer and per LSTM time step recorded 134; one op for
+    the whole BiLSTM, whatever the sentence length, records 78.  The bound is a
+    tenth of the per-cell count."""
     a = hand_example("a", "moves")
     b = hand_example("b", "travels")
     group = TopicGroup(topic="grp", labeled=[a, b])

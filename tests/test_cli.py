@@ -62,6 +62,24 @@ def test_gen_noise_flag_changes_output(tmp_path):
     assert (a / "train.jsonl").read_bytes() != (b / "train.jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--train-topics", "-1", "--dev-topics", "2", "--test-topics", "0"], "--train-topics"),
+    (["--dev-topics", "-3"], "--dev-topics"),
+    (["--test-topics", "-1"], "--test-topics"),
+    (["--paragraphs", "0"], "--paragraphs"),
+    (["--noise", "5"], "--noise"),
+    (["--noise", "-0.1"], "--noise"),
+    (["--noise", "nan"], "--noise"),
+    (["--noise", "inf"], "--noise"),
+], ids=["negative-train", "negative-dev", "negative-test", "no-paragraphs", "noise-above-one",
+        "negative-noise", "nan-noise", "infinite-noise"])
+def test_gen_rejects_bad_sizes_and_noise_as_usage_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "data"
+    assert run_cli("gen", "--out-dir", str(out), *flags) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import stat
@@ -5,8 +7,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from statetrack import corpus
+from statetrack import cli, corpus, model
 from statetrack.corpus import (ChangeGrid, CorpusError, EmbeddingTable, Entity,
                                ProcessExample, StateChange, demote_labels,
                                generate_synthetic, shared_entities)
@@ -347,3 +351,126 @@ def test_distribution_grid_validates():
 def test_hard_grid_validates_label_range():
     with pytest.raises(CorpusError):
         ChangeGrid.from_labels([[4]])
+
+
+# ---------------------------------------------------------------------------
+# properties of the parser
+
+SWAPS = [None, True, 0, -1, 10**6, 0.5, float("nan"), "x", "", [], [[]], {}]
+
+
+def places(node, keys=()):
+    """The key path of every value in a parsed JSON document, itself first."""
+    yield keys
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from places(child, keys + (key,))
+
+
+def mutate(data, record):
+    """Drop a key, swap a value for another (mostly of another JSON type), or
+    truncate a list, at a drawn place anywhere in a JSON record."""
+    keys = data.draw(hst.sampled_from(list(places(record))))
+    parent, node = None, record
+    for key in keys:
+        parent, node = node, node[key]
+    choices = [v for v in SWAPS if not (type(v) is type(node) and v == node)]
+    if isinstance(parent, dict):
+        choices.append("<drop>")
+    if isinstance(node, list) and node:
+        choices += [node[:n] for n in sorted({0, len(node) - 1})]
+    value = data.draw(hst.sampled_from(choices))
+    if not keys:
+        return value
+    if value == "<drop>":
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    return record
+
+
+def mutated_corpus(data, path):
+    """A valid first record and a single mutation of a valid second one, as JSONL."""
+    good, bad = (corpus.example_to_json(make_example(id=i, gold_rows=[[0, 3], [3, 1]]))
+                 for i in ("good", "bad"))
+    lines = [json.dumps(good), json.dumps(mutate(data, bad))]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(hst.data())
+def test_any_single_corpus_mutation_loads_or_raises_corpus_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    mutated_corpus(data, path)
+    try:
+        corpus.load_examples(path)
+    except CorpusError as exc:
+        assert str(exc).startswith(f"{path} line 2: ")
+
+
+TOKENS = hst.text(min_size=1, max_size=6)
+
+
+@hst.composite
+def examples(draw, id):
+    steps = draw(hst.lists(hst.lists(TOKENS, min_size=1, max_size=5).map(tuple),
+                           min_size=1, max_size=4).map(tuple))
+
+    def spans(min_size):
+        return hst.lists(hst.integers(0, len(steps) - 1).flatmap(
+            lambda s: hst.tuples(hst.just(s), hst.integers(0, len(steps[s]) - 1)).flatmap(
+                lambda sa: hst.integers(sa[1] + 1, len(steps[s])).map(lambda b: (*sa, b)))),
+            min_size=min_size, max_size=3).map(tuple)
+
+    entities = draw(hst.lists(hst.builds(Entity, name=TOKENS, mentions=spans(0)),
+                              min_size=1, max_size=3).map(tuple))
+    verbs = tuple((s, a) for s, a, _ in draw(spans(0)))
+    gold = draw(hst.none() | hst.lists(
+        hst.lists(hst.integers(0, len(StateChange) - 1), min_size=len(entities),
+                  max_size=len(entities)), min_size=len(steps), max_size=len(steps)))
+    ex = ProcessExample(id=id, topic=draw(TOKENS), steps=steps, entities=entities,
+                        verbs=verbs, gold=None if gold is None else ChangeGrid.from_labels(gold))
+    ex.validate()
+    return ex
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.integers(1, 3).flatmap(
+    lambda n: hst.tuples(*(examples(id=f"p{i}") for i in range(n)))))
+def test_save_then_load_is_identity(tmp_path_factory, originals):
+    path = tmp_path_factory.mktemp("corpus") / "c.jsonl"
+    corpus.save_examples(path, originals)
+    loaded = corpus.load_examples(path)
+    assert len(loaded) == len(originals)
+    for a, b in zip(originals, loaded):
+        assert (a.id, a.topic, a.steps, a.entities, a.verbs) == (b.id, b.topic, b.steps,
+                                                               b.entities, b.verbs)
+        assert (a.gold is None and b.gold is None
+                or np.array_equal(a.gold.labels, b.gold.labels))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.sampled_from(["eval", "predict"]), hst.data())
+def test_cli_on_a_mutated_corpus_never_raises(tmp_path_factory, command, data):
+    """eval and predict on a corpus with one mutated record exit 0 where the
+    corpus loads, and otherwise 2 with the file named; no exception escapes."""
+    tmp = tmp_path_factory.mktemp("cli")
+    path, checkpoint = tmp / "c.jsonl", tmp / "ck.json"
+    params = model.init_params(model.build_vocab([corpus.TopicGroup("t", [make_example()])]),
+                               4, 4, seed=0)
+    model.save_checkpoint(params, checkpoint)
+    mutated_corpus(data, path)
+    try:
+        corpus.load_examples(path)
+        loads = True
+    except CorpusError:
+        loads = False
+    argv = [command, str(checkpoint), str(path), "--out", str(tmp / "out.json")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if loads:
+        assert code == cli.EXIT_OK, err.getvalue()
+    else:
+        assert code == cli.EXIT_DATA and str(path) in err.getvalue()

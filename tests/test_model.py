@@ -9,7 +9,8 @@ from hypothesis import strategies as hst
 
 from statetrack import autodiff as ad
 from statetrack import cli, model
-from statetrack.corpus import ChangeGrid, Entity, ProcessExample, generate_synthetic
+from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, TopicGroup,
+                               generate_synthetic)
 from statetrack.model import (CheckpointError, build_vocab, encode_cells,
                               init_params, load_checkpoint, predict_grid,
                               predict_grids, save_checkpoint)
@@ -146,6 +147,73 @@ def ragged_batch():
     tokens = sorted({tok for ex in (a, b) for sent in ex.steps for tok in sent} - {"x"})
     vocab = {model.UNK_TOKEN: 0, **{tok: i + 1 for i, tok in enumerate(tokens)}}
     return a, b, init_params(vocab, 3, 6, seed=17)
+
+
+def reference_lstm_step(x, state, wh):
+    """One LSTM time step for a batch of rows, as a standalone op: state is
+    [h | c]; sigmoid is written 0.5 * (tanh(x / 2) + 1)."""
+    hd = wh.shape[0]
+    h_prev, c_prev = state[:, :hd], state[:, hd:]
+    z = x + h_prev @ wh
+    gates = 0.5 * (np.tanh(0.5 * z) + 1.0)
+    i, f, o = gates[:, :hd], gates[:, hd:2 * hd], gates[:, 3 * hd:]
+    c = f * c_prev + i * np.tanh(z[:, 2 * hd:3 * hd])
+    return np.concatenate([o * np.tanh(c), c], axis=1)
+
+
+def stepwise_bilstm(inputs, recurrent, cells):
+    """`ad.bilstm`'s forward values, one direction and one time step at a time."""
+    states = []
+    for x, wh in zip(inputs, recurrent):
+        hd = wh.shape[0]
+        state = np.zeros((cells, 2 * hd))
+        for start in range(0, x.shape[0], cells):
+            state = reference_lstm_step(x.values[start:start + cells], state, wh.values)
+            states.append(state[:, :hd])
+    return ad.Tensor(np.concatenate(states))
+
+
+@pytest.mark.parametrize("batch", ["ragged", "generated"])
+def test_encode_cells_matches_stepwise_lstm(monkeypatch, batch):
+    if batch == "ragged":
+        a, b, params = ragged_batch()
+        items = [(a, [1, 0]), (b, range(b.n_entities)), (a, [1])]
+    else:
+        groups = generate_synthetic(seed=8, topics=4, paragraphs_per_topic=3, noise=0.15)
+        params = init_params(build_vocab(groups), 6, 8, seed=2)
+        items = [(ex, range(ex.n_entities)) for g in groups for ex in g.members]
+    fused = encode_cells(params, items)
+    monkeypatch.setattr(ad, "bilstm", stepwise_bilstm)
+    stepwise = encode_cells(params, items)
+    for name in ("attention", "pooled", "dists"):
+        got, want = getattr(fused, name).values, getattr(stepwise, name).values
+        assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+def test_encoder_gradient_matches_fd_on_ragged_batch():
+    # unequal sentence lengths pad the recurrence; both directions' weights differ
+    a, b, params = ragged_batch()
+    items = [(a, [1, 0]), (b, range(b.n_entities))]
+    r = ad.Tensor(RNG.normal(size=(13, 4)))
+    tensors = params.named_tensors()
+    assert not np.array_equal(tensors["fwd_wh"].values, tensors["bwd_wh"].values)
+    errs = ad.check_gradients(lambda: ad.total(ad.mul(encode_cells(params, items).dists, r)),
+                              tensors)
+    assert max(errs.values()) < 1e-4, errs  # criterion 1's bound
+
+
+def test_encode_cells_tape_length_does_not_depend_on_sentence_length():
+    def nodes(steps):
+        ex = ProcessExample(id="p", topic="t", steps=steps,
+                            entities=(Entity(name="water", mentions=((0, 0, 1),)),), verbs=())
+        ex.validate()
+        params = init_params(build_vocab([TopicGroup(topic="t", labeled=[ex])]), 3, 4, seed=1)
+        with ad.ComputationTape() as tape:
+            encode_cells(params, [(ex, [0])])
+        return len(tape.nodes)
+
+    short = nodes((("water",), ("water", "boils")))
+    assert nodes((("water",), ("water",) + ("boils",) * 40)) == short
 
 
 def test_zero_attention_weights_give_uniform_attention():
