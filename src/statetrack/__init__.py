@@ -8,10 +8,11 @@ from .corpus import (ChangeGrid, CorpusError, EmbeddingTable, Entity,
                      save_examples, shared_entities)
 from .evaluation import (ConsistencyReport, MetricsReport, consistency_score,
                          discretize, score_corpus, score_grids, summary_set)
-from .model import (CellBatch, ModelParams, build_vocab, encode_cells,
-                    init_params, load_checkpoint, predict_grid, save_checkpoint)
-from .training import (BatchStats, GroupBatch, NumericalError, TrainingConfig,
-                       TrainResult, batch_loss, consistency_loss, make_batches,
-                       summarize, train)
+from .model import (CellBatch, CellPlan, ModelParams, build_vocab, init_params,
+                    load_checkpoint, plan_cells, predict_grid, run_cells,
+                    save_checkpoint)
+from .training import (BatchPlan, BatchStats, GroupBatch, NumericalError,
+                       TrainingConfig, TrainResult, batch_loss, consistency_loss,
+                       make_batches, plan_batch, summarize, train)
 
 __version__ = "0.1.0"

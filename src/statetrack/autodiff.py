@@ -9,6 +9,7 @@ exact-shape operands, scalars, and one row added to every row (biases).
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable
 
@@ -345,7 +346,7 @@ def gather_rows(a: Tensor, index) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    if int(np.prod(shape)) != a.size:
+    if math.prod(shape) != a.size:
         raise DimensionError(f"reshape: cannot view size {a.size} as {list(shape)}")
     out = Tensor(a.values.reshape(shape).copy())
 

@@ -61,22 +61,33 @@ class RunConfig(TrainingConfig):
 _FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
 
 
+def _config_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A config file's object keyed by field name; a field set twice, by a
+    repeated key or by a key and its alias, is an error, not a silent overwrite."""
+    raw: dict[str, object] = {}
+    for key, value in pairs:
+        name = "lambda_weight" if key == "lambda" else key
+        if name in raw:
+            raise UsageError(f"config file: key {key!r} sets {name!r} a second time")
+        raw[name] = value
+    return raw
+
+
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=_config_object)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {args.config}: invalid JSON: {exc.msg}") from exc
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
-        for key, value in raw.items():
-            name = "lambda_weight" if key == "lambda" else key
+        for name, value in raw.items():
             if name not in _FIELDS:
-                raise UsageError(f"config file: unknown key {key!r}")
+                raise UsageError(f"config file: unknown key {name!r}")
             setattr(cfg, name, value)
     for name in _FIELDS:
         if getattr(args, name) is not None:
@@ -164,6 +175,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     total = sum(sizes.values())
     if total < 1:
         raise UsageError("at least one topic across the three splits is required")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.paragraphs < 1:
         raise UsageError(f"--paragraphs must be >= 1, got {args.paragraphs}")
     if not 0.0 <= args.noise <= 1.0:  # also rejects NaN

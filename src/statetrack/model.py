@@ -8,6 +8,9 @@ mean entity-mention vector and mean verb vector pools them; a single affine
 layer plus softmax yields the cell distribution.  Every grid cell is
 predicted independently, but all cells of a batch are computed together:
 one tape op per layer (one for the whole BiLSTM), not per cell or time step.
+A batch's index data depends only on the vocabulary and the paragraphs, so
+it is planned once (`plan_cells`) and then run with the current weights as
+often as needed (`run_cells`).
 """
 
 from __future__ import annotations
@@ -174,22 +177,36 @@ def _input_preactivations(w: LstmWeights, words: Tensor, token_rows: np.ndarray,
                          ad.matmul(ad.constant(flags), ad.narrow(w.wx, d, 2))), w.b)
 
 
-def encode_cells(params: ModelParams,
-                 items: Sequence[tuple[ProcessExample, Sequence[int]]]) -> CellBatch:
-    """Encode and decode every (step, entity) cell of every item in one pass.
+@dataclass(frozen=True, eq=False)
+class CellPlan:
+    """The encoder's index data for a batch of cells: everything `run_cells`
+    needs that depends only on the vocabulary and the paragraphs, never on the
+    weights, so one plan serves every epoch.  Its arrays are read-only."""
+
+    word_ids: np.ndarray   # [tokens], vocabulary row of every token, item by item
+    rows: np.ndarray       # [2, width * cells], token row each direction reads, time-major
+    flags: np.ndarray      # [2, width * cells, 2], the indicator flags of those reads
+    unshuffle: np.ndarray  # [2 * cells * width], gathers the states back cell-major
+    pool: np.ndarray       # [cells, 2, width], mention / verb averaging weights
+    mask: np.ndarray       # [cells, width], True where the cell's sentence has a token
+
+
+def plan_cells(vocab: dict[str, int],
+               items: Sequence[tuple[ProcessExample, Sequence[int]]]) -> CellPlan:
+    """Plan every (step, entity) cell of every item, in `CellBatch` row order.
 
     Each item pairs a paragraph with the entity indices whose columns are
     wanted.  A cell's result depends only on its own sentence and entity,
     never on the other cells it is batched with.
     """
-    unk = params.vocab[UNK_TOKEN]
+    unk = vocab[UNK_TOKEN]
     word_ids: list[int] = []
     cells = []   # (first token row, sentence length) per cell
     marked = []  # (cell, token position, 0 = entity mention / 1 = verb)
     for example, entities in items:
         for t, tokens in enumerate(example.steps):
             first = len(word_ids)
-            word_ids.extend(params.vocab.get(tok, unk) for tok in tokens)
+            word_ids.extend(vocab.get(tok, unk) for tok in tokens)
             verbs = example.verb_tokens(t)
             for j in entities:
                 if not 0 <= j < example.n_entities:
@@ -220,31 +237,52 @@ def encode_cells(params: ModelParams,
                  + np.arange(2)[:, None, None] * width * n).transpose(1, 2, 0).reshape(-1)
     # mean over the mention / verb positions; an empty selection gives the zero vector
     pool = marks.transpose(0, 2, 1) / np.maximum(marks.sum(axis=1), 1.0)[:, :, None]
+    plan = CellPlan(word_ids=np.array(word_ids, dtype=np.intp), rows=rows, flags=flags,
+                    unshuffle=unshuffle, pool=pool, mask=mask)
+    for array in vars(plan).values():
+        array.flags.writeable = False
+    return plan
 
-    words = ad.gather_rows(params.embedding, word_ids)
+
+def run_cells(params: ModelParams, plan: CellPlan) -> CellBatch:
+    """Encode and decode every cell of a plan in one pass; `plan` must come
+    from `plan_cells(params.vocab, ...)`."""
+    n, width = plan.mask.shape
+    words = ad.gather_rows(params.embedding, plan.word_ids)
     hidden = params.hidden_size
     directions = (params.fwd, params.bwd)
-    states = ad.bilstm([_input_preactivations(w, words, rows[k], flags[k])
+    states = ad.bilstm([_input_preactivations(w, words, plan.rows[k], plan.flags[k])
                         for k, w in enumerate(directions)], [w.wh for w in directions], n)
     # the reshape puts rows 2r and 2r + 1 side by side: [forward | backward]
-    ctx = ad.reshape(ad.gather_rows(states, unshuffle), (n, width, hidden))
+    ctx = ad.reshape(ad.gather_rows(states, plan.unshuffle), (n, width, hidden))
 
-    focus = ad.reshape(ad.bmm(ad.constant(pool), ctx), (n, 2 * hidden))
+    focus = ad.reshape(ad.bmm(ad.constant(plan.pool), ctx), (n, 2 * hidden))
     query = ad.reshape(ad.matmul(focus, ad.transpose(params.attn_w)), (n, hidden, 1))
     scores = ad.add(ad.reshape(ad.bmm(ctx, query), (n, width)), params.attn_b)
-    attention = ad.softmax(scores, mask)
+    attention = ad.softmax(scores, plan.mask)
     pooled = ad.reshape(ad.bmm(ad.reshape(attention, (n, 1, width)), ctx), (n, hidden))
     dists = ad.softmax(ad.add(ad.matmul(pooled, params.dec_w), params.dec_b))
     return CellBatch(attention=attention, pooled=pooled, dists=dists)
 
 
-def predict_grids(params: ModelParams, examples: Sequence[ProcessExample]) -> list[ChangeGrid]:
+def plan_chunks(vocab: dict[str, int], examples: Sequence[ProcessExample]) -> list[CellPlan]:
+    """One plan over every cell of each PREDICT_CHUNK consecutive paragraphs."""
+    return [plan_cells(vocab, [(ex, range(ex.n_entities))
+                               for ex in examples[start:start + PREDICT_CHUNK]])
+            for start in range(0, len(examples), PREDICT_CHUNK)]
+
+
+def predict_grids(params: ModelParams, examples: Sequence[ProcessExample],
+                  plans: Sequence[CellPlan] | None = None) -> list[ChangeGrid]:
     """`predict_grid` of each paragraph (a cell depends only on its own sentence),
-    from one encoder pass per PREDICT_CHUNK paragraphs, which bounds the memory."""
+    from one encoder pass per PREDICT_CHUNK paragraphs, which bounds the memory.
+    `plans` are the examples' `plan_chunks`, built here when not given."""
+    if plans is None:
+        plans = plan_chunks(params.vocab, examples)
     grids = []
-    for start in range(0, len(examples), PREDICT_CHUNK):
+    for start, plan in zip(range(0, len(examples), PREDICT_CHUNK), plans, strict=True):
         chunk = examples[start:start + PREDICT_CHUNK]
-        dists = encode_cells(params, [(ex, range(ex.n_entities)) for ex in chunk]).dists.values
+        dists = run_cells(params, plan).dists.values
         ends = np.cumsum([ex.n_steps * ex.n_entities for ex in chunk])[:-1]
         grids += [ChangeGrid.from_dists(rows.reshape(ex.n_steps, ex.n_entities, N_CHANGES))
                   for ex, rows in zip(chunk, np.split(dists, ends))]

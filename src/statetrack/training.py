@@ -58,6 +58,8 @@ class TrainingConfig:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.hidden_size < 2 or self.hidden_size % 2 != 0:
             raise ValueError("hidden_size must be a positive even integer")
         if self.embedding_dim < 1:
@@ -77,6 +79,17 @@ class GroupBatch:
         return self.members[self.primary_index]
 
 
+@dataclass(frozen=True)
+class BatchPlan:
+    """A batch's encoder plans and alignment, which depend only on the vocabulary
+    and its paragraphs, so `train` builds them once for every epoch."""
+
+    primary: model.CellPlan
+    members: model.CellPlan | None = None  # cells of the members aligned with the primary
+    # one (steps, aligned entities, (column, primary entity) pairs) block per aligned member
+    blocks: tuple[tuple[int, int, list[tuple[int, int]]], ...] = ()
+
+
 @dataclass
 class BatchStats:
     sup_loss: float
@@ -93,6 +106,24 @@ def make_batches(group: TopicGroup) -> list[GroupBatch]:
     members = group.members
     return [GroupBatch(topic=group.topic, members=members, primary_index=i)
             for i in range(len(group.labeled))]
+
+
+def plan_batch(vocab: dict[str, int], batch: GroupBatch, cfg: TrainingConfig) -> BatchPlan:
+    """The primary's plan and, when consistency can engage, the plan of every
+    member sharing an entity with the primary, over the shared entities only."""
+    primary = batch.primary
+    primary_plan = model.plan_cells(vocab, [(primary, range(primary.n_entities))])
+    if not cfg.consistency_enabled:
+        return BatchPlan(primary_plan)
+    others = [m for i, m in enumerate(batch.members) if i != batch.primary_index]
+    aligned = [(m, pairs) for m in others if (pairs := shared_entities(m, primary))]
+    if not aligned:
+        return BatchPlan(primary_plan)
+    return BatchPlan(
+        primary_plan,
+        model.plan_cells(vocab, [(m, [ia for ia, _ in pairs]) for m, pairs in aligned]),
+        tuple((m.n_steps, len(pairs), [(q, ib) for q, (_, ib) in enumerate(pairs)])
+              for m, pairs in aligned))
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +191,23 @@ def combine_losses(sup: Tensor, con_sum: Tensor, lambda_weight: float) -> Tensor
     return ad.add(ad.scale(sup, lambda_weight), ad.scale(con_sum, 1.0 - lambda_weight))
 
 
-def batch_loss(params: ModelParams, batch: GroupBatch,
-               cfg: TrainingConfig) -> tuple[Tensor, BatchStats]:
+def batch_loss(params: ModelParams, batch: GroupBatch, cfg: TrainingConfig,
+               plan: BatchPlan | None = None) -> tuple[Tensor, BatchStats]:
     """Differentiable loss for one batch plus its reporting components.
 
     The supervised term is computed first; if it exceeds the threshold (or
     consistency is disabled) it is returned alone and no other member is even
     encoded.  Otherwise the consistency terms of all non-primary members are
-    summed, unnormalized, into the combined loss.
+    summed, unnormalized, into the combined loss.  `plan` is the batch's
+    `plan_batch` under the same vocabulary and `cfg`, built here when not given.
     """
     primary = batch.primary
     if primary.gold is None:
         raise ValueError(f"primary example {primary.id} has no gold labels")
+    if plan is None:
+        plan = plan_batch(params.vocab, batch, cfg)
 
-    primary_dists = model.encode_cells(params, [(primary, range(primary.n_entities))]).dists
+    primary_dists = model.run_cells(params, plan.primary).dists
     sup = ad.mean(ad.nll(primary_dists, primary.gold.labels.reshape(-1)))
     sup_value = sup.item()
 
@@ -182,15 +216,9 @@ def batch_loss(params: ModelParams, batch: GroupBatch,
     if sup_value > cfg.sup_threshold:
         return sup, BatchStats(sup_loss=sup_value, switched=True)
 
-    others = [m for i, m in enumerate(batch.members) if i != batch.primary_index]
-    aligned = [(m, pairs) for m in others if (pairs := shared_entities(m, primary))]
-    if aligned:
-        member_dists = model.encode_cells(
-            params, [(m, [ia for ia, _ in pairs]) for m, pairs in aligned]).dists
-        con_sum = consistency_sum(
-            primary_dists, primary.n_entities, member_dists,
-            [(m.n_steps, len(pairs), [(q, ib) for q, (_, ib) in enumerate(pairs)])
-             for m, pairs in aligned])
+    if plan.members is not None:
+        con_sum = consistency_sum(primary_dists, primary.n_entities,
+                                  model.run_cells(params, plan.members).dists, plan.blocks)
     else:
         # an empty sum still goes through the combined formula, giving lambda*sup
         con_sum = ad.zeros(())
@@ -214,11 +242,14 @@ def _sgd_step(params: ModelParams, lr: float) -> None:
             t.zero_grad()
 
 
-def _evaluate_split(params: ModelParams, groups: Sequence[TopicGroup]
+def _evaluate_split(params: ModelParams, groups: Sequence[TopicGroup],
+                    plans: Sequence[model.CellPlan] | None = None
                     ) -> tuple[evaluation.MetricsReport, evaluation.ConsistencyReport]:
-    """Micro P/R/F1 over labeled examples and consistency score over all examples."""
+    """Micro P/R/F1 over labeled examples and consistency score over all examples;
+    `plans` are the split's `plan_chunks`, built here when not given."""
     examples = flatten_groups(groups)
-    hard = [evaluation.discretize(grid) for grid in model.predict_grids(params, examples)]
+    hard = [evaluation.discretize(grid)
+            for grid in model.predict_grids(params, examples, plans)]
     metrics = evaluation.score_corpus((h, ex.gold) for ex, h in zip(examples, hard)
                                       if ex.gold is not None)
     return metrics, evaluation.consistency_score(
@@ -231,7 +262,8 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
     """Train on all batches of all groups, keeping the best-dev checkpoint.
 
     Group order is reshuffled every epoch from the run seed; batch order
-    within a group is fixed.  Groups without any labeled member are skipped
+    within a group is fixed.  Every batch and the dev split are planned once,
+    before the first epoch.  Groups without any labeled member are skipped
     and counted.  A non-finite loss aborts with full context.  With an
     embedding table the word vectors come from it and stay frozen.
     """
@@ -247,6 +279,9 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
     rng = np.random.default_rng(cfg.seed)
     params = model.init_params(model.build_vocab(groups), cfg.embedding_dim, cfg.hidden_size,
                                seed=cfg.seed, embeddings=embeddings)
+    batches = [[(batch, plan_batch(params.vocab, batch, cfg)) for batch in make_batches(g)]
+               for g in trainable_groups]
+    dev_plans = model.plan_chunks(params.vocab, flatten_groups(dev))
 
     epochs_log = []
     best_f1 = -1.0
@@ -257,9 +292,9 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
         sup_losses, con_losses, switches, n_batches = [], [], 0, 0
         for gi in order:
             group = trainable_groups[int(gi)]
-            for bi, batch in enumerate(make_batches(group)):
+            for bi, (batch, plan) in enumerate(batches[int(gi)]):
                 with ComputationTape() as tape:
-                    loss, stats = batch_loss(params, batch, cfg)
+                    loss, stats = batch_loss(params, batch, cfg, plan)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericalError(
@@ -274,7 +309,7 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
 
         dev_f1 = dev_consistency = None
         if dev:
-            metrics, consistency = _evaluate_split(params, dev)
+            metrics, consistency = _evaluate_split(params, dev, dev_plans)
             dev_f1, dev_consistency = metrics.f1, consistency.score
             # ties keep the later epoch's checkpoint
             if dev_f1 >= best_f1:

@@ -71,8 +71,9 @@ def test_gen_noise_flag_changes_output(tmp_path):
     (["--noise", "-0.1"], "--noise"),
     (["--noise", "nan"], "--noise"),
     (["--noise", "inf"], "--noise"),
+    (["--seed", "-1"], "--seed"),
 ], ids=["negative-train", "negative-dev", "negative-test", "no-paragraphs", "noise-above-one",
-        "negative-noise", "nan-noise", "infinite-noise"])
+        "negative-noise", "nan-noise", "infinite-noise", "negative-seed"])
 def test_gen_rejects_bad_sizes_and_noise_as_usage_error(tmp_path, capsys, flags, message):
     out = tmp_path / "data"
     assert run_cli("gen", "--out-dir", str(out), *flags) == cli.EXIT_USAGE
@@ -139,6 +140,37 @@ def test_train_rejects_bad_config_key(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"nonsense": 1}))
     assert run_cli("train", "--config", str(cfg_path)) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"lambda": 0.5, "lambda_weight": 0.9}', "lambda_weight"),
+    ('{"lambda_weight": 0.9, "lambda": 0.5}', "lambda"),
+    ('{"seed": 1, "epochs": 2, "seed": 3}', "seed"),
+    ('{"lambda": 0.5, "lambda": 0.9}', "lambda"),
+], ids=["alias-after-name", "name-after-alias", "repeated-key", "repeated-alias"])
+def test_train_rejects_config_setting_a_field_twice(tmp_path, gen_dir, capsys, text, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert run_cli("train", "--config", str(cfg_path), "--train", str(gen_dir / "train.jsonl"),
+                   "--checkpoint", str(tmp_path / "ck.json"),
+                   "--report", str(tmp_path / "r.json")) == cli.EXIT_USAGE
+    assert f"key {key!r} sets" in capsys.readouterr().err
+    assert not (tmp_path / "ck.json").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_negative_seed_as_usage_error(tmp_path, gen_dir, capsys, source):
+    argv = ["train", "--train", str(gen_dir / "train.jsonl"),
+            "--checkpoint", str(tmp_path / "ck.json"), "--report", str(tmp_path / "r.json")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -1}))
+        argv += ["--config", str(cfg_path)]
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "ck.json").exists()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import sys
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from statetrack import autodiff as ad
 from statetrack import cli, model
 from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, TopicGroup,
                                generate_synthetic)
-from statetrack.model import (CheckpointError, build_vocab, encode_cells,
-                              init_params, load_checkpoint, predict_grid,
-                              predict_grids, save_checkpoint)
+from statetrack.model import (CheckpointError, build_vocab, init_params,
+                              load_checkpoint, plan_cells, predict_grid,
+                              predict_grids, run_cells, save_checkpoint)
 
 RNG = np.random.default_rng(77)
 
@@ -98,6 +100,55 @@ def oracle_cell(params, example, t, j):
 
 # ---------------------------------------------------------------------------
 # encode
+
+def encode_cells(params, items):
+    return run_cells(params, plan_cells(params.vocab, items))
+
+
+def single_pass_encode_cells(params, items):
+    """The encoder as one function that builds its index data on every call,
+    as it was before planning and running were split; the split must not
+    change a single bit."""
+    unk = params.vocab[model.UNK_TOKEN]
+    word_ids, cells, marked = [], [], []
+    for example, entities in items:
+        for t, tokens in enumerate(example.steps):
+            first = len(word_ids)
+            word_ids.extend(params.vocab.get(tok, unk) for tok in tokens)
+            verbs = example.verb_tokens(t)
+            for j in entities:
+                c = len(cells)
+                cells.append((first, len(tokens)))
+                marked.extend((c, i, 0) for i in example.entities[j].mention_tokens(t))
+                marked.extend((c, i, 1) for i in verbs)
+    first, lengths = np.array(cells, dtype=np.intp).T[:, :, None]
+    n, width = len(cells), int(lengths.max())
+    marks = np.zeros((n, width, 2))
+    marks[tuple(np.array(marked, dtype=np.intp).reshape(-1, 3).T)] = 1.0
+    pos = np.arange(width)
+    mask = pos < lengths
+    order = np.stack([np.broadcast_to(pos, (n, width)), np.where(mask, lengths - 1 - pos, pos)])
+    rows = np.where(mask, first + order, 0).transpose(0, 2, 1).reshape(2, -1)
+    flags = np.take_along_axis(marks[None], order[..., None], axis=2)
+    flags = flags.transpose(0, 2, 1, 3).reshape(2, -1, 2)
+    unshuffle = (order * n + np.arange(n)[:, None]
+                 + np.arange(2)[:, None, None] * width * n).transpose(1, 2, 0).reshape(-1)
+    pool = marks.transpose(0, 2, 1) / np.maximum(marks.sum(axis=1), 1.0)[:, :, None]
+
+    words = ad.gather_rows(params.embedding, word_ids)
+    hidden = params.hidden_size
+    directions = (params.fwd, params.bwd)
+    states = ad.bilstm([model._input_preactivations(w, words, rows[k], flags[k])
+                        for k, w in enumerate(directions)], [w.wh for w in directions], n)
+    ctx = ad.reshape(ad.gather_rows(states, unshuffle), (n, width, hidden))
+    focus = ad.reshape(ad.bmm(ad.constant(pool), ctx), (n, 2 * hidden))
+    query = ad.reshape(ad.matmul(focus, ad.transpose(params.attn_w)), (n, hidden, 1))
+    scores = ad.add(ad.reshape(ad.bmm(ctx, query), (n, width)), params.attn_b)
+    attention = ad.softmax(scores, mask)
+    pooled = ad.reshape(ad.bmm(ad.reshape(attention, (n, 1, width)), ctx), (n, hidden))
+    dists = ad.softmax(ad.add(ad.matmul(pooled, params.dec_w), params.dec_b))
+    return model.CellBatch(attention=attention, pooled=pooled, dists=dists)
+
 
 def encode_one(params, example, t, j):
     """(pooled, attention over the sentence's tokens, distribution) of one cell,
@@ -188,6 +239,57 @@ def test_encode_cells_matches_stepwise_lstm(monkeypatch, batch):
     for name in ("attention", "pooled", "dists"):
         got, want = getattr(fused, name).values, getattr(stepwise, name).values
         assert np.max(np.abs(got - want)) <= 1e-12, name
+
+
+def criterion_1_batch():
+    """The params and encoder calls of acceptance criterion 1's batch: every
+    cell of the primary, then the member's cells of its two shared entities."""
+    def paragraph(id, verb):
+        return ProcessExample(
+            id=id, topic="grp", steps=tuple(("the", e, verb, "to", "the", "sea")
+                                            for e in ("water", "salt")),
+            entities=(Entity(name="water", mentions=((0, 1, 2),)),
+                      Entity(name="salt", mentions=((1, 1, 2),))),
+            verbs=((0, 2), (1, 2)), gold=ChangeGrid.from_labels([[0, 3], [3, 1]]))
+
+    a, b = paragraph("a", "moves"), paragraph("b", "travels")
+    params = init_params(build_vocab([TopicGroup(topic="grp", labeled=[a, b])]), 4, 4, seed=12)
+    return params, [[(a, range(2))], [(b, [0, 1])]]
+
+
+def ragged_calls():
+    a, b, params = ragged_batch()
+    return params, [[(a, [1, 0]), (b, range(b.n_entities)), (a, [1])], [(b, [2, 0])]]
+
+
+@pytest.mark.parametrize("calls", [ragged_calls, criterion_1_batch],
+                         ids=["ragged", "criterion-1"])
+def test_plan_then_run_equals_single_pass_encoder_bitwise(calls):
+    params, all_items = calls()
+    for items in all_items:
+        for taped in (False, True):
+            with ad.ComputationTape() if taped else nullcontext():
+                got = run_cells(params, plan_cells(params.vocab, items))
+                want = single_pass_encode_cells(params, items)
+            for name in ("attention", "pooled", "dists"):
+                assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes()
+
+
+def test_plan_arrays_are_read_only():
+    a, b, params = ragged_batch()
+    plan = plan_cells(params.vocab, [(a, [1, 0]), (b, range(b.n_entities))])
+    for name, array in vars(plan).items():
+        assert isinstance(array, np.ndarray) and not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.mask = None
+
+
+def test_plan_rejects_entity_out_of_range():
+    a, _, params = ragged_batch()
+    with pytest.raises(IndexError, match="entity 2 out of range for a"):
+        plan_cells(params.vocab, [(a, [0, 2])])
 
 
 def test_encoder_gradient_matches_fd_on_ragged_batch():

@@ -13,7 +13,7 @@ from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, StateChange,
                                TopicGroup, demote_labels, generate_synthetic)
 from statetrack.training import (NumericalError, TrainingConfig,
                                  batch_loss, combine_losses, consistency_loss,
-                                 make_batches, summarize, train)
+                                 make_batches, plan_batch, summarize, train)
 
 
 def example_with(id, topic, entities, gold_rows=None, verb="moves"):
@@ -299,6 +299,53 @@ def test_gradient_flows_through_nonprimary_members():
     tape.backward(loss)
     without = {n: t.grad.copy() for n, t in params.named_tensors().items()}
     assert any(not np.allclose(with_con[n], without[n]) for n in with_con)
+
+
+def test_plan_reused_after_an_sgd_step_equals_a_fresh_plan():
+    a = example_with("a", "t", ("water", "sugar"), gold_rows=[[0, 3], [3, 1]])
+    b = example_with("b", "t", ("sugar", "salt"), verb="travels")
+    g = TopicGroup(topic="t", labeled=[a], unlabeled=[b])
+    params = params_for([g], seed=3)
+    cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
+    batch = make_batches(g)[0]
+    plan = plan_batch(params.vocab, batch, cfg)
+    assert plan.members is not None
+
+    for _ in range(2):
+        with ComputationTape() as tape:
+            loss, stats = batch_loss(params, batch, cfg, plan)
+        tape.backward(loss)
+        training._sgd_step(params, 0.5)
+    fresh = params.copy()
+    reused, _ = batch_loss(params, batch, cfg, plan)
+    planned_now, _ = batch_loss(fresh, batch, cfg, plan_batch(fresh.vocab, batch, cfg))
+    assert stats.con_loss > 0.0
+    assert reused.values.tobytes() == planned_now.values.tobytes()
+
+
+@pytest.mark.parametrize("consistency_enabled", [True, False])
+def test_train_plans_a_fixed_number_of_times_whatever_the_epochs(monkeypatch,
+                                                                 consistency_enabled):
+    groups = small_corpus()
+    calls = []
+
+    def counting_plan_cells(vocab, items):
+        calls.append(len(items))
+        return plan_cells(vocab, items)
+
+    plan_cells = model.plan_cells
+    monkeypatch.setattr(model, "plan_cells", counting_plan_cells)
+    counts = []
+    for epochs in (1, 3):
+        calls.clear()
+        train(groups, TrainingConfig(epochs=epochs, seed=1, hidden_size=4, embedding_dim=4,
+                                     sup_threshold=100.0,
+                                     consistency_enabled=consistency_enabled), dev=groups)
+        counts.append(len(calls))
+    batches = sum(len(make_batches(g)) for g in groups)
+    # one primary plan per batch, one member plan per batch with aligned members,
+    # one dev chunk
+    assert counts[0] == counts[1] == (2 * batches if consistency_enabled else batches) + 1
 
 
 # ---------------------------------------------------------------------------
