@@ -9,9 +9,8 @@ exact-shape operands, scalars, and one row added to every row (biases).
 
 from __future__ import annotations
 
-import math
 import threading
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -147,10 +146,6 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float64))
-
-
 # ---------------------------------------------------------------------------
 # elementwise ops (exact-shape, scalar, or trailing-row broadcast only)
 
@@ -210,27 +205,67 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def bilstm(inputs, recurrent, cells: int) -> Tensor:
+def project(embedding: Tensor, wx: Sequence[Tensor], b: Sequence[Tensor],
+            word_ids: np.ndarray, rows: np.ndarray, flags: np.ndarray) -> Tensor:
+    """Every direction's LSTM input pre-activations, as one tape node.
+
+    word_ids: the vocabulary row of every token; rows[k]: the token each read
+    of direction k takes; flags[k]: that read's indicator reals.  Direction k's
+    input weight wx[k] holds the word rows first and the flag rows last; b[k]
+    is its bias.  Each token's word projection is computed once and shared by
+    every read of it.  Returns the reads stacked as [directions, reads, 4h].
+    """
+    dirs, d = len(wx), embedding.shape[-1]
+    if (embedding.values.ndim != 2 or not dirs or len(b) != dirs or word_ids.ndim != 1
+            or rows.ndim != 2 or rows.shape[0] != dirs or flags.shape[:2] != rows.shape
+            or flags.ndim != 3 or any(w.shape != wx[0].shape for w in wx)
+            or wx[0].values.ndim != 2 or wx[0].shape[0] != d + flags.shape[2]
+            or any(v.shape != wx[0].shape[1:] for v in b)):
+        raise DimensionError(
+            f"project: embedding {list(embedding.shape)}, input weights "
+            f"{[list(w.shape) for w in wx]}, biases {[list(v.shape) for v in b]} and flags "
+            f"{list(flags.shape)} do not fit {list(rows.shape)} reads")
+    words = embedding.values[word_ids]
+    out = Tensor(np.empty((dirs, rows.shape[1], wx[0].shape[1])))
+    for k, (w, v) in enumerate(zip(wx, b)):
+        np.add((words @ w.values[:d])[rows[k]] + flags[k] @ w.values[d:], v.values,
+               out=out.values[k])
+
+    def fn(grad, get_adj):
+        words_grad = 0.0
+        for k, (w, v) in enumerate(zip(wx, b)):
+            get_adj(v)[...] += grad[k].sum(axis=0)
+            w_adj = get_adj(w)
+            w_adj[d:] += flags[k].T @ grad[k]
+            proj_grad = np.zeros((words.shape[0], w.shape[1]))
+            np.add.at(proj_grad, rows[k], grad[k])  # a token is read by every cell of its sentence
+            w_adj[:d] += words.T @ proj_grad
+            words_grad = words_grad + proj_grad @ w.values[:d].T
+        np.add.at(get_adj(embedding), word_ids, words_grad)
+
+    return _record(out, fn)
+
+
+def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
     """Both directions of a BiLSTM over every time step, as one tape node.
 
-    inputs: one [steps * cells, 4h] tensor of input pre-activations (input
-    projection plus bias) per direction, time-major (row tau * cells + c),
-    gate order [input, forget, cell, output]; recurrent: one [h, 4h] weight
-    per direction.  The directions run stacked, each from a zero state.
+    inputs: the input pre-activations (input projection plus bias) as
+    [directions, steps * cells, 4h], time-major (row tau * cells + c), gate
+    order [input, forget, cell, output]; recurrent: one [h, 4h] weight per
+    direction.  The directions run stacked, each from a zero state.
     Returns the hidden states as [directions * steps * cells, h], row
     k * steps * cells + tau * cells + c.  With no tape active no gate
     activations are kept; with one, backward is backpropagation through time.
     """
-    if not inputs or len(inputs) != len(recurrent):
-        raise DimensionError(f"bilstm: {len(inputs)} inputs for {len(recurrent)} recurrent weights")
-    hd, rows = recurrent[0].shape[0], inputs[0].shape[0]
-    if (cells < 1 or rows % cells
-            or any(r.shape != (hd, 4 * hd) for r in recurrent)
-            or any(a.shape != (rows, 4 * hd) for a in inputs)):
-        raise DimensionError(f"bilstm: inputs {[list(a.shape) for a in inputs]} and recurrent "
+    dirs = len(recurrent)
+    hd = recurrent[0].shape[0] if dirs else 0
+    if (not dirs or inputs.values.ndim != 3 or inputs.shape[0] != dirs or cells < 1
+            or inputs.shape[1] % cells or inputs.shape[2] != 4 * hd
+            or any(r.shape != (hd, 4 * hd) for r in recurrent)):
+        raise DimensionError(f"bilstm: inputs {list(inputs.shape)} and recurrent "
                              f"{[list(r.shape) for r in recurrent]} do not fit {cells} cells")
-    steps, dirs = rows // cells, len(inputs)
-    x = np.stack([a.values for a in inputs]).reshape(dirs, steps, cells, 4 * hd)
+    steps = inputs.shape[1] // cells
+    x = inputs.values.reshape(dirs, steps, cells, 4 * hd)
     w = np.stack([r.values for r in recurrent])
     hs = np.empty((dirs, steps, cells, hd))
     h = c = np.zeros((dirs, cells, hd))
@@ -250,7 +285,7 @@ def bilstm(inputs, recurrent, cells: int) -> Tensor:
 
     def fn(grad, get_adj):
         grad = grad.reshape(dirs, steps, cells, hd)
-        x_adj = [get_adj(a).reshape(steps, cells, 4 * hd) for a in inputs]
+        x_adj = get_adj(inputs).reshape(dirs, steps, cells, 4 * hd)
         w_adj = [get_adj(r) for r in recurrent]
         w_t = w.transpose(0, 2, 1)
         dh = gc = 0.0
@@ -260,8 +295,7 @@ def bilstm(inputs, recurrent, cells: int) -> Tensor:
             dc = gc + gh * o * (1.0 - tc * tc)
             dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
                                  dc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)], axis=-1)
-            for k in range(dirs):
-                x_adj[k][tau] += dz[k]
+            x_adj[:, tau] += dz
             if tau:  # the zero initial state takes no gradient
                 # into the adjoint step by step: a local sum would round
                 # differently once another call's gradient is in the buffer
@@ -271,6 +305,77 @@ def bilstm(inputs, recurrent, cells: int) -> Tensor:
                 dh, gc = dz @ w_t, dc * f
 
     return _record(out, fn)
+
+
+def _softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Max-shifted softmax along the last axis; entries where `mask` is False
+    get exactly 0, kept entries are strictly positive and each row sums to 1."""
+    if mask is None:
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+    else:
+        top = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
+        e = np.where(mask, np.exp(np.where(mask, x - top, 0.0)), 0.0)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """The gradient through a row softmax with output y (masked entries get 0)."""
+    return y * (grad - (grad * y).sum(axis=-1, keepdims=True))
+
+
+def head(states: Tensor, attn_w: Tensor, attn_b: Tensor, dec_w: Tensor, dec_b: Tensor,
+         unshuffle: np.ndarray, pool: np.ndarray,
+         mask: np.ndarray) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """From BiLSTM states to one class distribution per cell, as one tape node.
+
+    `unshuffle` permutes the two directions' `bilstm` states into each cell's
+    [forward | backward] contextual vectors over its `mask.shape[1]`
+    positions; `pool` [cells, 2, positions] averages them into the mention
+    and verb vectors, whose concatenation queries a bilinear attention
+    (attn_w, attn_b) that gives masked positions exactly 0.  The pooled
+    vector goes through the affine decoder and a softmax.  Returns
+    (distributions [cells, classes], attention, pooled [cells, 2h]); only
+    the distributions are on the tape.
+    """
+    n, width = mask.shape
+    hidden = 2 * states.shape[-1]
+    if (states.values.ndim != 2 or states.shape[0] != 2 * n * width
+            or unshuffle.shape != (2 * n * width,)
+            or pool.shape != (n, 2, width) or attn_w.shape != (hidden, 2 * hidden)
+            or attn_b.size != 1 or dec_w.values.ndim != 2 or dec_w.shape[0] != hidden
+            or dec_b.shape != dec_w.shape[1:]):
+        raise DimensionError(
+            f"head: states {list(states.shape)}, attention {list(attn_w.shape)} and decoder "
+            f"{list(dec_w.shape)} weights do not fit {n} cells of {width} positions")
+    if not mask.any(axis=-1).all():
+        raise DimensionError("head: the mask must keep a position in every cell")
+    ctx = states.values[unshuffle].reshape(n, width, hidden)
+    focus = (pool @ ctx).reshape(n, 2 * hidden)
+    query = (focus @ attn_w.values.T).reshape(n, hidden, 1)
+    attention = _softmax((ctx @ query).reshape(n, width) + attn_b.values, mask)
+    weights = attention.reshape(n, 1, width)
+    pooled = (weights @ ctx).reshape(n, hidden)
+    out = Tensor(_softmax(pooled @ dec_w.values + dec_b.values))
+
+    def fn(grad, get_adj):
+        logits_grad = _softmax_grad(out.values, grad)
+        get_adj(dec_b)[...] += logits_grad.sum(axis=0)
+        get_adj(dec_w)[...] += pooled.T @ logits_grad
+        pooled_grad = (logits_grad @ dec_w.values.T).reshape(n, 1, hidden)
+        scores_grad = _softmax_grad(
+            attention, (pooled_grad @ ctx.transpose(0, 2, 1)).reshape(n, width))
+        get_adj(attn_b)[...] += scores_grad.sum()
+        scores_grad = scores_grad.reshape(n, width, 1)
+        # the context has three uses; their gradients are always summed in this
+        # order, since another order would round differently
+        ctx_grad = weights.transpose(0, 2, 1) @ pooled_grad
+        ctx_grad += scores_grad @ query.transpose(0, 2, 1)
+        query_grad = (ctx.transpose(0, 2, 1) @ scores_grad).reshape(n, hidden)
+        get_adj(attn_w)[...] += (focus.T @ query_grad).T
+        ctx_grad += pool.transpose(0, 2, 1) @ (query_grad @ attn_w.values).reshape(n, 2, hidden)
+        get_adj(states)[unshuffle] += ctx_grad.reshape(-1, hidden // 2)  # a permutation
+
+    return _record(out, fn), attention, pooled
 
 
 # ---------------------------------------------------------------------------
@@ -290,72 +395,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, fn)
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul: [n, p, k] x [n, k, q] -> [n, p, q]."""
-    if (a.values.ndim != 3 or b.values.ndim != 3 or a.shape[0] != b.shape[0]
-            or a.shape[2] != b.shape[1]):
-        raise DimensionError(f"bmm: shapes {list(a.shape)} and {list(b.shape)} do not chain")
-    out = Tensor(a.values @ b.values)
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g @ b.values.transpose(0, 2, 1)
-        get_adj(b)[...] += a.values.transpose(0, 2, 1) @ g
-
-    return _record(out, fn)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise DimensionError(f"transpose: expected a 2-D tensor, got shape {list(a.shape)}")
-    out = Tensor(a.values.T.copy())
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g.T
-
-    return _record(out, fn)
-
-
-# ---------------------------------------------------------------------------
-# shape ops
-
-def narrow(a: Tensor, start: int, length: int) -> Tensor:
-    """The rows [start, start + length)."""
-    if a.values.ndim < 1 or start < 0 or length < 1 or start + length > a.shape[0]:
-        raise DimensionError(
-            f"narrow: rows [{start}, {start + length}) out of range for shape {list(a.shape)}")
-    out = Tensor(a.values[start:start + length].copy())
-
-    def fn(g, get_adj):
-        get_adj(a)[start:start + length] += g
-
-    return _record(out, fn)
-
-
-def gather_rows(a: Tensor, index) -> Tensor:
-    """Rows a[index[0]], a[index[1]], ... stacked; an index may repeat."""
-    index = np.asarray(index, dtype=np.intp)
-    if a.values.ndim < 1 or index.ndim != 1 or np.any((index < 0) | (index >= a.shape[0])):
-        raise DimensionError(f"gather_rows: index out of range for shape {list(a.shape)}")
-    out = Tensor(a.values[index])
-
-    def fn(g, get_adj):
-        np.add.at(get_adj(a), index, g)
-
-    return _record(out, fn)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    if math.prod(shape) != a.size:
-        raise DimensionError(f"reshape: cannot view size {a.size} as {list(shape)}")
-    out = Tensor(a.values.reshape(shape).copy())
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g.reshape(a.shape)
-
-    return _record(out, fn)
-
-
 # ---------------------------------------------------------------------------
 # reductions and losses
 
@@ -368,62 +407,24 @@ def total(a: Tensor) -> Tensor:
     return _record(out, fn)
 
 
-def mean(a: Tensor) -> Tensor:
-    n = a.size
-    out = Tensor(a.values.sum() / n)
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g / n
-
-    return _record(out, fn)
-
-
-def softmax(a: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """Max-shifted softmax along the last axis, row by row.
-
-    Entries where `mask` is False get probability exactly 0 and no gradient;
-    every row must keep at least one entry.  Kept entries are strictly
-    positive and each row sums to 1.
-    """
-    if a.values.ndim < 1 or a.shape[-1] < 1:
-        raise DimensionError(f"softmax: expected non-empty rows, got shape {list(a.shape)}")
-    mask = np.ones(a.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    if mask.shape != a.shape or not mask.any(axis=-1).all():
-        raise DimensionError(f"softmax: mask must match {list(a.shape)} and keep an entry per row")
-    top = np.where(mask, a.values, -np.inf).max(axis=-1, keepdims=True)
-    e = np.where(mask, np.exp(np.where(mask, a.values - top, 0.0)), 0.0)
-    out = Tensor(e / e.sum(axis=-1, keepdims=True))
-    y = out.values
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += y * (g - (g * y).sum(axis=-1, keepdims=True))
-
-    return _record(out, fn)
-
-
-def nll(dist: Tensor, index) -> Tensor:
-    """Negative log likelihood of class index[r] under each row r of dist.
-
-    `index` has dist's shape without the last (class) axis, so a 1-D
-    distribution with an int index gives a scalar and a [rows, classes]
-    grid with one index per row gives one loss per row.
-    """
-    index = np.asarray(index, dtype=np.intp)
-    if dist.values.ndim < 1 or index.shape != dist.shape[:-1]:
+def mean_nll(dists: Tensor, labels) -> Tensor:
+    """Mean over rows r of the negative log likelihood of class labels[r]
+    under the distribution dists[r] ([rows, classes])."""
+    labels = np.asarray(labels, dtype=np.intp)
+    if dists.values.ndim != 2 or labels.shape != dists.shape[:1] or not labels.size:
         raise DimensionError(
-            f"nll: index shape {list(index.shape)} does not match distributions {list(dist.shape)}")
-    if np.any((index < 0) | (index >= dist.shape[-1])):
-        raise DimensionError(f"nll: index out of range for {dist.shape[-1]} classes")
-    picked = index[..., None]
-    p = np.take_along_axis(dist.values, picked, axis=-1)[..., 0]
+            f"mean_nll: labels of shape {list(labels.shape)} do not match distributions "
+            f"{list(dists.shape)}")
+    if np.any((labels < 0) | (labels >= dists.shape[1])):
+        raise DimensionError(f"mean_nll: label out of range for {dists.shape[1]} classes")
+    rows, n = np.arange(labels.size), labels.size
+    p = dists.values[rows, labels]
     with np.errstate(divide="ignore"):
         # -log(0) = inf is deliberate: the training loop aborts on it
-        out = Tensor(-np.log(p))
+        out = Tensor((-np.log(p)).sum() / n)
 
     def fn(g, get_adj):
-        grad = np.zeros_like(dist.values)
-        np.put_along_axis(grad, picked, (-g / p)[..., None], axis=-1)
-        get_adj(dist)[...] += grad
+        get_adj(dists)[rows, labels] += -(g / n) / p
 
     return _record(out, fn)
 

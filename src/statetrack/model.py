@@ -6,8 +6,9 @@ token a mention of the conditioned entity / is it a verb).  A bidirectional
 LSTM produces contextual vectors; a bilinear attention conditioned on the
 mean entity-mention vector and mean verb vector pools them; a single affine
 layer plus softmax yields the cell distribution.  Every grid cell is
-predicted independently, but all cells of a batch are computed together:
-one tape op per layer (one for the whole BiLSTM), not per cell or time step.
+predicted independently, but all cells of a batch are computed together,
+as three tape ops: the input projection, the whole BiLSTM and the
+attention-decoder head, not one per layer, cell or time step.
 A batch's index data depends only on the vocabulary and the paragraphs, so
 it is planned once (`plan_cells`) and then run with the current weights as
 often as needed (`run_cells`).
@@ -97,6 +98,14 @@ def param_layout(vocab_size: int, embedding_dim: int,
             ("dec_b", (N_CHANGES,), None)]
 
 
+def check_sizes(hidden_size: int, embedding_dim: int) -> None:
+    """The model's size rules: hidden_size splits evenly over the two directions."""
+    if hidden_size < 2 or hidden_size % 2 != 0:
+        raise ValueError(f"hidden_size must be a positive even integer, got {hidden_size}")
+    if embedding_dim < 1:
+        raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")
+
+
 def _assemble(vocab: dict[str, int], embedding_frozen: bool,
               arrays: dict[str, np.ndarray]) -> ModelParams:
     """ModelParams from the named arrays of `param_layout`; a frozen embedding gets no gradient."""
@@ -131,8 +140,7 @@ def init_params(vocab: dict[str, int], embedding_dim: int, hidden_size: int,
     With an embedding table the word vectors are copied from it and frozen;
     otherwise they are randomly initialized and trained.
     """
-    if hidden_size % 2 != 0:
-        raise ValueError("hidden_size must be even (half per direction)")
+    check_sizes(hidden_size, embedding_dim)
     if embeddings is not None and embeddings.dimension != embedding_dim:
         raise ValueError(
             f"embedding file dimension {embeddings.dimension} != configured {embedding_dim}")
@@ -162,19 +170,9 @@ class CellBatch:
     sentence's end hold exactly 0.
     """
 
-    attention: Tensor  # [cells, longest sentence], each row sums to 1
-    pooled: Tensor     # [cells, hidden_size], attention-weighted contextual vectors
-    dists: Tensor      # [cells, N_CHANGES], state-change distributions
-
-
-def _input_preactivations(w: LstmWeights, words: Tensor, token_rows: np.ndarray,
-                          flags: np.ndarray) -> Tensor:
-    """One LSTM direction's gate pre-activations before the recurrence, one row
-    per entry of `token_rows`.  The word projection is shared by every cell
-    reading the token; the two indicator flags go through the last two rows of wx."""
-    d = words.shape[1]
-    return ad.add(ad.add(ad.gather_rows(ad.matmul(words, ad.narrow(w.wx, 0, d)), token_rows),
-                         ad.matmul(ad.constant(flags), ad.narrow(w.wx, d, 2))), w.b)
+    attention: np.ndarray  # [cells, longest sentence], each row sums to 1 (untaped)
+    pooled: np.ndarray     # [cells, hidden_size], attention-weighted contextual vectors (untaped)
+    dists: Tensor          # [cells, N_CHANGES], state-change distributions
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,23 +243,14 @@ def plan_cells(vocab: dict[str, int],
 
 
 def run_cells(params: ModelParams, plan: CellPlan) -> CellBatch:
-    """Encode and decode every cell of a plan in one pass; `plan` must come
-    from `plan_cells(params.vocab, ...)`."""
-    n, width = plan.mask.shape
-    words = ad.gather_rows(params.embedding, plan.word_ids)
-    hidden = params.hidden_size
+    """Encode and decode every cell of a plan in one pass, as three tape nodes;
+    `plan` must come from `plan_cells(params.vocab, ...)`."""
     directions = (params.fwd, params.bwd)
-    states = ad.bilstm([_input_preactivations(w, words, plan.rows[k], plan.flags[k])
-                        for k, w in enumerate(directions)], [w.wh for w in directions], n)
-    # the reshape puts rows 2r and 2r + 1 side by side: [forward | backward]
-    ctx = ad.reshape(ad.gather_rows(states, plan.unshuffle), (n, width, hidden))
-
-    focus = ad.reshape(ad.bmm(ad.constant(plan.pool), ctx), (n, 2 * hidden))
-    query = ad.reshape(ad.matmul(focus, ad.transpose(params.attn_w)), (n, hidden, 1))
-    scores = ad.add(ad.reshape(ad.bmm(ctx, query), (n, width)), params.attn_b)
-    attention = ad.softmax(scores, plan.mask)
-    pooled = ad.reshape(ad.bmm(ad.reshape(attention, (n, 1, width)), ctx), (n, hidden))
-    dists = ad.softmax(ad.add(ad.matmul(pooled, params.dec_w), params.dec_b))
+    inputs = ad.project(params.embedding, [w.wx for w in directions], [w.b for w in directions],
+                        plan.word_ids, plan.rows, plan.flags)
+    states = ad.bilstm(inputs, [w.wh for w in directions], plan.mask.shape[0])
+    dists, attention, pooled = ad.head(states, params.attn_w, params.attn_b, params.dec_w,
+                                       params.dec_b, plan.unshuffle, plan.pool, plan.mask)
     return CellBatch(attention=attention, pooled=pooled, dists=dists)
 
 
@@ -339,6 +328,10 @@ def load_checkpoint(path) -> ModelParams:
         if got is not kind:  # exact, so a bool is not an int
             raise CheckpointError(f"{path}: field '{key}' must be {kind.__name__}, "
                                   f"got {got.__name__}")
+    try:
+        check_sizes(payload["hidden_size"], payload["embedding_dim"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: field {exc}") from exc
     if set(map(type, payload["vocab"])) != {str} or UNK_TOKEN not in payload["vocab"]:
         raise CheckpointError(f"{path}: vocab must list token strings including {UNK_TOKEN}")
     vocab = {tok: i for i, tok in enumerate(payload["vocab"])}

@@ -60,10 +60,7 @@ class TrainingConfig:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.hidden_size < 2 or self.hidden_size % 2 != 0:
-            raise ValueError("hidden_size must be a positive even integer")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be >= 1")
+        model.check_sizes(self.hidden_size, self.embedding_dim)
 
 
 @dataclass
@@ -81,13 +78,12 @@ class GroupBatch:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """A batch's encoder plans and alignment, which depend only on the vocabulary
-    and its paragraphs, so `train` builds them once for every epoch."""
+    """A batch's encoder plans and consistency matrices, which depend only on the
+    vocabulary and its paragraphs, so `train` builds them once for every epoch."""
 
     primary: model.CellPlan
     members: model.CellPlan | None = None  # cells of the members aligned with the primary
-    # one (steps, aligned entities, (column, primary entity) pairs) block per aligned member
-    blocks: tuple[tuple[int, int, list[tuple[int, int]]], ...] = ()
+    consistency: tuple[np.ndarray, ...] | None = None  # `consistency_matrices` of the batch
 
 
 @dataclass
@@ -122,42 +118,50 @@ def plan_batch(vocab: dict[str, int], batch: GroupBatch, cfg: TrainingConfig) ->
     return BatchPlan(
         primary_plan,
         model.plan_cells(vocab, [(m, [ia for ia, _ in pairs]) for m, pairs in aligned]),
-        tuple((m.n_steps, len(pairs), [(q, ib) for q, (_, ib) in enumerate(pairs)])
-              for m, pairs in aligned))
+        consistency_matrices(primary.n_steps, primary.n_entities,
+                             [(m.n_steps, len(pairs), [(q, ib) for q, (_, ib) in enumerate(pairs)])
+                              for m, pairs in aligned]))
 
 
 # ---------------------------------------------------------------------------
 # summaries and consistency
 
-def _summaries(cells: Tensor, picks: list[tuple[int, int, int]]) -> Tensor:
-    """Summary distributions as one matmul over step-major cell rows: row r is
-    the mean of rows first, first + width, ... for picks[r] = (first, width, steps)."""
-    avg = np.zeros((len(picks), cells.shape[0]))
+def _averaging(picks: list[tuple[int, int, int]], rows: int) -> np.ndarray:
+    """The matrix whose product with `rows` step-major cell rows gives summaries:
+    row r averages rows first, first + width, ... for picks[r] = (first, width, steps)."""
+    avg = np.zeros((len(picks), rows))
     for r, (first, width, steps) in enumerate(picks):
         avg[r, first + width * np.arange(steps)] = 1.0 / steps
-    return ad.matmul(ad.constant(avg), cells)
+    return avg
 
 
-def consistency_sum(primary: Tensor, width: int, members: Tensor,
-                    blocks: Sequence[tuple[int, int, Sequence[tuple[int, int]]]]) -> Tensor:
-    """Sum over members of the mean over shared entities of the mean squared
-    difference between member and primary summary distributions.
-
-    Cells are step-major: `primary` has `width` entities per step, and
-    `members` stacks one block per (steps, block width, pairs) in `blocks`,
-    each pair aligning a block column with a primary entity.  Each side is
-    summarized by its own matmul before subtracting, so a self-pair gives 0.
-    """
-    steps = primary.shape[0] // width
+def consistency_matrices(steps: int, width: int,
+                         blocks: Sequence[tuple[int, int, Sequence[tuple[int, int]]]]
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constants of `consistency_sum` for a primary of `steps` x `width`
+    step-major cells and members stacked one block per (steps, block width,
+    pairs) in `blocks`, each pair aligning a block column with a primary
+    entity: the member and the primary averaging matrix (one row per pair)
+    and the weights of the squared differences."""
     member_picks, primary_picks, weight, offset = [], [], [], 0
     for block_steps, block_width, pairs in blocks:
         member_picks += [(offset + column, block_width, block_steps) for column, _ in pairs]
         primary_picks += [(entity, width, steps) for _, entity in pairs]
         weight += [[1.0 / (N_CHANGES * len(pairs))] * N_CHANGES] * len(pairs)
         offset += block_steps * block_width
-    diff = ad.add(_summaries(members, member_picks),
-                  ad.scale(_summaries(primary, primary_picks), -1.0))
-    return ad.total(ad.mul(ad.mul(diff, diff), ad.constant(weight)))
+    return (_averaging(member_picks, offset), _averaging(primary_picks, steps * width),
+            np.array(weight))
+
+
+def consistency_sum(primary: Tensor, members: Tensor,
+                    matrices: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Tensor:
+    """Sum over members of the mean over shared entities of the mean squared
+    difference between member and primary summary distributions, given the
+    batch's `consistency_matrices`.  Each side is summarized by its own matmul
+    before subtracting, so a self-pair gives 0."""
+    member_avg, primary_avg, weight = map(ad.constant, matrices)
+    diff = ad.add(ad.matmul(member_avg, members), ad.scale(ad.matmul(primary_avg, primary), -1.0))
+    return ad.total(ad.mul(ad.mul(diff, diff), weight))
 
 
 def _cells(grid: ChangeGrid) -> Tensor:
@@ -168,7 +172,8 @@ def _cells(grid: ChangeGrid) -> Tensor:
 
 def summarize(grid: ChangeGrid, entity: int) -> np.ndarray:
     """Per-entity summary distribution: the entity's step distributions averaged over steps."""
-    return _summaries(_cells(grid), [(entity, grid.shape[1], grid.shape[0])]).values[0]
+    steps, width = grid.shape[:2]
+    return (_averaging([(entity, width, steps)], steps * width) @ _cells(grid).values)[0]
 
 
 def consistency_loss(pred_a: ChangeGrid, example_a: ProcessExample,
@@ -182,8 +187,8 @@ def consistency_loss(pred_a: ChangeGrid, example_a: ProcessExample,
     pairs = shared_entities(example_a, example_b)
     if not pairs:
         return 0.0
-    return consistency_sum(_cells(pred_b), pred_b.shape[1], _cells(pred_a),
-                           [(*pred_a.shape, pairs)]).item()
+    return consistency_sum(_cells(pred_b), _cells(pred_a),
+                           consistency_matrices(*pred_b.shape, [(*pred_a.shape, pairs)])).item()
 
 
 def combine_losses(sup: Tensor, con_sum: Tensor, lambda_weight: float) -> Tensor:
@@ -208,7 +213,7 @@ def batch_loss(params: ModelParams, batch: GroupBatch, cfg: TrainingConfig,
         plan = plan_batch(params.vocab, batch, cfg)
 
     primary_dists = model.run_cells(params, plan.primary).dists
-    sup = ad.mean(ad.nll(primary_dists, primary.gold.labels.reshape(-1)))
+    sup = ad.mean_nll(primary_dists, primary.gold.labels.reshape(-1))
     sup_value = sup.item()
 
     if not cfg.consistency_enabled:
@@ -217,11 +222,11 @@ def batch_loss(params: ModelParams, batch: GroupBatch, cfg: TrainingConfig,
         return sup, BatchStats(sup_loss=sup_value, switched=True)
 
     if plan.members is not None:
-        con_sum = consistency_sum(primary_dists, primary.n_entities,
-                                  model.run_cells(params, plan.members).dists, plan.blocks)
+        con_sum = consistency_sum(primary_dists, model.run_cells(params, plan.members).dists,
+                                  plan.consistency)
     else:
         # an empty sum still goes through the combined formula, giving lambda*sup
-        con_sum = ad.zeros(())
+        con_sum = ad.constant(0.0)
     total = combine_losses(sup, con_sum, cfg.lambda_weight)
     return total, BatchStats(sup_loss=sup_value, con_loss=con_sum.item())
 

@@ -80,8 +80,11 @@ def test_criterion_1_batch_tape_size():
     tape nodes.  Encoding each (step, entity) cell separately, one token-vector
     op at a time, recorded 1,888 nodes on this batch; batching every cell of a
     call into one op per layer and per LSTM time step recorded 134; one op for
-    the whole BiLSTM, whatever the sentence length, records 78.  The bound is a
-    tenth of the per-cell count."""
+    the whole BiLSTM, whatever the sentence length, recorded 78.  One op each
+    for the input projection, the BiLSTM and the attention-decoder head, and
+    one for the supervised loss, records 17: 3 for each of the two encoder
+    passes, 1 for the supervised loss, 7 for the consistency term and 3 for
+    the combined loss."""
     a = hand_example("a", "moves")
     b = hand_example("b", "travels")
     group = TopicGroup(topic="grp", labeled=[a, b])
@@ -91,7 +94,20 @@ def test_criterion_1_batch_tape_size():
     with st.ComputationTape() as tape:
         _, stats = st.batch_loss(params, st.make_batches(group)[0], cfg)
     assert not stats.switched and stats.con_loss > 0.0
-    assert len(tape.nodes) <= 188, f"{len(tape.nodes)} tape nodes (bound 188)"
+    assert len(tape.nodes) <= 25, f"{len(tape.nodes)} tape nodes (bound 25)"
+
+
+def test_supervised_batch_tape_size():
+    """Without the consistency term a batch records the primary's encoder pass
+    (projection, BiLSTM, head) and its loss: 4 nodes, whatever the paragraph."""
+    a = hand_example("a", "moves")
+    b = hand_example("b", "travels")
+    group = TopicGroup(topic="grp", labeled=[a, b])
+    params = md.init_params(md.build_vocab([group]), embedding_dim=4, hidden_size=4, seed=12)
+    cfg = st.TrainingConfig(consistency_enabled=False, hidden_size=4, embedding_dim=4)
+    with st.ComputationTape() as tape:
+        st.batch_loss(params, st.make_batches(group)[0], cfg)
+    assert len(tape.nodes) <= 4, f"{len(tape.nodes)} tape nodes (bound 4)"
 
 
 def test_criterion_2_loss_algebra():

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from statetrack import cli, corpus
+from statetrack import cli, corpus, model
 
 
 def run_cli(*argv):
@@ -297,6 +297,31 @@ def test_eval_corrupt_checkpoint_is_data_error(tmp_path, gen_dir):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"version\": 99}")
     assert run_cli("eval", str(bad), str(gen_dir / "test.jsonl")) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("hidden, emb_dim, field", [
+    (3, 4, "hidden_size"), (0, 4, "hidden_size"), (4, 0, "embedding_dim"),
+], ids=["odd-hidden", "zero-hidden", "zero-embedding-dim"])
+def test_checkpoint_with_invalid_sizes_is_data_error(tmp_path, gen_dir, capsys, command,
+                                                     hidden, emb_dim, field):
+    """A checkpoint whose tensors all fit its sizes, but whose sizes break the
+    model's rules, is rejected when loaded, naming the file and the field."""
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    payload = json.loads(ck.read_text())
+    payload.update(hidden_size=hidden, embedding_dim=emb_dim)
+    rng = np.random.default_rng(0)
+    for name, shape, _ in model.param_layout(len(payload["vocab"]), emb_dim, hidden):
+        payload["tensors"][name] = {"shape": list(shape),
+                                    "values": rng.normal(size=shape).reshape(-1).tolist()}
+    bad = tmp_path / "sizes.json"
+    bad.write_text(json.dumps(payload))
+    out = ["--out", str(tmp_path / "out.json")] if command == "predict" else []
+    capsys.readouterr()
+    assert run_cli(command, str(bad), str(gen_dir / "test.jsonl"), *out) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert str(bad) in err and field in err
+    assert not (tmp_path / "out.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import sys
 import threading
 from contextlib import nullcontext
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from statetrack import autodiff as ad
-from statetrack import cli, model
+from statetrack import cli, model, training
 from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, TopicGroup,
                                generate_synthetic)
 from statetrack.model import (CheckpointError, build_vocab, init_params,
@@ -106,8 +107,9 @@ def encode_cells(params, items):
 
 
 def single_pass_encode_cells(params, items):
-    """The encoder as one function that builds its index data on every call,
-    as it was before planning and running were split; the split must not
+    """The encoder as one plain-numpy function that builds its index data on
+    every call and computes the layers one array operation at a time, as the
+    unfused op chain did; neither the plan/run split nor the fused ops may
     change a single bit."""
     unk = params.vocab[model.UNK_TOKEN]
     word_ids, cells, marked = [], [], []
@@ -135,18 +137,26 @@ def single_pass_encode_cells(params, items):
                  + np.arange(2)[:, None, None] * width * n).transpose(1, 2, 0).reshape(-1)
     pool = marks.transpose(0, 2, 1) / np.maximum(marks.sum(axis=1), 1.0)[:, :, None]
 
-    words = ad.gather_rows(params.embedding, word_ids)
-    hidden = params.hidden_size
-    directions = (params.fwd, params.bwd)
-    states = ad.bilstm([model._input_preactivations(w, words, rows[k], flags[k])
-                        for k, w in enumerate(directions)], [w.wh for w in directions], n)
-    ctx = ad.reshape(ad.gather_rows(states, unshuffle), (n, width, hidden))
-    focus = ad.reshape(ad.bmm(ad.constant(pool), ctx), (n, 2 * hidden))
-    query = ad.reshape(ad.matmul(focus, ad.transpose(params.attn_w)), (n, hidden, 1))
-    scores = ad.add(ad.reshape(ad.bmm(ctx, query), (n, width)), params.attn_b)
-    attention = ad.softmax(scores, mask)
-    pooled = ad.reshape(ad.bmm(ad.reshape(attention, (n, 1, width)), ctx), (n, hidden))
-    dists = ad.softmax(ad.add(ad.matmul(pooled, params.dec_w), params.dec_b))
+    # one array operation per step of the unfused chain; only the recurrence
+    # is the library's, run untaped
+    v = {name: t.values for name, t in params.named_tensors().items()}
+    words = v["embedding"][np.array(word_ids, dtype=np.intp)]
+    d, hidden = words.shape[1], params.hidden_size
+    inputs = np.stack([((words @ v[f"{k}_wx"][:d].copy())[rows[i]]
+                        + flags[i] @ v[f"{k}_wx"][d:].copy()) + v[f"{k}_b"]
+                       for i, k in enumerate(("fwd", "bwd"))])
+    states = ad.bilstm(ad.Tensor(inputs), [params.fwd.wh, params.bwd.wh], n).values
+    ctx = states[unshuffle].reshape(n, width, hidden)
+    focus = (pool @ ctx).reshape(n, 2 * hidden)
+    query = (focus @ v["attn_w"].T.copy()).reshape(n, hidden, 1)
+    scores = (ctx @ query).reshape(n, width) + v["attn_b"]
+    top = np.where(mask, scores, -np.inf).max(axis=-1, keepdims=True)
+    e = np.where(mask, np.exp(np.where(mask, scores - top, 0.0)), 0.0)
+    attention = e / e.sum(axis=-1, keepdims=True)
+    pooled = (attention.reshape(n, 1, width) @ ctx).reshape(n, hidden)
+    logits = pooled @ v["dec_w"] + v["dec_b"]
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    dists = ad.Tensor(e / e.sum(axis=-1, keepdims=True))
     return model.CellBatch(attention=attention, pooled=pooled, dists=dists)
 
 
@@ -156,8 +166,8 @@ def encode_one(params, example, t, j):
     batch = encode_cells(params, [(example, range(example.n_entities))])
     row = t * example.n_entities + j
     n = len(example.steps[t])
-    assert np.all(batch.attention.values[row, n:] == 0.0)
-    return (batch.pooled.values[row], batch.attention.values[row, :n],
+    assert np.all(batch.attention[row, n:] == 0.0)
+    return (batch.pooled[row], batch.attention[row, :n],
             batch.dists.values[row])
 
 
@@ -168,9 +178,9 @@ def assert_matches_oracle(params, items, batch):
             for j in entities:
                 pooled_o, attn_o, dist_o = oracle_cell(params, example, t, j)
                 n = len(example.steps[t])
-                assert batch.pooled.values[row] == pytest.approx(pooled_o, abs=1e-12)
-                assert batch.attention.values[row, :n] == pytest.approx(attn_o, abs=1e-12)
-                assert np.all(batch.attention.values[row, n:] == 0.0)
+                assert batch.pooled[row] == pytest.approx(pooled_o, abs=1e-12)
+                assert batch.attention[row, :n] == pytest.approx(attn_o, abs=1e-12)
+                assert np.all(batch.attention[row, n:] == 0.0)
                 assert batch.dists.values[row] == pytest.approx(dist_o, abs=1e-12)
                 row += 1
     assert row == batch.dists.shape[0]
@@ -215,11 +225,11 @@ def reference_lstm_step(x, state, wh):
 def stepwise_bilstm(inputs, recurrent, cells):
     """`ad.bilstm`'s forward values, one direction and one time step at a time."""
     states = []
-    for x, wh in zip(inputs, recurrent):
+    for x, wh in zip(inputs.values, recurrent):
         hd = wh.shape[0]
         state = np.zeros((cells, 2 * hd))
         for start in range(0, x.shape[0], cells):
-            state = reference_lstm_step(x.values[start:start + cells], state, wh.values)
+            state = reference_lstm_step(x[start:start + cells], state, wh.values)
             states.append(state[:, :hd])
     return ad.Tensor(np.concatenate(states))
 
@@ -237,7 +247,9 @@ def test_encode_cells_matches_stepwise_lstm(monkeypatch, batch):
     monkeypatch.setattr(ad, "bilstm", stepwise_bilstm)
     stepwise = encode_cells(params, items)
     for name in ("attention", "pooled", "dists"):
-        got, want = getattr(fused, name).values, getattr(stepwise, name).values
+        got, want = getattr(fused, name), getattr(stepwise, name)
+        if name == "dists":
+            got, want = got.values, want.values
         assert np.max(np.abs(got - want)) <= 1e-12, name
 
 
@@ -271,8 +283,9 @@ def test_plan_then_run_equals_single_pass_encoder_bitwise(calls):
             with ad.ComputationTape() if taped else nullcontext():
                 got = run_cells(params, plan_cells(params.vocab, items))
                 want = single_pass_encode_cells(params, items)
-            for name in ("attention", "pooled", "dists"):
-                assert getattr(got, name).values.tobytes() == getattr(want, name).values.tobytes()
+            assert got.attention.tobytes() == want.attention.tobytes()
+            assert got.pooled.tobytes() == want.pooled.tobytes()
+            assert got.dists.values.tobytes() == want.dists.values.tobytes()
 
 
 def test_plan_arrays_are_read_only():
@@ -284,6 +297,25 @@ def test_plan_arrays_are_read_only():
             array[(0,) * array.ndim] = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
         plan.mask = None
+
+
+@pytest.mark.parametrize("calls", [ragged_calls, criterion_1_batch],
+                         ids=["ragged", "criterion-1"])
+def test_unshuffle_is_a_permutation(calls):
+    params, all_items = calls()
+    for items in all_items:
+        unshuffle = plan_cells(params.vocab, items).unshuffle
+        assert np.array_equal(np.sort(unshuffle), np.arange(unshuffle.size))
+
+
+def test_plan_against_a_smaller_vocabulary_raises():
+    # a plan indexes the vocabulary it was built with; params with fewer word
+    # rows must not silently read other rows
+    a, b, params = ragged_batch()
+    plan = plan_cells(params.vocab, [(a, [1, 0]), (b, range(b.n_entities))])
+    smaller = init_params(dict(list(params.vocab.items())[:4]), 3, 6, seed=17)
+    with pytest.raises(IndexError):
+        run_cells(smaller, plan)
 
 
 def test_plan_rejects_entity_out_of_range():
@@ -465,7 +497,7 @@ def test_supervised_loss_gradient_matches_fd():
 
     def loss():
         dists = encode_cells(params, [(ex, range(ex.n_entities))]).dists
-        return ad.mean(ad.nll(dists, ex.gold.labels.reshape(-1)))
+        return ad.mean_nll(dists, ex.gold.labels.reshape(-1))
 
     errs = ad.check_gradients(loss, params.named_tensors(), eps=1e-5)
     assert max(errs.values()) < 1e-4, errs
@@ -642,3 +674,111 @@ def test_any_single_checkpoint_mutation_loads_or_raises_checkpoint_error(tmp_pat
         load_checkpoint(path)
     except CheckpointError as exc:
         assert str(path) in str(exc)
+
+
+# ---------------------------------------------------------------------------
+# differential properties: the fused encoder against the per-cell oracle, the
+# taped gradients against central differences, on small generated corpora
+
+UNSEEN = "zzz"  # a corpus word left out of the vocabulary
+WORDS = ("the", "water", "salt", "sugar", "moves", "melts", "into", "sea", UNSEEN)
+NAMES = ("water", "salt", "sugar", "heat", "ice", "Water ")  # the last two names align
+
+
+@hst.composite
+def paragraphs(draw, id, labeled):
+    """1-6 steps of 1-8 tokens, 1-4 entities with possibly empty or overlapping
+    mentions, at most one verb per step, and gold labels when `labeled`."""
+    steps = tuple(tuple(draw(hst.lists(hst.sampled_from(WORDS), min_size=1, max_size=8)))
+                  for _ in range(draw(hst.integers(1, 6))))
+
+    def spans(t):
+        n = len(steps[t])
+        return hst.integers(0, n - 1).flatmap(
+            lambda a: hst.integers(a + 1, n).map(lambda b: (t, a, b)))
+
+    entities = tuple(
+        Entity(name=name, mentions=tuple(m for t in range(len(steps))
+                                         for m in draw(hst.lists(spans(t), max_size=2))))
+        for name in draw(hst.lists(hst.sampled_from(NAMES), min_size=1, max_size=4, unique=True)))
+    verbs = tuple((t, i) for t, sent in enumerate(steps)
+                  if (i := draw(hst.none() | hst.integers(0, len(sent) - 1))) is not None)
+    gold = None
+    if labeled:
+        labels = draw(hst.lists(hst.integers(0, 3), min_size=len(steps) * len(entities),
+                                max_size=len(steps) * len(entities)))
+        gold = ChangeGrid.from_labels(np.reshape(labels, (len(steps), len(entities))).tolist())
+    ex = ProcessExample(id=id, topic="t", steps=steps, entities=entities, verbs=verbs, gold=gold)
+    ex.validate()
+    return ex
+
+
+@hst.composite
+def groups_and_params(draw):
+    """A topic group of 1-3 paragraphs, the first labeled and the others
+    labeled or not, and seeded params of a small size whose vocabulary lacks
+    one of the group's words, which maps to <unk>."""
+    n = draw(hst.integers(1, 3))
+    members = [draw(paragraphs(f"p{i}", i == 0 or draw(hst.booleans()))) for i in range(n)]
+    group = TopicGroup(topic="t", labeled=[m for m in members if m.gold is not None],
+                       unlabeled=[m for m in members if m.gold is None])
+    vocab = {tok: i for i, tok in enumerate(t for t in build_vocab([group]) if t != UNSEEN)}
+    params = init_params(vocab, draw(hst.sampled_from([1, 3])), draw(hst.sampled_from([2, 4])),
+                         seed=draw(hst.integers(0, 2**16)))
+    return group, params
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(groups_and_params(), hst.data())
+def test_run_cells_matches_oracle_on_generated_corpora(case, data):
+    group, params = case
+    items = [(ex, data.draw(hst.lists(hst.integers(0, ex.n_entities - 1), min_size=1,
+                                      max_size=4)))
+             for ex in group.members]
+    assert_matches_oracle(params, items, encode_cells(params, items))
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(groups_and_params(), hst.booleans())
+def test_batch_loss_gradients_match_fd_on_generated_corpora(case, consistency):
+    # a threshold above ln(4) lets the consistency term engage from the start
+    group, params = case
+    cfg = training.TrainingConfig(sup_threshold=10.0, consistency_enabled=consistency,
+                                  hidden_size=params.hidden_size,
+                                  embedding_dim=params.embedding_dim)
+    for batch in training.make_batches(group):
+        errs = ad.check_gradients(lambda: training.batch_loss(params, batch, cfg)[0],
+                                  params.named_tensors())
+        assert max(errs.values()) <= 1e-4, errs  # criterion 1's bound
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(groups_and_params())
+def test_consistency_term_equals_float_losses_on_generated_corpora(case):
+    # the batched term sums the float API over the members; a self-pair gives 0
+    group, params = case
+    cfg = training.TrainingConfig(sup_threshold=10.0, hidden_size=params.hidden_size,
+                                  embedding_dim=params.embedding_dim)
+    grids = predict_grids(params, group.members)
+    for batch in training.make_batches(group):
+        p, pg = batch.primary, grids[batch.primary_index]
+        _, stats = training.batch_loss(params, batch, cfg)
+        expected = sum(training.consistency_loss(g, m, pg, p)
+                       for i, (m, g) in enumerate(zip(batch.members, grids))
+                       if i != batch.primary_index)
+        assert stats.con_loss == pytest.approx(expected, rel=1e-9, abs=1e-15)
+        assert training.consistency_loss(pg, p, pg, p) == 0.0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(groups_and_params(), hst.randoms(use_true_random=False), hst.integers(1, 3))
+def test_predict_grids_do_not_depend_on_order_or_chunking(case, rnd, chunk):
+    group, params = case
+    examples = group.members
+    order = list(range(len(examples)))
+    rnd.shuffle(order)
+    grids = predict_grids(params, examples)
+    with patch.object(model, "PREDICT_CHUNK", chunk):
+        shuffled = predict_grids(params, [examples[i] for i in order])
+    for k, i in enumerate(order):
+        assert np.max(np.abs(shuffled[k].dists - grids[i].dists)) <= 1e-12
