@@ -3,8 +3,8 @@
 Operations record onto an explicit :class:`ComputationTape` when one is
 active (``with ComputationTape() as tape:``); with no tape active they run
 forward-only, which is what evaluation paths use.  Only the operations the
-model actually needs are provided, and broadcasting is restricted to
-exact-shape operands, scalars, and one row added to every row (biases).
+model actually needs are provided; the elementwise ones take operands of
+exactly equal shape, and nothing is broadcast.
 """
 
 from __future__ import annotations
@@ -147,45 +147,31 @@ def constant(values) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise ops (exact-shape, scalar, or trailing-row broadcast only)
+# elementwise ops (exact shapes only)
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    # b may also be one row broadcast over a's leading axes (a bias)
-    if (a.shape != b.shape and a.size != 1 and b.size != 1
-            and not (b.values.ndim == 1 and a.shape[-1:] == b.shape)):
-        raise DimensionError(
-            f"{op}: shapes {list(a.shape)} and {list(b.shape)} are not broadcastable")
-
-
-def _accumulate(t: Tensor, g: np.ndarray, get_adj) -> None:
-    # sum-reduce the upstream gradient over the axes t was broadcast along
-    buf = get_adj(t)
-    if g.shape == buf.shape:
-        buf += g
-    elif buf.size == 1:
-        buf += g.sum()
-    else:
-        buf += g.reshape(-1, buf.size).sum(axis=0)
+def _check_shapes(a: Tensor, b: Tensor, op: str) -> None:
+    if a.shape != b.shape:
+        raise DimensionError(f"{op}: shapes {list(a.shape)} and {list(b.shape)} differ")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
+    _check_shapes(a, b, "add")
     out = Tensor(a.values + b.values)
 
     def fn(g, get_adj):
-        _accumulate(a, g, get_adj)
-        _accumulate(b, g, get_adj)
+        get_adj(a)[...] += g
+        get_adj(b)[...] += g
 
     return _record(out, fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
+    _check_shapes(a, b, "mul")
     out = Tensor(a.values * b.values)
 
     def fn(g, get_adj):
-        _accumulate(a, g * b.values, get_adj)
-        _accumulate(b, g * a.values, get_adj)
+        get_adj(a)[...] += g * b.values
+        get_adj(b)[...] += g * a.values
 
     return _record(out, fn)
 

@@ -56,6 +56,9 @@ class RunConfig(TrainingConfig):
         super().validate()
         if not 0.0 < self.label_fraction <= 1.0:
             raise ValueError("label-fraction must lie in (0, 1]")
+        if self.use_unlabeled and self.label_fraction == 1.0:
+            raise ValueError("use-unlabeled needs a label-fraction below 1: "
+                             "with every label kept no paragraph is demoted")
 
 
 _FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
@@ -99,6 +102,17 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _load_scorable(path) -> list[corpus.TopicGroup]:
+    """A corpus evaluation can score: not empty, with some gold labels."""
+    groups = corpus.load_corpus(path)
+    examples = corpus.flatten_groups(groups)
+    if not examples:
+        raise CorpusError(f"{path}: corpus is empty")
+    if all(ex.gold is None for ex in examples):
+        raise CorpusError(f"{path}: no gold labels to evaluate against")
+    return groups
+
+
 def _write_json(path, payload: dict) -> None:
     with corpus.atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
@@ -113,13 +127,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not cfg.train:
         raise UsageError("train corpus path is required (--train or config)")
     groups = corpus.load_corpus(cfg.train)
-    dev_groups = corpus.load_corpus(cfg.dev) if cfg.dev else []
+    dev_groups = _load_scorable(cfg.dev) if cfg.dev else []
     demoted = 0
     if cfg.label_fraction < 1.0:
         groups, demoted = corpus.demote_labels(
             groups, cfg.label_fraction, seed=cfg.seed,
             reuse_unlabeled=cfg.use_unlabeled)
-    embeddings = corpus.EmbeddingTable.load(cfg.embeddings) if cfg.embeddings else None
+    embeddings = (corpus.EmbeddingTable.load(cfg.embeddings, cfg.embedding_dim)
+                  if cfg.embeddings else None)
     result = training.train(groups, cfg, dev=dev_groups, embeddings=embeddings)
 
     model.save_checkpoint(result.params, cfg.checkpoint)
@@ -134,14 +149,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     params = model.load_checkpoint(args.checkpoint)
-    groups = corpus.load_corpus(args.corpus)
-    examples = corpus.flatten_groups(groups)
-    if not examples:
-        raise CorpusError(f"{args.corpus}: corpus is empty")
-    if all(ex.gold is None for ex in examples):
-        raise CorpusError(f"{args.corpus}: no gold labels to evaluate against")
-
-    metrics, consistency = training._evaluate_split(params, groups)
+    metrics, consistency = training._evaluate_split(params, _load_scorable(args.corpus))
     payload = {**metrics.to_json(), **consistency.to_json()}
     print(json.dumps(payload, indent=2))
     if args.out:

@@ -351,13 +351,15 @@ class EmbeddingTable:
     unk_vector: np.ndarray
 
     @classmethod
-    def load(cls, path) -> "EmbeddingTable":
+    def load(cls, path, dimension: int | None = None) -> "EmbeddingTable":
         """Parse a text embedding file: one token plus D space-separated decimals per line.
 
-        The unknown-token vector is the mean of all loaded vectors.
+        D is `dimension` when given, else the first line's.  A token may appear
+        once.  The unknown-token vector is the mean of all loaded vectors.
         """
         vectors: dict[str, np.ndarray] = {}
-        dim: int | None = None
+        first_line: dict[str, int] = {}
+        dim = dimension
         with open(path, "r", encoding="utf-8") as fh:
             for n, line in enumerate(fh, start=1):
                 parts = line.rstrip("\n").split(" ")
@@ -372,8 +374,12 @@ class EmbeddingTable:
                 if dim is None:
                     dim = vec.size
                 elif vec.size != dim:
-                    raise CorpusError(
-                        f"{path} line {n}: vector length {vec.size} != {dim}")
+                    raise CorpusError(f"{path} line {n}: vector length {vec.size} != "
+                                      f"{'configured ' if dimension else ''}{dim}")
+                if parts[0] in first_line:
+                    raise CorpusError(f"{path} line {n}: duplicate token {parts[0]!r} "
+                                      f"(first on line {first_line[parts[0]]})")
+                first_line[parts[0]] = n
                 vectors[parts[0]] = vec
         if not vectors:
             raise CorpusError(f"{path}: empty embedding file")

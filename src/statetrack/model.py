@@ -5,13 +5,13 @@ Per token the input is its word vector plus two indicator reals (is this
 token a mention of the conditioned entity / is it a verb).  A bidirectional
 LSTM produces contextual vectors; a bilinear attention conditioned on the
 mean entity-mention vector and mean verb vector pools them; a single affine
-layer plus softmax yields the cell distribution.  Every grid cell is
-predicted independently, but all cells of a batch are computed together,
-as three tape ops: the input projection, the whole BiLSTM and the
-attention-decoder head, not one per layer, cell or time step.
-A batch's index data depends only on the vocabulary and the paragraphs, so
-it is planned once (`plan_cells`) and then run with the current weights as
-often as needed (`run_cells`).
+layer plus softmax yields the cell distribution.  The parameters are the
+named tensors of `param_layout`, the one list of their names and shapes.
+Every grid cell is predicted independently, but all cells of a batch are
+computed together, as three tape ops: the input projection, the whole
+BiLSTM and the attention-decoder head.  A batch's index data depends only
+on the vocabulary and the paragraphs, so it is planned once (`plan_cells`)
+and then run with the current weights as often as needed (`run_cells`).
 """
 
 from __future__ import annotations
@@ -39,43 +39,31 @@ class CheckpointError(ValueError):
 
 
 @dataclass
-class LstmWeights:
-    """Packed single-direction LSTM weights; gate order is [input, forget, cell, output]."""
-
-    wx: Tensor  # [input_dim, 4*hidden]
-    wh: Tensor  # [hidden, 4*hidden]
-    b: Tensor   # [4*hidden]
-
-
-@dataclass
 class ModelParams:
+    """The vocabulary plus every `param_layout` tensor by name, in layout order.
+
+    The sizes and the embedding's freezing are read off the tensors themselves:
+    a frozen embedding is one that takes no gradient.
+    """
+
     vocab: dict[str, int]
-    embedding: Tensor  # [V, embedding_dim]
-    embedding_frozen: bool
-    fwd: LstmWeights
-    bwd: LstmWeights
-    attn_w: Tensor  # [hidden_size, 2*hidden_size]
-    attn_b: Tensor  # scalar
-    dec_w: Tensor   # [hidden_size, 4]
-    dec_b: Tensor   # [4]
-    hidden_size: int
-    embedding_dim: int
+    tensors: dict[str, Tensor]
 
-    def named_tensors(self) -> dict[str, Tensor]:
-        return {
-            "embedding": self.embedding,
-            "fwd_wx": self.fwd.wx, "fwd_wh": self.fwd.wh, "fwd_b": self.fwd.b,
-            "bwd_wx": self.bwd.wx, "bwd_wh": self.bwd.wh, "bwd_b": self.bwd.b,
-            "attn_w": self.attn_w, "attn_b": self.attn_b,
-            "dec_w": self.dec_w, "dec_b": self.dec_b,
-        }
+    @property
+    def hidden_size(self) -> int:
+        return self.tensors["dec_w"].shape[0]
 
-    def trainable(self) -> list[Tensor]:
-        return [t for t in self.named_tensors().values() if t.requires_grad]
+    @property
+    def embedding_dim(self) -> int:
+        return self.tensors["embedding"].shape[1]
+
+    @property
+    def embedding_frozen(self) -> bool:
+        return not self.tensors["embedding"].requires_grad
 
     def copy(self) -> "ModelParams":
         return _assemble(dict(self.vocab), self.embedding_frozen,
-                         {name: t.values.copy() for name, t in self.named_tensors().items()})
+                         {name: t.values.copy() for name, t in self.tensors.items()})
 
 
 def param_layout(vocab_size: int, embedding_dim: int,
@@ -109,14 +97,9 @@ def check_sizes(hidden_size: int, embedding_dim: int) -> None:
 def _assemble(vocab: dict[str, int], embedding_frozen: bool,
               arrays: dict[str, np.ndarray]) -> ModelParams:
     """ModelParams from the named arrays of `param_layout`; a frozen embedding gets no gradient."""
-    t = {name: Tensor(a, requires_grad=not (name == "embedding" and embedding_frozen))
-         for name, a in arrays.items()}
-    return ModelParams(
-        vocab=vocab, embedding=t["embedding"], embedding_frozen=embedding_frozen,
-        fwd=LstmWeights(t["fwd_wx"], t["fwd_wh"], t["fwd_b"]),
-        bwd=LstmWeights(t["bwd_wx"], t["bwd_wh"], t["bwd_b"]),
-        attn_w=t["attn_w"], attn_b=t["attn_b"], dec_w=t["dec_w"], dec_b=t["dec_b"],
-        hidden_size=t["dec_w"].shape[0], embedding_dim=t["embedding"].shape[1])
+    return ModelParams(vocab, {
+        name: Tensor(a, requires_grad=not (name == "embedding" and embedding_frozen))
+        for name, a in arrays.items()})
 
 
 def build_vocab(groups: Iterable[TopicGroup]) -> dict[str, int]:
@@ -245,12 +228,12 @@ def plan_cells(vocab: dict[str, int],
 def run_cells(params: ModelParams, plan: CellPlan) -> CellBatch:
     """Encode and decode every cell of a plan in one pass, as three tape nodes;
     `plan` must come from `plan_cells(params.vocab, ...)`."""
-    directions = (params.fwd, params.bwd)
-    inputs = ad.project(params.embedding, [w.wx for w in directions], [w.b for w in directions],
+    t = params.tensors
+    inputs = ad.project(t["embedding"], [t["fwd_wx"], t["bwd_wx"]], [t["fwd_b"], t["bwd_b"]],
                         plan.word_ids, plan.rows, plan.flags)
-    states = ad.bilstm(inputs, [w.wh for w in directions], plan.mask.shape[0])
-    dists, attention, pooled = ad.head(states, params.attn_w, params.attn_b, params.dec_w,
-                                       params.dec_b, plan.unshuffle, plan.pool, plan.mask)
+    states = ad.bilstm(inputs, [t["fwd_wh"], t["bwd_wh"]], plan.mask.shape[0])
+    dists, attention, pooled = ad.head(states, t["attn_w"], t["attn_b"], t["dec_w"], t["dec_b"],
+                                       plan.unshuffle, plan.pool, plan.mask)
     return CellBatch(attention=attention, pooled=pooled, dists=dists)
 
 
@@ -299,7 +282,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "vocab": list(params.vocab),
         "tensors": {
             name: {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
-            for name, t in params.named_tensors().items()
+            for name, t in params.tensors.items()
         },
     }
     with atomic_open(path) as fh:
@@ -321,8 +304,9 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(f"{path}: invalid JSON: {exc.msg}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint must hold a JSON object")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get('version')}")
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # not true, not 1.0
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
     for key, kind in _CHECKPOINT_FIELDS.items():
         got = type(payload.get(key))
         if got is not kind:  # exact, so a bool is not an int

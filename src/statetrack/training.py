@@ -241,8 +241,8 @@ class TrainResult:
 
 
 def _sgd_step(params: ModelParams, lr: float) -> None:
-    for t in params.trainable():
-        if t.grad is not None:
+    for t in params.tensors.values():
+        if t.requires_grad and t.grad is not None:
             t.values -= lr * t.grad
             t.zero_grad()
 

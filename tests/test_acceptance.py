@@ -68,7 +68,7 @@ def test_criterion_1_gradient_correctness():
         assert stats.con_loss > 0.0, "consistency term must be active for this check"
 
         errors = ad.check_gradients(lambda: st.batch_loss(params, batch, cfg)[0],
-                                    params.named_tensors(), eps=1e-5)
+                                    params.tensors, eps=1e-5)
         elapsed = time.time() - started
         worst = max(errors.values())
         assert worst <= 1e-4, f"worst relative error {worst:.3e}: {errors}"

@@ -342,24 +342,41 @@ def test_grad_matmul_random():
 
 
 def test_grad_add_scalar_broadcast():
+    # a scalar is not broadcast: add takes operands of exactly equal shape
     a = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
-    s = Tensor(RNG.normal(), requires_grad=True)
+    b = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
     r = Tensor(RNG.normal(size=(2, 2)))
-    fd_check(lambda: ad.total(ad.mul(ad.add(a, s), r)), {"a": a, "s": s})
+    for s in (Tensor(RNG.normal()), Tensor(RNG.normal(size=1))):
+        with pytest.raises(DimensionError):
+            ad.add(a, s)
+        with pytest.raises(DimensionError):
+            ad.add(s, a)
+    fd_check(lambda: ad.total(ad.mul(ad.add(a, b), r)), {"a": a, "b": b})
 
 
 def test_grad_add_row_broadcast():
+    # a row is not broadcast over the leading axis either
     a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(RNG.normal(size=4), requires_grad=True)
+    b = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     r = Tensor(RNG.normal(size=(3, 4)))
+    with pytest.raises(DimensionError):
+        ad.add(a, Tensor(RNG.normal(size=4)))
+    with pytest.raises(DimensionError):
+        ad.add(a, Tensor(RNG.normal(size=(1, 4))))
     fd_check(lambda: ad.total(ad.mul(ad.add(a, b), r)), {"a": a, "b": b})
 
 
 def test_grad_mul_exact_and_scalar():
+    # mul takes exact shapes; a scalar factor is `scale`'s job
     a = Tensor(RNG.normal(size=5), requires_grad=True)
     b = Tensor(RNG.normal(size=5), requires_grad=True)
-    s = Tensor(RNG.normal(), requires_grad=True)
-    fd_check(lambda: ad.total(ad.mul(ad.mul(a, b), s)), {"a": a, "b": b, "s": s})
+    c = Tensor(RNG.normal(size=5), requires_grad=True)
+    for s in (Tensor(RNG.normal()), Tensor(RNG.normal(size=(1, 5)))):
+        with pytest.raises(DimensionError):
+            ad.mul(a, s)
+        with pytest.raises(DimensionError):
+            ad.mul(s, a)
+    fd_check(lambda: ad.total(ad.mul(ad.mul(a, b), c)), {"a": a, "b": b, "c": c})
 
 
 def test_grad_tanh_sigmoid():
@@ -417,13 +434,18 @@ def test_grad_row_select():
 # misc op contracts
 
 def test_add_mixed_scalar_shapes():
+    # shapes () and (1,) hold one value each, but they are not the same shape
     a = Tensor(np.array(2.0), requires_grad=True)      # shape ()
     b = Tensor(np.array([3.0]), requires_grad=True)    # shape (1,)
+    for op in (ad.add, ad.mul):
+        with pytest.raises(DimensionError, match=r"\[\] and \[1\]"):
+            op(a, b)
+    c = Tensor(np.array(4.0), requires_grad=True)      # shape ()
     with ComputationTape() as tape:
-        loss = ad.total(ad.add(a, b))
+        loss = ad.add(a, c)
     tape.backward(loss)
     assert a.grad.shape == () and float(a.grad) == 1.0
-    assert b.grad.shape == (1,) and float(b.grad[0]) == 1.0
+    assert c.grad.shape == () and float(c.grad) == 1.0
 
 
 def test_nll_uniform_is_log4():

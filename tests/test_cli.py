@@ -112,6 +112,18 @@ def test_train_label_fraction_demotes(tmp_path, gen_dir):
     assert report["config"]["use_unlabeled"] is True
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_rejects_use_unlabeled_with_every_label_kept(tmp_path, gen_dir, capsys, source):
+    # with label-fraction 1 nothing is demoted, so the setting would be ignored
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"use_unlabeled": True}))
+    extra = ["--use-unlabeled"] if source == "flag" else ["--config", str(cfg_path)]
+    code, ck, _ = train_small(tmp_path, gen_dir, *extra)
+    assert code == cli.EXIT_USAGE
+    assert "use-unlabeled needs a label-fraction below 1" in capsys.readouterr().err
+    assert not ck.exists()
+
+
 def test_train_no_consistency_flag(tmp_path, gen_dir):
     code, _, rep = train_small(tmp_path, gen_dir, "--no-consistency")
     assert code == 0
@@ -293,6 +305,23 @@ def test_eval_empty_corpus_is_data_error(tmp_path, gen_dir):
     assert run_cli("eval", str(ck), str(empty)) == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("dev_kind, message", [
+    ("empty", "corpus is empty"), ("unlabeled", "no gold labels to evaluate against")],
+    ids=["empty", "unlabeled"])
+def test_train_rejects_dev_corpus_it_cannot_score(tmp_path, gen_dir, capsys, dev_kind, message):
+    # model selection needs dev F1, so the dev file is checked as eval checks its corpus
+    dev = gen_dir / "dev.jsonl"
+    if dev_kind == "empty":
+        dev.write_text("")
+    else:
+        corpus.save_examples(dev, [dataclasses.replace(ex, gold=None)
+                                   for ex in corpus.load_examples(dev)])
+    code, ck, rep = train_small(tmp_path, gen_dir)
+    assert code == cli.EXIT_DATA
+    assert f"{dev}: {message}" in capsys.readouterr().err
+    assert not ck.exists() and not rep.exists()
+
+
 def test_eval_corrupt_checkpoint_is_data_error(tmp_path, gen_dir):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"version\": 99}")
@@ -395,7 +424,7 @@ def test_train_with_embedding_file(tmp_path, gen_dir):
     from statetrack.model import load_checkpoint
     params = load_checkpoint(ck)
     assert params.embedding_frozen
-    assert not params.embedding.requires_grad
+    assert not params.tensors["embedding"].requires_grad
 
 
 def test_train_with_non_finite_embedding_is_data_error(tmp_path, gen_dir, capsys):
@@ -404,4 +433,13 @@ def test_train_with_non_finite_embedding_is_data_error(tmp_path, gen_dir, capsys
     code, ck, _ = train_small(tmp_path, gen_dir, "--embeddings", str(emb_path))
     assert code == cli.EXIT_DATA
     assert f"{emb_path} line 2" in capsys.readouterr().err
+    assert not ck.exists()
+
+
+def test_train_embedding_dimension_mismatch_names_file(tmp_path, gen_dir, capsys):
+    emb_path = tmp_path / "emb.txt"
+    emb_path.write_text("water 1.0 0.5\nthe 0.0 1.0\n", encoding="utf-8")
+    code, ck, _ = train_small(tmp_path, gen_dir, "--embeddings", str(emb_path))
+    assert code == cli.EXIT_DATA
+    assert f"{emb_path} line 1: vector length 2 != configured 4" in capsys.readouterr().err
     assert not ck.exists()

@@ -267,6 +267,18 @@ def test_embedding_table_dimension_mismatch(tmp_path):
     path.write_text("a 1.0 2.0\nb 3.0\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="line 2"):
         EmbeddingTable.load(path)
+    # a given dimension binds the first line too
+    with pytest.raises(CorpusError, match=f"{path} line 1: vector length 2 != configured 3"):
+        EmbeddingTable.load(path, 3)
+
+
+def test_embedding_table_rejects_repeated_token(tmp_path):
+    # keeping either vector would silently drop the other and skew unk_vector
+    path = tmp_path / "emb.txt"
+    path.write_text("the 1 0\nthe 0 1\nwater 1 1\n", encoding="utf-8")
+    with pytest.raises(CorpusError,
+                       match=f"{path} line 2: duplicate token 'the' \\(first on line 1\\)"):
+        EmbeddingTable.load(path)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])

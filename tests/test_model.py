@@ -61,7 +61,7 @@ def _np_softmax(x):
 
 
 def oracle_cell(params, example, t, j):
-    v = {name: t_.values for name, t_ in params.named_tensors().items()}
+    v = {name: t_.values for name, t_ in params.tensors.items()}
     tokens = example.steps[t]
     mention = set(example.entities[j].mention_tokens(t))
     verbs = set(example.verb_tokens(t))
@@ -139,13 +139,14 @@ def single_pass_encode_cells(params, items):
 
     # one array operation per step of the unfused chain; only the recurrence
     # is the library's, run untaped
-    v = {name: t.values for name, t in params.named_tensors().items()}
+    v = {name: t.values for name, t in params.tensors.items()}
     words = v["embedding"][np.array(word_ids, dtype=np.intp)]
     d, hidden = words.shape[1], params.hidden_size
     inputs = np.stack([((words @ v[f"{k}_wx"][:d].copy())[rows[i]]
                         + flags[i] @ v[f"{k}_wx"][d:].copy()) + v[f"{k}_b"]
                        for i, k in enumerate(("fwd", "bwd"))])
-    states = ad.bilstm(ad.Tensor(inputs), [params.fwd.wh, params.bwd.wh], n).values
+    states = ad.bilstm(ad.Tensor(inputs), [params.tensors[f"{k}_wh"] for k in ("fwd", "bwd")],
+                       n).values
     ctx = states[unshuffle].reshape(n, width, hidden)
     focus = (pool @ ctx).reshape(n, 2 * hidden)
     query = (focus @ v["attn_w"].T.copy()).reshape(n, hidden, 1)
@@ -329,7 +330,7 @@ def test_encoder_gradient_matches_fd_on_ragged_batch():
     a, b, params = ragged_batch()
     items = [(a, [1, 0]), (b, range(b.n_entities))]
     r = ad.Tensor(RNG.normal(size=(13, 4)))
-    tensors = params.named_tensors()
+    tensors = params.tensors
     assert not np.array_equal(tensors["fwd_wh"].values, tensors["bwd_wh"].values)
     errs = ad.check_gradients(lambda: ad.total(ad.mul(encode_cells(params, items).dists, r)),
                               tensors)
@@ -353,8 +354,8 @@ def test_encode_cells_tape_length_does_not_depend_on_sentence_length():
 def test_zero_attention_weights_give_uniform_attention():
     ex = tiny_example()
     params = tiny_params(ex)
-    params.attn_w.values[...] = 0.0
-    params.attn_b.values[...] = 0.0
+    params.tensors["attn_w"].values[...] = 0.0
+    params.tensors["attn_b"].values[...] = 0.0
     pooled, attention, _ = encode_one(params, ex, 0, 0)
     n = len(ex.steps[0])
     assert attention == pytest.approx([1.0 / n] * n, abs=1e-15)
@@ -421,8 +422,8 @@ def test_entity_absent_from_step_uses_zero_mean_path():
 def test_zero_decoder_gives_uniform():
     ex = tiny_example()
     params = tiny_params(ex)
-    params.dec_w.values[...] = 0.0
-    params.dec_b.values[...] = 0.0
+    params.tensors["dec_w"].values[...] = 0.0
+    params.tensors["dec_b"].values[...] = 0.0
     _, _, dist = encode_one(params, ex, 0, 0)
     assert dist == pytest.approx([0.25] * 4, abs=1e-15)
 
@@ -430,8 +431,8 @@ def test_zero_decoder_gives_uniform():
 def test_decoder_bias_dominates_with_zero_weights():
     ex = tiny_example()
     params = tiny_params(ex)
-    params.dec_w.values[...] = 0.0
-    params.dec_b.values[...] = [10.0, 0.0, 0.0, 0.0]
+    params.tensors["dec_w"].values[...] = 0.0
+    params.tensors["dec_b"].values[...] = [10.0, 0.0, 0.0, 0.0]
     _, _, dist = encode_one(params, ex, 0, 0)
     assert dist[0] > 0.999
 
@@ -499,7 +500,7 @@ def test_supervised_loss_gradient_matches_fd():
         dists = encode_cells(params, [(ex, range(ex.n_entities))]).dists
         return ad.mean_nll(dists, ex.gold.labels.reshape(-1))
 
-    errs = ad.check_gradients(loss, params.named_tensors(), eps=1e-5)
+    errs = ad.check_gradients(loss, params.tensors, eps=1e-5)
     assert max(errs.values()) < 1e-4, errs
 
 
@@ -563,8 +564,8 @@ def test_checkpoint_roundtrip(tmp_path):
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
     assert loaded.vocab == params.vocab
-    for name, t in params.named_tensors().items():
-        other = loaded.named_tensors()[name]
+    for name, t in params.tensors.items():
+        other = loaded.tensors[name]
         assert np.array_equal(t.values, other.values)
         assert t.requires_grad == other.requires_grad
     a = predict_grid(params, ex)
@@ -637,8 +638,11 @@ def mutated(payload, keys, value):
     (("hidden_size",), "x", "hidden_size"),
     (("vocab", 0), "<UNK>", "vocab"),
     ((), [1, 2], "JSON object"),
+    (("version",), True, "version True"),
+    (("version",), 1.0, "version 1.0"),
 ], ids=["no-shape", "entry-not-object", "string-value", "values-object", "tensors-number",
-        "hidden-size-string", "no-unk-token", "top-level-array"])
+        "hidden-size-string", "no-unk-token", "top-level-array", "version-true",
+        "version-float"])
 def test_checkpoint_structure_errors_name_file_and_field(tmp_path, capsys, keys, value, field):
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(mutated(saved_payload(path), keys, value)))
@@ -748,7 +752,7 @@ def test_batch_loss_gradients_match_fd_on_generated_corpora(case, consistency):
                                   embedding_dim=params.embedding_dim)
     for batch in training.make_batches(group):
         errs = ad.check_gradients(lambda: training.batch_loss(params, batch, cfg)[0],
-                                  params.named_tensors())
+                                  params.tensors)
         assert max(errs.values()) <= 1e-4, errs  # criterion 1's bound
 
 

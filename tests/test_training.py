@@ -172,8 +172,8 @@ def test_consistency_loss_extreme_value_is_half():
 def test_uniform_predictions_give_log4_sup_loss():
     g = two_paragraph_group()
     params = params_for([g])
-    params.dec_w.values[...] = 0.0
-    params.dec_b.values[...] = 0.0
+    params.tensors["dec_w"].values[...] = 0.0
+    params.tensors["dec_b"].values[...] = 0.0
     cfg = TrainingConfig(hidden_size=4, embedding_dim=4)
     loss, stats = batch_loss(params, make_batches(g)[0], cfg)
     assert stats.sup_loss == pytest.approx(math.log(4.0), abs=1e-12)
@@ -272,7 +272,7 @@ def test_batch_loss_gradient_matches_fd_including_consistency():
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=3)
     batch = make_batches(g)[0]
     errs = ad.check_gradients(lambda: batch_loss(params, batch, cfg)[0],
-                              params.named_tensors(), eps=1e-5)
+                              params.tensors, eps=1e-5)
     assert max(errs.values()) < 1e-4, errs
 
 
@@ -289,15 +289,15 @@ def test_gradient_flows_through_nonprimary_members():
     with ComputationTape() as tape:
         loss, _ = batch_loss(params, batch, cfg)
     tape.backward(loss)
-    with_con = {n: t.grad.copy() for n, t in params.named_tensors().items()}
-    for t in params.named_tensors().values():
+    with_con = {n: t.grad.copy() for n, t in params.tensors.items()}
+    for t in params.tensors.values():
         t.zero_grad()
 
     cfg_off = dataclasses.replace(cfg, consistency_enabled=False)
     with ComputationTape() as tape:
         loss, _ = batch_loss(params, batch, cfg_off)
     tape.backward(loss)
-    without = {n: t.grad.copy() for n, t in params.named_tensors().items()}
+    without = {n: t.grad.copy() for n, t in params.tensors.items()}
     assert any(not np.allclose(with_con[n], without[n]) for n in with_con)
 
 
@@ -361,8 +361,8 @@ def test_train_is_deterministic():
     a = train(groups, cfg, dev=groups)
     b = train(groups, cfg, dev=groups)
     assert a.report == b.report
-    for name, t in a.params.named_tensors().items():
-        assert np.array_equal(t.values, b.params.named_tensors()[name].values)
+    for name, t in a.params.tensors.items():
+        assert np.array_equal(t.values, b.params.tensors[name].values)
 
 
 def test_train_report_structure():
