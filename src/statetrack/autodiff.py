@@ -186,11 +186,6 @@ def scale(a: Tensor, k: float) -> Tensor:
     return _record(out, fn)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 0.5*(tanh(x/2)+1) saturates cleanly instead of overflowing exp
-    return 0.5 * (np.tanh(0.5 * x) + 1.0)
-
-
 def project(embedding: Tensor, wx: Sequence[Tensor], b: Sequence[Tensor],
             word_ids: np.ndarray, rows: np.ndarray, flags: np.ndarray) -> Tensor:
     """Every direction's LSTM input pre-activations, as one tape node.
@@ -232,6 +227,13 @@ def project(embedding: Tensor, wx: Sequence[Tensor], b: Sequence[Tensor],
     return _record(out, fn)
 
 
+# sigmoid(z) = 0.5 * (tanh(0.5 * z) + 1), which saturates cleanly instead of
+# overflowing exp, on the input, forget and output gate blocks, tanh(z) on the
+# cell block: both scalings are exact
+_GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5]).reshape(4, 1, 1, 1)
+_GATE_SCALE.flags.writeable = False
+
+
 def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
     """Both directions of a BiLSTM over every time step, as one tape node.
 
@@ -241,7 +243,9 @@ def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
     direction.  The directions run stacked, each from a zero state.
     Returns the hidden states as [directions * steps * cells, h], row
     k * steps * cells + tau * cells + c.  With no tape active no gate
-    activations are kept; with one, backward is backpropagation through time.
+    activations are kept; with one, the forward keeps them in time-major
+    slabs whose every per-step slice is contiguous, and backward is
+    backpropagation through time.
     """
     dirs = len(recurrent)
     hd = recurrent[0].shape[0] if dirs else 0
@@ -251,44 +255,80 @@ def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
         raise DimensionError(f"bilstm: inputs {list(inputs.shape)} and recurrent "
                              f"{[list(r.shape) for r in recurrent]} do not fit {cells} cells")
     steps = inputs.shape[1] // cells
-    x = inputs.values.reshape(dirs, steps, cells, 4 * hd)
+    x = inputs.values.reshape(dirs, steps, cells, 4, hd)
     w = np.stack([r.values for r in recurrent])
     hs = np.empty((dirs, steps, cells, hd))
-    h = c = np.zeros((dirs, cells, hd))
-    saved = [] if _STATE.current is not None else None
+    # a step's activations are gate-major rows of [dirs, cells, hd], ordered
+    # (g, c_prev, i, f, spare, o) so that backward's factors p = (g, c_prev, i)
+    # and q = (i, f, 1 - g^2, o) are windows of rows; the gates are computed in
+    # place over rows 2 to 5, the spare row holding tanh(z_g) until g is copied
+    # out.  Under a tape every step keeps its rows, plus a last entry for the
+    # final cell state; without one, two entries alternate.
+    kept = steps if _STATE.current is not None else 1
+    acts = np.empty((kept + 1, 6, dirs, cells, hd))
+    acts[0, 1] = 0.0  # the zero initial cell state
+    tcs = np.empty((kept, dirs, cells, hd))  # tanh(c)
+    gates_in = acts[:, 2:].transpose(0, 2, 3, 1, 4)  # (i, f, g, o) rows, in the inputs' layout
+    z = np.empty((dirs, cells, 4 * hd))
+    z4 = z.reshape(dirs, cells, 4, hd)
+    h = np.zeros((dirs, cells, hd))
     for tau in range(steps):
-        z = x[:, tau] + h @ w
-        gates = _sigmoid(z)  # the cell candidate block uses tanh instead
-        i, f, o = gates[..., :hd], gates[..., hd:2 * hd], gates[..., 3 * hd:]
-        g = np.tanh(z[..., 2 * hd:3 * hd])
-        c_prev, h_prev = c, h
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = hs[:, tau] = o * tc
-        if saved is not None:
-            saved.append((h_prev, c_prev, i, f, g, o, tc))
+        j = tau % (kept + 1)
+        a, c, tc = acts[j], acts[(tau + 1) % (kept + 1), 1], tcs[tau % kept]
+        gates = a[2:]
+        np.matmul(h, w, out=z)
+        np.add(z4, x[:, tau], out=gates_in[j])
+        gates *= _GATE_SCALE
+        np.tanh(gates, out=gates)
+        a[0] = a[4]
+        gates += 1.0
+        gates *= 0.5
+        np.multiply(a[3], a[1], out=c)
+        c += a[2] * a[0]
+        np.tanh(c, out=tc)
+        h = np.multiply(a[5], tc, out=hs[:, tau])
     out = Tensor(hs.reshape(-1, hd))
 
     def fn(grad, get_adj):
         grad = grad.reshape(dirs, steps, cells, hd)
-        x_adj = get_adj(inputs).reshape(dirs, steps, cells, 4 * hd)
-        w_adj = [get_adj(r) for r in recurrent]
+        a = acts[:steps]
+        g, f, o = a[:, 0], a[:, 3], a[:, 5]
+        # every factor of dz = (((dc|dc|dc|gh) * p) * q) * r, for all steps at
+        # once, in the step form's multiplication order: p = (g, c_prev, i) =
+        # a[:, :3] plus tanh(c) for the output gate's gh, q = (i, f, 1 - g^2, o)
+        # = a[:, 2:] and r = (1 - i, 1 - f, 1, 1 - o); the spare row is
+        # rewritten on every backward, so repeated backward calls agree
+        np.multiply(g, g, out=a[:, 4])
+        np.subtract(1.0, a[:, 4], out=a[:, 4])
+        r = np.subtract(1.0, a[:, 2:])
+        r[:, 2] = 1.0
+        u = np.multiply(tcs, tcs)
+        np.subtract(1.0, u, out=u)  # 1 - tanh(c)^2
+        # each step's dz, in the inputs' gate layout, replaces its spent r
+        dz = r.reshape(steps, dirs, cells, 4 * hd)
+        dz_gates = dz.reshape(steps, dirs, cells, 4, hd).transpose(0, 3, 1, 2, 4)
+        dzg = np.empty((4, dirs, cells, hd))
         w_t = w.transpose(0, 2, 1)
         dh = gc = 0.0
         for tau in reversed(range(steps)):
-            h_prev, c_prev, i, f, g, o, tc = saved[tau]
             gh = grad[:, tau] + dh
-            dc = gc + gh * o * (1.0 - tc * tc)
-            dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                                 dc * i * (1.0 - g * g), gh * tc * o * (1.0 - o)], axis=-1)
-            x_adj[:, tau] += dz
+            dc = gc + gh * o[tau] * u[tau]
+            np.multiply(dc, a[tau, :3], out=dzg[:3])
+            np.multiply(gh, tcs[tau], out=dzg[3])
+            dzg *= a[tau, 2:]
+            # r and dz share memory; numpy buffers the overlap
+            np.multiply(dzg, r[tau], out=dz_gates[tau])
             if tau:  # the zero initial state takes no gradient
-                # into the adjoint step by step: a local sum would round
-                # differently once another call's gradient is in the buffer
-                dw = h_prev.transpose(0, 2, 1) @ dz
-                for k in range(dirs):
-                    w_adj[k] += dw[k]
-                dh, gc = dz @ w_t, dc * f
+                dh, gc = dz[tau] @ w_t, dc * f[tau]
+        get_adj(inputs).reshape(dirs, steps, cells, 4 * hd)[...] += dz.transpose(1, 0, 2, 3)
+        # h_prev^T dz of every step as one matmul, added into the adjoint step
+        # by step in reverse: a local sum would round differently once another
+        # call's gradient is in the buffer
+        dw = hs[:, :-1].transpose(0, 1, 3, 2) @ dz[1:].transpose(1, 0, 2, 3)
+        w_adj = [get_adj(wh) for wh in recurrent]
+        for tau in reversed(range(steps - 1)):
+            for k in range(dirs):
+                w_adj[k] += dw[k, tau]
 
     return _record(out, fn)
 

@@ -29,6 +29,8 @@ import numpy as np
 
 N_CHANGES = 4
 
+UNK_TOKEN = "<unk>"  # the vocabulary and embedding entry of every unknown word
+
 
 class StateChange(IntEnum):
     """The four per-step state changes, in the canonical order used for all 4-vectors."""
@@ -355,7 +357,8 @@ class EmbeddingTable:
         """Parse a text embedding file: one token plus D space-separated decimals per line.
 
         D is `dimension` when given, else the first line's.  A token may appear
-        once.  The unknown-token vector is the mean of all loaded vectors.
+        once.  The unknown-token vector is the file's UNK_TOKEN line when it has
+        one, else the mean of all loaded vectors.
         """
         vectors: dict[str, np.ndarray] = {}
         first_line: dict[str, int] = {}
@@ -383,7 +386,9 @@ class EmbeddingTable:
                 vectors[parts[0]] = vec
         if not vectors:
             raise CorpusError(f"{path}: empty embedding file")
-        unk = np.mean(np.stack(list(vectors.values())), axis=0)
+        unk = vectors.get(UNK_TOKEN)
+        if unk is None:
+            unk = np.mean(np.stack(list(vectors.values())), axis=0)
         return cls(dimension=int(dim), vectors=vectors, unk_vector=unk)
 
     def lookup(self, token: str) -> np.ndarray:

@@ -24,10 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import (N_CHANGES, ChangeGrid, EmbeddingTable, ProcessExample,
+from .corpus import (N_CHANGES, UNK_TOKEN, ChangeGrid, EmbeddingTable, ProcessExample,
                      TopicGroup, atomic_open)
-
-UNK_TOKEN = "<unk>"
 
 CHECKPOINT_VERSION = 1
 
@@ -131,8 +129,7 @@ def init_params(vocab: dict[str, int], embedding_dim: int, hidden_size: int,
     arrays = {}
     for name, shape, fan_in in param_layout(len(vocab), embedding_dim, hidden_size):
         if name == "embedding" and embeddings is not None:
-            arrays[name] = np.stack([embeddings.lookup(tok) if tok != UNK_TOKEN
-                                     else embeddings.unk_vector for tok in vocab])
+            arrays[name] = np.stack([embeddings.lookup(tok) for tok in vocab])
         elif fan_in is None:
             arrays[name] = np.zeros(shape)
         else:
@@ -185,17 +182,26 @@ def plan_cells(vocab: dict[str, int],
     cells = []   # (first token row, sentence length) per cell
     marked = []  # (cell, token position, 0 = entity mention / 1 = verb)
     for example, entities in items:
+        # the verb and each wanted entity's mention positions by step, in the
+        # order `verb_tokens` and `mention_tokens` list them
+        verbs: dict[int, list[int]] = {}
+        for t, i in example.verbs:
+            verbs.setdefault(t, []).append(i)
+        mentions: dict[int, dict[int, list[int]]] = {}
+        for j in entities:
+            if not 0 <= j < example.n_entities:
+                raise IndexError(f"entity {j} out of range for {example.id}")
+            mentions[j] = {}
+            for t, start, end in example.entities[j].mentions:
+                mentions[j].setdefault(t, []).extend(range(start, end))
         for t, tokens in enumerate(example.steps):
             first = len(word_ids)
             word_ids.extend(vocab.get(tok, unk) for tok in tokens)
-            verbs = example.verb_tokens(t)
             for j in entities:
-                if not 0 <= j < example.n_entities:
-                    raise IndexError(f"entity {j} out of range for {example.id}")
                 c = len(cells)
                 cells.append((first, len(tokens)))
-                marked.extend((c, i, 0) for i in example.entities[j].mention_tokens(t))
-                marked.extend((c, i, 1) for i in verbs)
+                marked.extend((c, i, 0) for i in mentions[j].get(t, ()))
+                marked.extend((c, i, 1) for i in verbs.get(t, ()))
 
     first, lengths = np.array(cells, dtype=np.intp).T[:, :, None]
     n, width = len(cells), int(lengths.max())
@@ -304,6 +310,9 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(f"{path}: invalid JSON: {exc.msg}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint must hold a JSON object")
+    for key in payload:
+        if key != "version" and key not in _CHECKPOINT_FIELDS:
+            raise CheckpointError(f"{path}: unknown field '{key}'")
     version = payload.get("version")
     if type(version) is not int or version != CHECKPOINT_VERSION:  # not true, not 1.0
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
@@ -342,4 +351,7 @@ def load_checkpoint(path) -> ModelParams:
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: tensor '{name}' holds a non-finite value")
         arrays[name] = values.reshape(shape)
+    for name in raw:
+        if name not in arrays:
+            raise CheckpointError(f"{path}: unknown tensor '{name}'")
     return _assemble(vocab, payload["embedding_frozen"], arrays)

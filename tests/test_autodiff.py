@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from bilstm_reference import bilstm as step_form_bilstm
 from statetrack import autodiff as ad
 from statetrack.autodiff import ComputationTape, ContractError, DimensionError, Tensor
 
@@ -57,6 +58,53 @@ def test_bilstm_taped_and_untaped_forward_are_bitwise_equal():
         taped = ad.bilstm(xs, whs, 4).values
     assert len(tape.nodes) == 1
     assert np.array_equal(taped, untaped)
+
+
+def bilstm_results(bilstm, xs, whs, cells, rs):
+    """The untaped and taped states of `bilstm` on xs[0] and the gradients of
+    sum(states(xs[0]) * rs[0]) + sum(states(xs[1]) * rs[1]) taken on one tape:
+    both calls share the weights, so the first call's backward adds into wh
+    adjoints that already hold the second call's gradient."""
+    x = [Tensor(v, requires_grad=True) for v in xs]
+    ws = [Tensor(w, requires_grad=True) for w in whs]
+    untaped = bilstm(x[0], ws, cells).values
+    with ComputationTape() as tape:
+        states = [bilstm(xk, ws, cells) for xk in x]
+        loss = ad.add(*(ad.total(ad.mul(h, Tensor(r))) for h, r in zip(states, rs)))
+    tape.backward(loss)
+    return [untaped, states[0].values, states[1].values,
+            *(xk.grad for xk in x), *(w.grad for w in ws)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.sampled_from([1, 2]), hst.integers(1, 8), hst.integers(1, 400), hst.integers(1, 4),
+       hst.sampled_from([0.1, 1.0, 4.0]), hst.integers(0, 2**32 - 1))
+def test_bilstm_matches_the_step_form_bitwise(dirs, steps, cells, hd, spread, seed):
+    # the slab form must round every value as the step form did: states,
+    # inputs adjoints and both wh adjoints, taped and untaped
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(scale=spread, size=(2, dirs, steps * cells, 4 * hd))
+    whs = rng.normal(scale=spread, size=(dirs, hd, 4 * hd))
+    rs = rng.normal(size=(2, dirs * steps * cells, hd))
+    got = bilstm_results(ad.bilstm, xs, whs, cells, rs)
+    want = bilstm_results(step_form_bilstm, xs, whs, cells, rs)
+    assert len(got) == len(want) == 5 + dirs
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape and np.array_equal(g, w), k
+
+
+def test_bilstm_backward_twice_accumulates_the_same_gradient():
+    # backward rewrites part of the saved activations in place; a second
+    # backward on the same tape must still add exactly the first gradient
+    xs = Tensor(RNG.normal(size=(2, 15, 12)), requires_grad=True)
+    whs = [Tensor(RNG.normal(size=(3, 12)), requires_grad=True) for _ in range(2)]
+    with ComputationTape() as tape:
+        loss = ad.total(ad.mul(ad.bilstm(xs, whs, 5), Tensor(RNG.normal(size=(30, 3)))))
+    tape.backward(loss)
+    once = [t.grad.copy() for t in (xs, *whs)]
+    tape.backward(loss)
+    for t, g in zip((xs, *whs), once):
+        assert np.array_equal(t.grad, g + g)
 
 
 def test_bilstm_directions_are_independent():

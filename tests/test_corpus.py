@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from statetrack import cli, corpus, model
-from statetrack.corpus import (ChangeGrid, CorpusError, EmbeddingTable, Entity,
+from statetrack.corpus import (UNK_TOKEN, ChangeGrid, CorpusError, EmbeddingTable, Entity,
                                ProcessExample, StateChange, demote_labels,
                                generate_synthetic, shared_entities)
+from statetrack.model import init_params
 
 
 def make_example(id="x1", topic="photosynthesis", entities=("water", "oxygen"),
@@ -260,6 +261,19 @@ def test_embedding_table_load_and_unk(tmp_path):
     assert table.dimension == 2
     assert np.array_equal(table.lookup("water"), [1.0, 2.0])
     assert np.array_equal(table.lookup("zzz"), [2.0, 3.0])  # mean of all vectors
+
+
+def test_embedding_table_unk_line_is_the_unknown_vector(tmp_path):
+    # a file's own <unk> vector, not the mean, serves every unknown word and
+    # the vocabulary's <unk> row
+    path = tmp_path / "emb.txt"
+    path.write_text("water 1.0 2.0\n<unk> 9.0 -9.0\noxygen 3.0 4.0\n", encoding="utf-8")
+    table = EmbeddingTable.load(path)
+    assert np.array_equal(table.unk_vector, [9.0, -9.0])
+    assert np.array_equal(table.lookup("zzz"), [9.0, -9.0])
+    vocab = {UNK_TOKEN: 0, "oxygen": 1, "zzz": 2}
+    rows = init_params(vocab, 2, 2, seed=0, embeddings=table).tensors["embedding"].values
+    assert np.array_equal(rows, [[9.0, -9.0], [3.0, 4.0], [9.0, -9.0]])
 
 
 def test_embedding_table_dimension_mismatch(tmp_path):

@@ -106,17 +106,15 @@ def encode_cells(params, items):
     return run_cells(params, plan_cells(params.vocab, items))
 
 
-def single_pass_encode_cells(params, items):
-    """The encoder as one plain-numpy function that builds its index data on
-    every call and computes the layers one array operation at a time, as the
-    unfused op chain did; neither the plan/run split nor the fused ops may
-    change a single bit."""
-    unk = params.vocab[model.UNK_TOKEN]
+def single_pass_plan(vocab, items):
+    """`plan_cells`' arrays as a dict, built with one scan of the verbs per
+    step and of the entity's mentions per cell."""
+    unk = vocab[model.UNK_TOKEN]
     word_ids, cells, marked = [], [], []
     for example, entities in items:
         for t, tokens in enumerate(example.steps):
             first = len(word_ids)
-            word_ids.extend(params.vocab.get(tok, unk) for tok in tokens)
+            word_ids.extend(vocab.get(tok, unk) for tok in tokens)
             verbs = example.verb_tokens(t)
             for j in entities:
                 c = len(cells)
@@ -136,11 +134,24 @@ def single_pass_encode_cells(params, items):
     unshuffle = (order * n + np.arange(n)[:, None]
                  + np.arange(2)[:, None, None] * width * n).transpose(1, 2, 0).reshape(-1)
     pool = marks.transpose(0, 2, 1) / np.maximum(marks.sum(axis=1), 1.0)[:, :, None]
+    return dict(word_ids=np.array(word_ids, dtype=np.intp), rows=rows, flags=flags,
+                unshuffle=unshuffle, pool=pool, mask=mask)
+
+
+def single_pass_encode_cells(params, items):
+    """The encoder as one plain-numpy function that builds its index data on
+    every call and computes the layers one array operation at a time, as the
+    unfused op chain did; neither the plan/run split nor the fused ops may
+    change a single bit."""
+    plan = single_pass_plan(params.vocab, items)
+    rows, flags, unshuffle, pool, mask = (plan[k] for k in ("rows", "flags", "unshuffle",
+                                                            "pool", "mask"))
+    n, width = mask.shape
 
     # one array operation per step of the unfused chain; only the recurrence
     # is the library's, run untaped
     v = {name: t.values for name, t in params.tensors.items()}
-    words = v["embedding"][np.array(word_ids, dtype=np.intp)]
+    words = v["embedding"][plan["word_ids"]]
     d, hidden = words.shape[1], params.hidden_size
     inputs = np.stack([((words @ v[f"{k}_wx"][:d].copy())[rows[i]]
                         + flags[i] @ v[f"{k}_wx"][d:].copy()) + v[f"{k}_b"]
@@ -640,9 +651,11 @@ def mutated(payload, keys, value):
     ((), [1, 2], "JSON object"),
     (("version",), True, "version True"),
     (("version",), 1.0, "version 1.0"),
+    (("tensors", "extra_w"), {"shape": [1], "values": [1.0]}, "unknown tensor 'extra_w'"),
+    (("comment",), "trained on Monday", "unknown field 'comment'"),
 ], ids=["no-shape", "entry-not-object", "string-value", "values-object", "tensors-number",
         "hidden-size-string", "no-unk-token", "top-level-array", "version-true",
-        "version-float"])
+        "version-float", "extra-tensor", "extra-key"])
 def test_checkpoint_structure_errors_name_file_and_field(tmp_path, capsys, keys, value, field):
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(mutated(saved_payload(path), keys, value)))
@@ -740,6 +753,21 @@ def test_run_cells_matches_oracle_on_generated_corpora(case, data):
                                       max_size=4)))
              for ex in group.members]
     assert_matches_oracle(params, items, encode_cells(params, items))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(groups_and_params(), hst.data())
+def test_plan_cells_matches_per_step_scans_on_generated_corpora(case, data):
+    # verbs and mentions bucketed by step once per paragraph give the same
+    # arrays, repeated entity columns included
+    group, params = case
+    items = [(ex, data.draw(hst.lists(hst.integers(0, ex.n_entities - 1), min_size=1,
+                                      max_size=4)))
+             for ex in group.members]
+    plan = plan_cells(params.vocab, items)
+    for name, want in single_pass_plan(params.vocab, items).items():
+        got = getattr(plan, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
