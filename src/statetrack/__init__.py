@@ -11,8 +11,8 @@ from .evaluation import (ConsistencyReport, MetricsReport, consistency_score,
 from .model import (CellBatch, CellPlan, ModelParams, build_vocab, init_params,
                     load_checkpoint, plan_cells, predict_grid, run_cells,
                     save_checkpoint)
-from .training import (BatchPlan, BatchStats, GroupBatch, NumericalError,
-                       TrainingConfig, TrainResult, batch_loss, consistency_loss,
-                       make_batches, plan_batch, summarize, train)
+from .training import (Batch, BatchStats, NumericalError, TrainingConfig,
+                       TrainResult, batch_loss, consistency_loss, make_batches,
+                       summarize, train)
 
 __version__ = "0.1.0"

@@ -336,11 +336,9 @@ def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
 def _softmax(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Max-shifted softmax along the last axis; entries where `mask` is False
     get exactly 0, kept entries are strictly positive and each row sums to 1."""
-    if mask is None:
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-    else:
-        top = np.where(mask, x, -np.inf).max(axis=-1, keepdims=True)
-        e = np.where(mask, np.exp(np.where(mask, x - top, 0.0)), 0.0)
+    if mask is not None:
+        x = np.where(mask, x, -np.inf)  # exp(-inf) is exactly 0
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
 

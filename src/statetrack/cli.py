@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -86,6 +87,9 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file {args.config}: invalid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise UsageError(f"config file {args.config}: not UTF-8: "
+                             f"byte 0x{exc.object[exc.start]:02x}") from exc
         if not isinstance(raw, dict):
             raise UsageError("config file must hold a JSON object")
         for name, value in raw.items():
@@ -113,6 +117,18 @@ def _load_scorable(path) -> list[corpus.TopicGroup]:
     return groups
 
 
+def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Refuse an output that resolves to the same file as an input or another
+    output of the command, which writing it would destroy."""
+    taken = {os.path.realpath(path): name for name, path in inputs.items() if path}
+    for name, path in outputs.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in taken:
+                raise UsageError(f"{name} {path} is the same file as the {taken[real]}")
+            taken[real] = name
+
+
 def _write_json(path, payload: dict) -> None:
     with corpus.atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
@@ -126,6 +142,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _build_run_config(args)
     if not cfg.train:
         raise UsageError("train corpus path is required (--train or config)")
+    _check_outputs({"checkpoint": cfg.checkpoint, "report": cfg.report},
+                   {"train corpus": cfg.train, "dev corpus": cfg.dev,
+                    "embeddings": cfg.embeddings, "config file": args.config})
     groups = corpus.load_corpus(cfg.train)
     dev_groups = _load_scorable(cfg.dev) if cfg.dev else []
     demoted = 0
@@ -148,6 +167,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_outputs({"--out": args.out}, {"checkpoint": args.checkpoint, "corpus": args.corpus})
     params = model.load_checkpoint(args.checkpoint)
     metrics, consistency = training._evaluate_split(params, _load_scorable(args.corpus))
     payload = {**metrics.to_json(), **consistency.to_json()}
@@ -158,6 +178,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _check_outputs({"--out": args.out}, {"checkpoint": args.checkpoint, "corpus": args.corpus})
     params = model.load_checkpoint(args.checkpoint)
     examples = corpus.load_examples(args.corpus)
     if not examples:

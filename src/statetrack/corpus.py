@@ -234,26 +234,38 @@ def example_to_json(ex: ProcessExample) -> dict:
     return obj
 
 
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """The lines of a UTF-8 text file, numbered from 1; a line that is not
+    UTF-8 raises a CorpusError naming the file, the line and the byte."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for n, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:  # an undecodable byte b became U+DC00 + b
+                raise CorpusError(f"{path} line {n}: not UTF-8: "
+                                  f"byte 0x{ord(line[exc.start]) - 0xDC00:02x}") from None
+            yield n, line
+
+
 def load_examples(path) -> list[ProcessExample]:
     """Parse a JSONL corpus file, in file order; paragraph ids must be unique."""
     out = []
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for n, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{path} line {n}: invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path} line {n}: expected a JSON object")
-            ex = _parse_example(obj, where=f"{path} line {n}")
-            if ex.id in first_line:
-                raise CorpusError(f"{path} line {n}: duplicate paragraph id {ex.id!r} "
-                                  f"(first on line {first_line[ex.id]})")
-            first_line[ex.id] = n
-            out.append(ex)
+    for n, line in read_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CorpusError(f"{path} line {n}: invalid JSON: {exc.msg}") from exc
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path} line {n}: expected a JSON object")
+        ex = _parse_example(obj, where=f"{path} line {n}")
+        if ex.id in first_line:
+            raise CorpusError(f"{path} line {n}: duplicate paragraph id {ex.id!r} "
+                              f"(first on line {first_line[ex.id]})")
+        first_line[ex.id] = n
+        out.append(ex)
     return out
 
 
@@ -363,27 +375,26 @@ class EmbeddingTable:
         vectors: dict[str, np.ndarray] = {}
         first_line: dict[str, int] = {}
         dim = dimension
-        with open(path, "r", encoding="utf-8") as fh:
-            for n, line in enumerate(fh, start=1):
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) < 2:
-                    raise CorpusError(f"{path} line {n}: expected token plus decimals")
-                try:
-                    vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-                except ValueError as exc:
-                    raise CorpusError(f"{path} line {n}: bad decimal") from exc
-                if not np.isfinite(vec).all():
-                    raise CorpusError(f"{path} line {n}: non-finite decimal")
-                if dim is None:
-                    dim = vec.size
-                elif vec.size != dim:
-                    raise CorpusError(f"{path} line {n}: vector length {vec.size} != "
-                                      f"{'configured ' if dimension else ''}{dim}")
-                if parts[0] in first_line:
-                    raise CorpusError(f"{path} line {n}: duplicate token {parts[0]!r} "
-                                      f"(first on line {first_line[parts[0]]})")
-                first_line[parts[0]] = n
-                vectors[parts[0]] = vec
+        for n, line in read_lines(path):
+            parts = line.rstrip("\n").split(" ")
+            if len(parts) < 2:
+                raise CorpusError(f"{path} line {n}: expected token plus decimals")
+            try:
+                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise CorpusError(f"{path} line {n}: bad decimal") from exc
+            if not np.isfinite(vec).all():
+                raise CorpusError(f"{path} line {n}: non-finite decimal")
+            if dim is None:
+                dim = vec.size
+            elif vec.size != dim:
+                raise CorpusError(f"{path} line {n}: vector length {vec.size} != "
+                                  f"{'configured ' if dimension else ''}{dim}")
+            if parts[0] in first_line:
+                raise CorpusError(f"{path} line {n}: duplicate token {parts[0]!r} "
+                                  f"(first on line {first_line[parts[0]]})")
+            first_line[parts[0]] = n
+            vectors[parts[0]] = vec
         if not vectors:
             raise CorpusError(f"{path}: empty embedding file")
         unk = vectors.get(UNK_TOKEN)

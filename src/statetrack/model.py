@@ -308,6 +308,9 @@ def load_checkpoint(path) -> ModelParams:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointError(f"{path}: invalid JSON: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(
+                f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x}") from exc
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path}: checkpoint must hold a JSON object")
     for key in payload:
@@ -328,6 +331,9 @@ def load_checkpoint(path) -> ModelParams:
     if set(map(type, payload["vocab"])) != {str} or UNK_TOKEN not in payload["vocab"]:
         raise CheckpointError(f"{path}: vocab must list token strings including {UNK_TOKEN}")
     vocab = {tok: i for i, tok in enumerate(payload["vocab"])}
+    if len(vocab) != len(payload["vocab"]):
+        repeated = next(tok for i, tok in enumerate(payload["vocab"]) if vocab[tok] != i)
+        raise CheckpointError(f"{path}: vocab lists token {repeated!r} twice")
     raw = payload["tensors"]
 
     arrays = {}

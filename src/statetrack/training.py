@@ -63,27 +63,22 @@ class TrainingConfig:
         model.check_sizes(self.hidden_size, self.embedding_dim)
 
 
-@dataclass
-class GroupBatch:
-    """All members of one group with one labeled example designated primary."""
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """All members of one group with one labeled example designated primary,
+    plus the encoder plans and consistency matrices of its loss.  These depend
+    only on the vocabulary and the paragraphs, so one batch serves every epoch."""
 
     topic: str
     members: list[ProcessExample]
     primary_index: int
+    primary_cells: model.CellPlan
+    member_cells: model.CellPlan | None = None  # the members aligned with the primary
+    consistency: tuple[np.ndarray, ...] | None = None  # `consistency_matrices` of the batch
 
     @property
     def primary(self) -> ProcessExample:
         return self.members[self.primary_index]
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """A batch's encoder plans and consistency matrices, which depend only on the
-    vocabulary and its paragraphs, so `train` builds them once for every epoch."""
-
-    primary: model.CellPlan
-    members: model.CellPlan | None = None  # cells of the members aligned with the primary
-    consistency: tuple[np.ndarray, ...] | None = None  # `consistency_matrices` of the batch
 
 
 @dataclass
@@ -93,34 +88,29 @@ class BatchStats:
     switched: bool = False  # consistency skipped because sup_loss was above threshold
 
 
-def make_batches(group: TopicGroup) -> list[GroupBatch]:
+def make_batches(vocab: dict[str, int], group: TopicGroup, cfg: TrainingConfig) -> list[Batch]:
     """One batch per labeled member, each holding the whole group.
 
     Unlabeled members ride along in every batch; an all-unlabeled group
-    yields no batches.
+    yields no batches.  Each batch plans its primary and, when consistency
+    can engage, every member sharing an entity with the primary, over the
+    shared entities only.
     """
     members = group.members
-    return [GroupBatch(topic=group.topic, members=members, primary_index=i)
-            for i in range(len(group.labeled))]
-
-
-def plan_batch(vocab: dict[str, int], batch: GroupBatch, cfg: TrainingConfig) -> BatchPlan:
-    """The primary's plan and, when consistency can engage, the plan of every
-    member sharing an entity with the primary, over the shared entities only."""
-    primary = batch.primary
-    primary_plan = model.plan_cells(vocab, [(primary, range(primary.n_entities))])
-    if not cfg.consistency_enabled:
-        return BatchPlan(primary_plan)
-    others = [m for i, m in enumerate(batch.members) if i != batch.primary_index]
-    aligned = [(m, pairs) for m in others if (pairs := shared_entities(m, primary))]
-    if not aligned:
-        return BatchPlan(primary_plan)
-    return BatchPlan(
-        primary_plan,
-        model.plan_cells(vocab, [(m, [ia for ia, _ in pairs]) for m, pairs in aligned]),
-        consistency_matrices(primary.n_steps, primary.n_entities,
-                             [(m.n_steps, len(pairs), [(q, ib) for q, (_, ib) in enumerate(pairs)])
-                              for m, pairs in aligned]))
+    batches = []
+    for i, primary in enumerate(group.labeled):
+        if primary.gold is None:
+            raise ValueError(f"primary example {primary.id} has no gold labels")
+        primary_cells = model.plan_cells(vocab, [(primary, range(primary.n_entities))])
+        aligned = [(m, pairs) for j, m in enumerate(members) if cfg.consistency_enabled
+                   and j != i and (pairs := shared_entities(m, primary))]
+        engaged = () if not aligned else (
+            model.plan_cells(vocab, [(m, [ia for ia, _ in pairs]) for m, pairs in aligned]),
+            consistency_matrices(primary.n_steps, primary.n_entities, [
+                (m.n_steps, len(pairs), [(q, ib) for q, (_, ib) in enumerate(pairs)])
+                for m, pairs in aligned]))
+        batches.append(Batch(group.topic, members, i, primary_cells, *engaged))
+    return batches
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +186,18 @@ def combine_losses(sup: Tensor, con_sum: Tensor, lambda_weight: float) -> Tensor
     return ad.add(ad.scale(sup, lambda_weight), ad.scale(con_sum, 1.0 - lambda_weight))
 
 
-def batch_loss(params: ModelParams, batch: GroupBatch, cfg: TrainingConfig,
-               plan: BatchPlan | None = None) -> tuple[Tensor, BatchStats]:
+def batch_loss(params: ModelParams, batch: Batch,
+               cfg: TrainingConfig) -> tuple[Tensor, BatchStats]:
     """Differentiable loss for one batch plus its reporting components.
 
     The supervised term is computed first; if it exceeds the threshold (or
     consistency is disabled) it is returned alone and no other member is even
     encoded.  Otherwise the consistency terms of all non-primary members are
-    summed, unnormalized, into the combined loss.  `plan` is the batch's
-    `plan_batch` under the same vocabulary and `cfg`, built here when not given.
+    summed, unnormalized, into the combined loss.  `batch` comes from
+    `make_batches` under `params.vocab` and the same `cfg`.
     """
-    primary = batch.primary
-    if primary.gold is None:
-        raise ValueError(f"primary example {primary.id} has no gold labels")
-    if plan is None:
-        plan = plan_batch(params.vocab, batch, cfg)
-
-    primary_dists = model.run_cells(params, plan.primary).dists
-    sup = ad.mean_nll(primary_dists, primary.gold.labels.reshape(-1))
+    primary_dists = model.run_cells(params, batch.primary_cells).dists
+    sup = ad.mean_nll(primary_dists, batch.primary.gold.labels.reshape(-1))
     sup_value = sup.item()
 
     if not cfg.consistency_enabled:
@@ -221,9 +205,9 @@ def batch_loss(params: ModelParams, batch: GroupBatch, cfg: TrainingConfig,
     if sup_value > cfg.sup_threshold:
         return sup, BatchStats(sup_loss=sup_value, switched=True)
 
-    if plan.members is not None:
-        con_sum = consistency_sum(primary_dists, model.run_cells(params, plan.members).dists,
-                                  plan.consistency)
+    if batch.member_cells is not None:
+        con_sum = consistency_sum(primary_dists, model.run_cells(params, batch.member_cells).dists,
+                                  batch.consistency)
     else:
         # an empty sum still goes through the combined formula, giving lambda*sup
         con_sum = ad.constant(0.0)
@@ -284,8 +268,7 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
     rng = np.random.default_rng(cfg.seed)
     params = model.init_params(model.build_vocab(groups), cfg.embedding_dim, cfg.hidden_size,
                                seed=cfg.seed, embeddings=embeddings)
-    batches = [[(batch, plan_batch(params.vocab, batch, cfg)) for batch in make_batches(g)]
-               for g in trainable_groups]
+    batches = [make_batches(params.vocab, g, cfg) for g in trainable_groups]
     dev_plans = model.plan_chunks(params.vocab, flatten_groups(dev))
 
     epochs_log = []
@@ -293,24 +276,21 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
     best_epoch = None
     best_params = None
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(trainable_groups))
-        sup_losses, con_losses, switches, n_batches = [], [], 0, 0
-        for gi in order:
-            group = trainable_groups[int(gi)]
-            for bi, (batch, plan) in enumerate(batches[int(gi)]):
+        sup_losses, con_losses, switches = [], [], 0
+        for gi in rng.permutation(len(batches)):
+            for bi, batch in enumerate(batches[gi]):
                 with ComputationTape() as tape:
-                    loss, stats = batch_loss(params, batch, cfg, plan)
+                    loss, stats = batch_loss(params, batch, cfg)
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericalError(
-                        f"non-finite loss at epoch {epoch}, group {group.topic!r} batch {bi}: "
+                        f"non-finite loss at epoch {epoch}, group {batch.topic!r} batch {bi}: "
                         f"total={value}, sup={stats.sup_loss}, con={stats.con_loss}")
                 tape.backward(loss)
                 _sgd_step(params, cfg.learning_rate)
                 sup_losses.append(stats.sup_loss)
                 con_losses.append(stats.con_loss)
                 switches += int(stats.switched)
-                n_batches += 1
 
         dev_f1 = dev_consistency = None
         if dev:
@@ -325,7 +305,7 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
             "epoch": epoch,
             "mean_sup_loss": float(np.mean(sup_losses)),
             "mean_con_loss": float(np.mean(con_losses)),
-            "adaptive_switch_rate": switches / n_batches,
+            "adaptive_switch_rate": switches / len(sup_losses),
             "dev_f1": dev_f1,
             "dev_consistency": dev_consistency,
         })

@@ -63,7 +63,7 @@ def test_criterion_1_gradient_correctness():
         # threshold above ln(4) so the consistency term participates
         cfg = st.TrainingConfig(lambda_weight=0.05, sup_threshold=10.0,
                                 hidden_size=4, embedding_dim=4)
-        batch = st.make_batches(group)[0]
+        batch = st.make_batches(vocab, group, cfg)[0]
         _, stats = st.batch_loss(params, batch, cfg)
         assert stats.con_loss > 0.0, "consistency term must be active for this check"
 
@@ -92,7 +92,7 @@ def test_criterion_1_batch_tape_size():
     cfg = st.TrainingConfig(lambda_weight=0.05, sup_threshold=10.0,
                             hidden_size=4, embedding_dim=4)
     with st.ComputationTape() as tape:
-        _, stats = st.batch_loss(params, st.make_batches(group)[0], cfg)
+        _, stats = st.batch_loss(params, st.make_batches(params.vocab, group, cfg)[0], cfg)
     assert not stats.switched and stats.con_loss > 0.0
     assert len(tape.nodes) <= 25, f"{len(tape.nodes)} tape nodes (bound 25)"
 
@@ -106,7 +106,7 @@ def test_supervised_batch_tape_size():
     params = md.init_params(md.build_vocab([group]), embedding_dim=4, hidden_size=4, seed=12)
     cfg = st.TrainingConfig(consistency_enabled=False, hidden_size=4, embedding_dim=4)
     with st.ComputationTape() as tape:
-        st.batch_loss(params, st.make_batches(group)[0], cfg)
+        st.batch_loss(params, st.make_batches(params.vocab, group, cfg)[0], cfg)
     assert len(tape.nodes) <= 4, f"{len(tape.nodes)} tape nodes (bound 4)"
 
 
@@ -118,7 +118,7 @@ def test_criterion_2_loss_algebra():
         b = hand_example("b", "travels")
         group = TopicGroup(topic="grp", labeled=[a, b])
         params = md.init_params(md.build_vocab([group]), 4, 4, seed=3)
-        batch = st.make_batches(group)[0]
+        batch = st.make_batches(params.vocab, group, st.TrainingConfig())[0]
 
         loss, stats = st.batch_loss(
             params, batch, st.TrainingConfig(lambda_weight=1.0, sup_threshold=100.0,
@@ -183,14 +183,15 @@ def test_criterion_4_batching_contract():
                     demoted, _ = st.demote_labels(groups, fraction, seed=seed,
                                                   reuse_unlabeled=True)
                     for g in demoted:
-                        batches = st.make_batches(g)
+                        batches = st.make_batches(md.build_vocab([g]), g,
+                                                  st.TrainingConfig())
                         assert len(batches) == len(g.labeled)
                         primary_ids = [b.primary.id for b in batches]
                         assert sorted(primary_ids) == sorted(ex.id for ex in g.labeled)
                         assert all(len(b.members) == len(g.members) for b in batches)
                         assert all(b.primary.gold is not None for b in batches)
         empty = TopicGroup(topic="none")
-        assert st.make_batches(empty) == []
+        assert st.make_batches(md.build_vocab([empty]), empty, st.TrainingConfig()) == []
 
 
 def test_criterion_5_overfit_smoke():

@@ -443,3 +443,68 @@ def test_train_embedding_dimension_mismatch_names_file(tmp_path, gen_dir, capsys
     assert code == cli.EXIT_DATA
     assert f"{emb_path} line 1: vector length 2 != configured 4" in capsys.readouterr().err
     assert not ck.exists()
+
+
+# ---------------------------------------------------------------------------
+# inputs that are not UTF-8; outputs that name another file of the command
+
+@pytest.mark.parametrize("bad", ["corpus-eval", "corpus-predict", "checkpoint", "embeddings",
+                                 "config"])
+def test_non_utf8_input_is_named_with_its_line(tmp_path, gen_dir, capsys, bad):
+    """A 0xff byte in an input names the file, and the line for the files read
+    line by line; in the config file it is a usage error, like every other."""
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    path, out, test = tmp_path / "bad", tmp_path / "out.jsonl", gen_dir / "test.jsonl"
+    lines = test.read_bytes().splitlines(keepends=True)
+    corpus_bytes = b"".join([lines[0], b"\xff" + lines[1], *lines[2:]])
+    data, argv, where = {
+        "corpus-eval": (corpus_bytes, ["eval", ck, path], f"{path} line 2"),
+        "corpus-predict": (corpus_bytes, ["predict", ck, path, "--out", out], f"{path} line 2"),
+        "checkpoint": (b"\xff" + ck.read_bytes(), ["eval", path, test], f"{path}"),
+        "embeddings": (b"water 1 0 0 0\n\xffthe 0 1 0 0\n", ["--embeddings", path],
+                       f"{path} line 2"),
+        "config": (b'{"epochs": \xff1}', ["--config", path], f"config file {path}"),
+    }[bad]
+    path.write_bytes(data)
+    capsys.readouterr()
+    argv = [str(a) for a in argv]
+    code = train_small(tmp_path, gen_dir, *argv)[0] if argv[0].startswith("--") else run_cli(*argv)
+    assert code == (cli.EXIT_USAGE if bad == "config" else cli.EXIT_DATA)
+    assert f"{where}: not UTF-8: byte 0xff" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--checkpoint", "same.json", "--report", "same.json"],
+     "report same.json is the same file as the checkpoint"),
+    (["train", "--checkpoint", "train.jsonl"], "is the same file as the train corpus"),
+    (["train", "--report", "./data/../dev.jsonl"], "is the same file as the dev corpus"),
+    (["train", "--report", "cfg.json", "--config", "cfg.json"],
+     "is the same file as the config file"),
+    (["train", "--checkpoint", "emb.txt", "--embeddings", "emb.txt"],
+     "is the same file as the embeddings"),
+    (["predict", "ck.json", "test.jsonl", "--out", "ck.json"],
+     "--out ck.json is the same file as the checkpoint"),
+    (["predict", "ck.json", "test.jsonl", "--out", "test.jsonl"],
+     "is the same file as the corpus"),
+    (["eval", "ck.json", "test.jsonl", "--out", "link.jsonl"],
+     "is the same file as the corpus"),
+], ids=["checkpoint-report", "checkpoint-train", "report-dev", "report-config",
+        "checkpoint-embeddings", "predict-checkpoint", "predict-corpus", "eval-symlink"])
+def test_output_naming_another_file_of_the_command_is_refused(tmp_path, gen_dir, capsys,
+                                                              monkeypatch, argv, message):
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    for split in ("train", "dev", "test"):
+        (tmp_path / f"{split}.jsonl").write_bytes((gen_dir / f"{split}.jsonl").read_bytes())
+    (tmp_path / "cfg.json").write_text('{"epochs": 1}')
+    (tmp_path / "emb.txt").write_text("water 1 0 0 0\n")
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "test.jsonl")
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "train":
+        argv = [*argv, "--train", "train.jsonl", "--dev", "dev.jsonl", "--epochs", "1",
+                "--hidden", "4", "--emb-dim", "4"]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before

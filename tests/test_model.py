@@ -653,9 +653,11 @@ def mutated(payload, keys, value):
     (("version",), 1.0, "version 1.0"),
     (("tensors", "extra_w"), {"shape": [1], "values": [1.0]}, "unknown tensor 'extra_w'"),
     (("comment",), "trained on Monday", "unknown field 'comment'"),
+    (("vocab",), [model.UNK_TOKEN, "moves", "the", "water", "sugar", "the"],
+     "vocab lists token 'the' twice"),
 ], ids=["no-shape", "entry-not-object", "string-value", "values-object", "tensors-number",
         "hidden-size-string", "no-unk-token", "top-level-array", "version-true",
-        "version-float", "extra-tensor", "extra-key"])
+        "version-float", "extra-tensor", "extra-key", "repeated-token"])
 def test_checkpoint_structure_errors_name_file_and_field(tmp_path, capsys, keys, value, field):
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(mutated(saved_payload(path), keys, value)))
@@ -778,7 +780,7 @@ def test_batch_loss_gradients_match_fd_on_generated_corpora(case, consistency):
     cfg = training.TrainingConfig(sup_threshold=10.0, consistency_enabled=consistency,
                                   hidden_size=params.hidden_size,
                                   embedding_dim=params.embedding_dim)
-    for batch in training.make_batches(group):
+    for batch in training.make_batches(params.vocab, group, cfg):
         errs = ad.check_gradients(lambda: training.batch_loss(params, batch, cfg)[0],
                                   params.tensors)
         assert max(errs.values()) <= 1e-4, errs  # criterion 1's bound
@@ -792,7 +794,7 @@ def test_consistency_term_equals_float_losses_on_generated_corpora(case):
     cfg = training.TrainingConfig(sup_threshold=10.0, hidden_size=params.hidden_size,
                                   embedding_dim=params.embedding_dim)
     grids = predict_grids(params, group.members)
-    for batch in training.make_batches(group):
+    for batch in training.make_batches(params.vocab, group, cfg):
         p, pg = batch.primary, grids[batch.primary_index]
         _, stats = training.batch_loss(params, batch, cfg)
         expected = sum(training.consistency_loss(g, m, pg, p)

@@ -13,7 +13,7 @@ from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, StateChange,
                                TopicGroup, demote_labels, generate_synthetic)
 from statetrack.training import (NumericalError, TrainingConfig,
                                  batch_loss, combine_losses, consistency_loss,
-                                 make_batches, plan_batch, summarize, train)
+                                 make_batches, summarize, train)
 
 
 def example_with(id, topic, entities, gold_rows=None, verb="moves"):
@@ -55,7 +55,7 @@ def params_for(groups, emb_dim=4, hidden=4, seed=5):
 def test_three_labeled_gives_three_batches():
     g = two_paragraph_group()
     g.labeled.append(example_with("c", "t", ("water",), gold_rows=[[0], [3]]))
-    batches = make_batches(g)
+    batches = make_batches(model.build_vocab([g]), g, TrainingConfig())
     assert [b.primary_index for b in batches] == [0, 1, 2]
     assert all(len(b.members) == 3 for b in batches)
     assert all(b.primary.gold is not None for b in batches)
@@ -67,7 +67,7 @@ def test_one_labeled_two_unlabeled_gives_one_batch():
         labeled=[example_with("a", "t", ("water",), gold_rows=[[0], [3]])],
         unlabeled=[example_with("b", "t", ("water",)),
                    example_with("c", "t", ("water",))])
-    batches = make_batches(g)
+    batches = make_batches(model.build_vocab([g]), g, TrainingConfig())
     assert len(batches) == 1
     assert len(batches[0].members) == 3
     assert batches[0].primary.id == "a"
@@ -75,7 +75,7 @@ def test_one_labeled_two_unlabeled_gives_one_batch():
 
 def test_all_unlabeled_gives_no_batches():
     g = TopicGroup(topic="t", unlabeled=[example_with("a", "t", ("water",))])
-    assert make_batches(g) == []
+    assert make_batches(model.build_vocab([g]), g, TrainingConfig()) == []
 
 
 def test_each_labeled_primary_exactly_once():
@@ -84,7 +84,7 @@ def test_each_labeled_primary_exactly_once():
                                     noise=0.2)
         demoted, _ = demote_labels(groups, 0.66, seed=seed, reuse_unlabeled=True)
         for g in demoted:
-            batches = make_batches(g)
+            batches = make_batches(model.build_vocab([g]), g, TrainingConfig())
             assert len(batches) == len(g.labeled)
             primaries = [b.primary.id for b in batches]
             assert sorted(primaries) == sorted(ex.id for ex in g.labeled)
@@ -175,7 +175,7 @@ def test_uniform_predictions_give_log4_sup_loss():
     params.tensors["dec_w"].values[...] = 0.0
     params.tensors["dec_b"].values[...] = 0.0
     cfg = TrainingConfig(hidden_size=4, embedding_dim=4)
-    loss, stats = batch_loss(params, make_batches(g)[0], cfg)
+    loss, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
     assert stats.sup_loss == pytest.approx(math.log(4.0), abs=1e-12)
     # ln 4 > 0.2, so the adaptive rule returns the supervised term alone
     assert stats.switched
@@ -193,7 +193,7 @@ def test_lambda_one_is_identity_through_the_formula():
     params = params_for([g])
     cfg = TrainingConfig(lambda_weight=1.0, sup_threshold=100.0,
                          hidden_size=4, embedding_dim=4)
-    loss, stats = batch_loss(params, make_batches(g)[0], cfg)
+    loss, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
     assert loss.item() == stats.sup_loss  # bitwise: 1*sup + 0*con
 
 
@@ -201,7 +201,7 @@ def test_disabled_consistency_returns_sup_exactly():
     g = two_paragraph_group()
     params = params_for([g])
     cfg = TrainingConfig(consistency_enabled=False, hidden_size=4, embedding_dim=4)
-    loss, stats = batch_loss(params, make_batches(g)[0], cfg)
+    loss, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
     assert loss.item() == stats.sup_loss
     assert stats.con_loss == 0.0 and not stats.switched
 
@@ -210,7 +210,7 @@ def test_threshold_rule_returns_sup_alone():
     g = two_paragraph_group()
     params = params_for([g])
     cfg = TrainingConfig(sup_threshold=0.2, hidden_size=4, embedding_dim=4)
-    loss, stats = batch_loss(params, make_batches(g)[0], cfg)
+    loss, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
     assert stats.sup_loss > 0.2  # random init sits near ln 4
     assert stats.switched
     assert loss.item() == stats.sup_loss
@@ -220,7 +220,7 @@ def test_active_consistency_changes_the_loss():
     g = two_paragraph_group()
     params = params_for([g])
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
-    loss, stats = batch_loss(params, make_batches(g)[0], cfg)
+    loss, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
     assert not stats.switched
     assert stats.con_loss > 0.0
     expected = 0.05 * stats.sup_loss + 0.95 * stats.con_loss
@@ -237,7 +237,7 @@ def test_consistency_term_equals_float_consistency_loss():
     g = TopicGroup(topic="t", labeled=[a, c], unlabeled=[b, d])
     params = params_for([g], seed=8)
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
-    _, stats = batch_loss(params, make_batches(g)[0], cfg)
+    _, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
     grids = {ex.id: model.predict_grid(params, ex) for ex in g.members}
     expected = sum(consistency_loss(grids[m.id], m, grids["a"], a) for m in (b, c, d))
     assert stats.con_loss == pytest.approx(expected, rel=1e-12)
@@ -248,7 +248,7 @@ def test_singleton_group_goes_through_formula():
     g = TopicGroup(topic="t", labeled=[a])
     params = params_for([g])
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
-    loss, stats = batch_loss(params, make_batches(g)[0], cfg)
+    loss, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
     assert loss.item() == pytest.approx(0.05 * stats.sup_loss, rel=1e-12)
 
 
@@ -258,10 +258,10 @@ def test_unlabeled_member_contributes_only_through_consistency():
     g = TopicGroup(topic="t", labeled=[a], unlabeled=[b])
     params = params_for([g])
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
-    _, stats = batch_loss(params, make_batches(g)[0], cfg)
+    _, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
 
     solo = TopicGroup(topic="t", labeled=[a])
-    _, stats_solo = batch_loss(params, make_batches(solo)[0], cfg)
+    _, stats_solo = batch_loss(params, make_batches(params.vocab, solo, cfg)[0], cfg)
     assert stats.sup_loss == stats_solo.sup_loss
     assert stats.con_loss > 0.0
 
@@ -270,7 +270,7 @@ def test_batch_loss_gradient_matches_fd_including_consistency():
     g = two_paragraph_group()
     params = params_for([g], emb_dim=3, hidden=4, seed=2)
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=3)
-    batch = make_batches(g)[0]
+    batch = make_batches(params.vocab, g, cfg)[0]
     errs = ad.check_gradients(lambda: batch_loss(params, batch, cfg)[0],
                               params.tensors, eps=1e-5)
     assert max(errs.values()) < 1e-4, errs
@@ -284,7 +284,7 @@ def test_gradient_flows_through_nonprimary_members():
     g = TopicGroup(topic="t", labeled=[a], unlabeled=[b])
     params = params_for([g], seed=3)
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
-    batch = make_batches(g)[0]
+    batch = make_batches(params.vocab, g, cfg)[0]
 
     with ComputationTape() as tape:
         loss, _ = batch_loss(params, batch, cfg)
@@ -307,18 +307,17 @@ def test_plan_reused_after_an_sgd_step_equals_a_fresh_plan():
     g = TopicGroup(topic="t", labeled=[a], unlabeled=[b])
     params = params_for([g], seed=3)
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
-    batch = make_batches(g)[0]
-    plan = plan_batch(params.vocab, batch, cfg)
-    assert plan.members is not None
+    batch = make_batches(params.vocab, g, cfg)[0]
+    assert batch.member_cells is not None
 
     for _ in range(2):
         with ComputationTape() as tape:
-            loss, stats = batch_loss(params, batch, cfg, plan)
+            loss, stats = batch_loss(params, batch, cfg)
         tape.backward(loss)
         training._sgd_step(params, 0.5)
     fresh = params.copy()
-    reused, _ = batch_loss(params, batch, cfg, plan)
-    planned_now, _ = batch_loss(fresh, batch, cfg, plan_batch(fresh.vocab, batch, cfg))
+    reused, _ = batch_loss(params, batch, cfg)
+    planned_now, _ = batch_loss(fresh, make_batches(fresh.vocab, g, cfg)[0], cfg)
     assert stats.con_loss > 0.0
     assert reused.values.tobytes() == planned_now.values.tobytes()
 
@@ -342,7 +341,8 @@ def test_train_plans_a_fixed_number_of_times_whatever_the_epochs(monkeypatch,
                                      sup_threshold=100.0,
                                      consistency_enabled=consistency_enabled), dev=groups)
         counts.append(len(calls))
-    batches = sum(len(make_batches(g)) for g in groups)
+    batches = sum(len(make_batches(model.build_vocab(groups), g, TrainingConfig()))
+                  for g in groups)
     # one primary plan per batch, one member plan per batch with aligned members,
     # one dev chunk
     assert counts[0] == counts[1] == (2 * batches if consistency_enabled else batches) + 1
