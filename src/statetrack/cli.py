@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -252,7 +253,11 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emb-dim", dest="embedding_dim", type=int, default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared: parsing does
+    not change it, and an in-process caller running many commands would
+    otherwise pay for building it every time."""
     parser = argparse.ArgumentParser(
         prog="statetrack",
         description="Track entity state changes in procedural text.")

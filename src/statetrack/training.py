@@ -72,6 +72,7 @@ class Batch:
     topic: str
     members: list[ProcessExample]
     primary_index: int
+    consistency_enabled: bool  # the `cfg.consistency_enabled` it was planned under
     primary_cells: model.CellPlan
     member_cells: model.CellPlan | None = None  # the members aligned with the primary
     consistency: tuple[np.ndarray, ...] | None = None  # `consistency_matrices` of the batch
@@ -109,7 +110,8 @@ def make_batches(vocab: dict[str, int], group: TopicGroup, cfg: TrainingConfig) 
             consistency_matrices(primary.n_steps, primary.n_entities, [
                 (m.n_steps, len(pairs), [(q, ib) for q, (_, ib) in enumerate(pairs)])
                 for m, pairs in aligned]))
-        batches.append(Batch(group.topic, members, i, primary_cells, *engaged))
+        batches.append(Batch(group.topic, members, i, cfg.consistency_enabled, primary_cells,
+                             *engaged))
     return batches
 
 
@@ -194,8 +196,13 @@ def batch_loss(params: ModelParams, batch: Batch,
     consistency is disabled) it is returned alone and no other member is even
     encoded.  Otherwise the consistency terms of all non-primary members are
     summed, unnormalized, into the combined loss.  `batch` comes from
-    `make_batches` under `params.vocab` and the same `cfg`.
+    `make_batches` under `params.vocab` and the same `cfg`.  A batch planned
+    with consistency disabled has no member plans, so `cfg` enabling it is a
+    ValueError; the converse only leaves the plans unused.
     """
+    if cfg.consistency_enabled and not batch.consistency_enabled:
+        raise ValueError(f"batch of topic {batch.topic!r} was planned with "
+                         f"consistency_enabled=False, the config enables it")
     primary_dists = model.run_cells(params, batch.primary_cells).dists
     sup = ad.mean_nll(primary_dists, batch.primary.gold.labels.reshape(-1))
     sup_value = sup.item()

@@ -371,6 +371,46 @@ def test_predict_roundtrips_as_labeled_corpus(tmp_path, gen_dir):
     assert "summary" in first
 
 
+def test_train_and_predict_rewritten_over_their_outputs_are_byte_identical(tmp_path, gen_dir):
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / "preds.jsonl"
+    seen = []
+    for _ in range(2):
+        code, ck, rep = train_small(runs, gen_dir)
+        assert code == 0
+        assert run_cli("predict", str(ck), str(gen_dir / "test.jsonl"), "--out", str(out)) == 0
+        seen.append([p.read_bytes() for p in (ck, rep, out)])
+    assert seen[0] == seen[1]
+    assert sorted(p.name for p in runs.iterdir()) == ["ck.json", "preds.jsonl", "report.json"]
+
+
+def test_in_process_commands_are_unaffected_by_a_failed_parse_between_them(tmp_path, gen_dir,
+                                                                        capsys):
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    corpus_path = str(gen_dir / "test.jsonl")
+    outputs = []
+    for out in (tmp_path / "first.jsonl", tmp_path / "second.jsonl"):
+        capsys.readouterr()
+        assert run_cli("predict", str(ck), corpus_path, "--out", str(out)) == cli.EXIT_OK
+        assert run_cli("eval", str(ck), corpus_path) == cli.EXIT_OK
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+        never = tmp_path / "never.jsonl"
+        assert run_cli("predict", str(ck), corpus_path, "--out", str(never),
+                       "--bogus") == cli.EXIT_USAGE
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert not never.exists()
+    assert outputs[0] == outputs[1]
+    # a flag given once does not become the default of a later command
+    assert run_cli("gen", "--out-dir", str(tmp_path / "seeded"), "--seed", "7") == cli.EXIT_OK
+    assert run_cli("gen", "--out-dir", str(tmp_path / "default")) == cli.EXIT_OK
+    assert run_cli("gen", "--out-dir", str(tmp_path / "zero"), "--seed", "0") == cli.EXIT_OK
+    assert ((tmp_path / "default" / "train.jsonl").read_bytes()
+            == (tmp_path / "zero" / "train.jsonl").read_bytes()
+            != (tmp_path / "seeded" / "train.jsonl").read_bytes())
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_predict_ignores_topic_for_inference(tmp_path, gen_dir):
     _, ck, _ = train_small(tmp_path, gen_dir)
     test_path = gen_dir / "test.jsonl"

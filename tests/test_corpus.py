@@ -362,6 +362,67 @@ def test_atomic_open_writes_through_symlinks_and_pipes(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "pipe", "target.jsonl"]
 
 
+def test_atomic_open_writes_the_bytes_of_open(tmp_path):
+    text = "Wasser fließt → ☕ 水\n\"quoted\"\ttab\n"
+    reference = tmp_path / "reference"
+    with open(reference, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    path = tmp_path / "out"
+    with corpus.atomic_open(path) as fh:
+        fh.write(text)
+    assert path.read_bytes() == reference.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("new", ["short\n", ""])
+def test_atomic_open_rewrite_leaves_exactly_the_new_bytes(tmp_path, new):
+    path = tmp_path / "out"
+    path.write_text("a much longer old text\n" * 100)
+    with corpus.atomic_open(path) as fh:
+        fh.write(new)
+    assert path.read_bytes() == new.encode("utf-8")
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_atomic_open_text_it_cannot_encode_keeps_the_old_file(tmp_path):
+    path = tmp_path / "out"
+    path.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        with corpus.atomic_open(path) as fh:
+            fh.write("lone \ud800 surrogate\n")
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
+def test_atomic_open_preallocates_the_file_before_writing_it(tmp_path, monkeypatch):
+    calls = []
+    real = os.posix_fallocate
+
+    def spy(fd, offset, length):
+        calls.append((os.fstat(fd).st_ino, offset, length, os.fstat(fd).st_size))
+        real(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", spy)
+    path = tmp_path / "out"
+    path.write_text("old\n")
+    text = "ß" * 5000 + "\n"
+    with corpus.atomic_open(path) as fh:
+        fh.write(text)
+    data = text.encode("utf-8")
+    assert path.read_bytes() == data
+    # the temporary file, now the target, with nothing written to it yet
+    assert calls == [(os.stat(path).st_ino, 0, len(data), 0)]
+
+
+def test_atomic_open_works_without_posix_fallocate(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "posix_fallocate", raising=False)
+    path = tmp_path / "out"
+    path.write_text("old\n")
+    with corpus.atomic_open(path) as fh:
+        fh.write("new ✓\n")
+    assert path.read_text(encoding="utf-8") == "new ✓\n"
+    assert os.listdir(tmp_path) == ["out"]
+
+
 # ---------------------------------------------------------------------------
 # grids
 

@@ -301,6 +301,16 @@ def test_gradient_flows_through_nonprimary_members():
     assert any(not np.allclose(with_con[n], without[n]) for n in with_con)
 
 
+def test_batch_planned_without_consistency_is_refused_under_a_config_with_it():
+    # such a batch holds no member plans, so it would silently give con_loss 0.0
+    g = two_paragraph_group()
+    params = params_for([g])
+    cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
+    batch = make_batches(params.vocab, g, dataclasses.replace(cfg, consistency_enabled=False))[0]
+    with pytest.raises(ValueError, match="planned with consistency_enabled=False"):
+        batch_loss(params, batch, cfg)
+
+
 def test_plan_reused_after_an_sgd_step_equals_a_fresh_plan():
     a = example_with("a", "t", ("water", "sugar"), gold_rows=[[0, 3], [3, 1]])
     b = example_with("b", "t", ("sugar", "salt"), verb="travels")
