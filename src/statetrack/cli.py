@@ -2,7 +2,8 @@
 
 Configuration comes from an optional JSON file plus flag overrides (flags
 win).  All outputs are UTF-8 JSON/JSONL.  Exit codes: 0 success, 1
-usage/config error, 2 data validation error, 3 numerical failure.
+usage/config error or out of memory, 2 data validation error, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -189,8 +190,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
             hard = evaluation.discretize(grid)
             obj = corpus.example_to_json(dataclasses.replace(ex, gold=hard))
             obj["summary"] = {
-                ent.name: sorted(c.name for c in evaluation.summary_set(hard, j))
-                for j, ent in enumerate(ex.entities)}
+                ent.name: evaluation.SUMMARY_NAMES[mask]
+                for ent, mask in zip(ex.entities, evaluation.summary_masks(hard).tolist())}
             fh.write(json.dumps(obj, ensure_ascii=False))
             fh.write("\n")
     logger.info("wrote predictions for %d paragraphs to %s", len(examples), args.out)
@@ -309,6 +310,10 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError:
+        print("error: out of memory; the model size (--hidden, --emb-dim, or a checkpoint's "
+              "hidden_size and embedding_dim) or the input may be too large", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -231,7 +231,7 @@ def example_to_json(ex: ProcessExample) -> dict:
         "verbs": [list(v) for v in ex.verbs],
     }
     if ex.gold is not None:
-        obj["gold"] = [[StateChange(v).name for v in row] for row in ex.gold.labels]
+        obj["gold"] = [[CHANGE_NAMES[v] for v in row] for row in ex.gold.labels.tolist()]
     return obj
 
 

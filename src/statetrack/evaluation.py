@@ -4,18 +4,27 @@ cross-paragraph consistency score.
 A positive is any cell whose label is not NONE.  The consistency score asks,
 for every unordered pair of paragraphs within a topic and every entity named
 in both, whether the two predicted summary sets (the non-NONE labels an
-entity receives anywhere in a paragraph) are equal.
+entity receives anywhere in a paragraph) are equal.  A grid's summary sets
+are computed all at once as summary masks, one 3-bit int per entity with bit
+b set iff label b occurs in its column, so comparing two sets compares ints.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import ChangeGrid, StateChange, TopicGroup, shared_entities
+from .corpus import CHANGE_NAMES, ChangeGrid, StateChange, TopicGroup, shared_entities
+
+_NONE = StateChange.NONE.value
+
+# the alphabetically sorted names of each summary mask's set, indexed by mask
+SUMMARY_NAMES = tuple(tuple(sorted(name for b, name in enumerate(CHANGE_NAMES) if mask >> b & 1))
+                      for mask in range(1 << _NONE))
 
 
 @dataclass
@@ -62,39 +71,40 @@ def discretize(grid: ChangeGrid) -> ChangeGrid:
     return ChangeGrid.from_labels(np.argmax(grid.dists, axis=2))
 
 
-def _positive_counts(pred: ChangeGrid, gold: ChangeGrid) -> tuple[int, int, int]:
-    if not (pred.is_hard and gold.is_hard):
-        raise ValueError("score_grids needs hard grids; discretize first")
-    if pred.shape != gold.shape:
-        raise ValueError(f"grid shapes differ: {list(pred.shape)} vs {list(gold.shape)}")
-    none = StateChange.NONE.value
-    gold_pos = int(np.sum(gold.labels != none))
-    pred_pos = int(np.sum(pred.labels != none))
-    matched = int(np.sum((gold.labels != none) & (pred.labels == gold.labels)))
-    return gold_pos, pred_pos, matched
-
-
 def score_grids(pred: ChangeGrid, gold: ChangeGrid) -> MetricsReport:
-    return MetricsReport.from_counts(*_positive_counts(pred, gold))
+    return score_corpus([(pred, gold)])
 
 
 def score_corpus(pairs: Iterable[tuple[ChangeGrid, ChangeGrid]]) -> MetricsReport:
-    """Micro-aggregated P/R/F1: counts summed across grids before the ratios."""
-    gold_pos = pred_pos = matched = 0
+    """Micro-aggregated P/R/F1: counts over all grids' cells before the ratios."""
+    preds, golds = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for pred, gold in pairs:
-        g, p, m = _positive_counts(pred, gold)
-        gold_pos += g
-        pred_pos += p
-        matched += m
-    return MetricsReport.from_counts(gold_pos, pred_pos, matched)
+        if not (pred.is_hard and gold.is_hard):
+            raise ValueError("score_grids needs hard grids; discretize first")
+        if pred.shape != gold.shape:
+            raise ValueError(f"grid shapes differ: {list(pred.shape)} vs {list(gold.shape)}")
+        preds.append(pred.labels.reshape(-1))
+        golds.append(gold.labels.reshape(-1))
+    pred, gold = np.concatenate(preds), np.concatenate(golds)
+    gold_pos = gold != _NONE
+    return MetricsReport.from_counts(int(np.count_nonzero(gold_pos)),
+                                     int(np.count_nonzero(pred != _NONE)),
+                                     int(np.count_nonzero(gold_pos & (pred == gold))))
+
+
+def summary_masks(grid: ChangeGrid) -> np.ndarray:
+    """Every entity's summary set as a 3-bit int: bit b is set iff label b,
+    not NONE, appears anywhere in the entity's column."""
+    if not grid.is_hard:
+        raise ValueError("summary_set needs a hard grid; discretize first")
+    labels = grid.labels
+    return np.bitwise_or.reduce(np.where(labels == _NONE, 0, 1 << labels), axis=0)
 
 
 def summary_set(grid: ChangeGrid, entity: int) -> frozenset[StateChange]:
     """Non-NONE labels appearing anywhere in the entity's column."""
-    if not grid.is_hard:
-        raise ValueError("summary_set needs a hard grid; discretize first")
-    return frozenset(StateChange(v) for v in grid.labels[:, entity]
-                     if v != StateChange.NONE.value)
+    mask = int(summary_masks(grid)[entity])
+    return frozenset(c for c in StateChange if mask >> c & 1)
 
 
 def consistency_score(groups: Sequence[TopicGroup],
@@ -107,15 +117,13 @@ def consistency_score(groups: Sequence[TopicGroup],
     total_matches = total_comparisons = 0
     per_topic = []
     for g in groups:
-        members = g.members
-        matches = comparisons = 0
-        for a_idx in range(len(members)):
-            for b_idx in range(a_idx + 1, len(members)):
-                a, b = members[a_idx], members[b_idx]
-                for ia, ib in shared_entities(a, b):
-                    comparisons += 1
-                    if summary_set(preds[a.id], ia) == summary_set(preds[b.id], ib):
-                        matches += 1
+        pairs = [(a, b, shared) for a, b in combinations(g.members, 2)
+                 if (shared := shared_entities(a, b))]
+        masks = {ex.id: summary_masks(preds[ex.id]).tolist()
+                 for a, b, _ in pairs for ex in (a, b)}
+        comparisons = sum(len(shared) for _, _, shared in pairs)
+        matches = sum(masks[a.id][ia] == masks[b.id][ib]
+                      for a, b, shared in pairs for ia, ib in shared)
         if comparisons:
             per_topic.append({"topic": g.topic, "matches": matches,
                               "comparisons": comparisons,

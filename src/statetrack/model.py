@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -177,36 +178,36 @@ def plan_cells(vocab: dict[str, int],
     wanted.  A cell's result depends only on its own sentence and entity,
     never on the other cells it is batched with.
     """
-    unk = vocab[UNK_TOKEN]
-    word_ids: list[int] = []
-    cells = []   # (first token row, sentence length) per cell
-    marked = []  # (cell, token position, 0 = entity mention / 1 = verb)
     for example, entities in items:
-        # the verb and each wanted entity's mention positions by step, in the
-        # order `verb_tokens` and `mention_tokens` list them
-        verbs: dict[int, list[int]] = {}
-        for t, i in example.verbs:
-            verbs.setdefault(t, []).append(i)
-        mentions: dict[int, dict[int, list[int]]] = {}
         for j in entities:
             if not 0 <= j < example.n_entities:
                 raise IndexError(f"entity {j} out of range for {example.id}")
-            mentions[j] = {}
-            for t, start, end in example.entities[j].mentions:
-                mentions[j].setdefault(t, []).extend(range(start, end))
-        for t, tokens in enumerate(example.steps):
-            first = len(word_ids)
-            word_ids.extend(vocab.get(tok, unk) for tok in tokens)
-            for j in entities:
-                c = len(cells)
-                cells.append((first, len(tokens)))
-                marked.extend((c, i, 0) for i in mentions[j].get(t, ()))
-                marked.extend((c, i, 1) for i in verbs.get(t, ()))
-
-    first, lengths = np.array(cells, dtype=np.intp).T[:, :, None]
-    n, width = len(cells), int(lengths.max())
+    unk = vocab[UNK_TOKEN]
+    word_ids = [vocab.get(tok, unk) for example, _ in items
+                for tokens in example.steps for tok in tokens]
+    step_lengths = np.array([len(tokens) for example, _ in items for tokens in example.steps],
+                            dtype=np.intp)
+    columns = [len(entities) for example, entities in items for _ in example.steps]
+    # each cell's first token row and sentence length, one cell per step and column
+    first, lengths = (np.repeat(a, columns)[:, None]
+                      for a in (np.cumsum(step_lengths) - step_lengths, step_lengths))
+    # (cell, start, end, kind) token spans to flag, kind 0 for the mentions of
+    # the cell's entity and 1 for the verbs; cells run item by item, step-major
+    bases = [0, *accumulate(example.n_steps * len(entities) for example, entities in items)]
+    spans = [(base + t * len(entities) + col, a, b, 0)
+             for (example, entities), base in zip(items, bases)
+             for col, j in enumerate(entities) for t, a, b in example.entities[j].mentions]
+    spans += [(base + t * len(entities) + col, i, i + 1, 1)
+              for (example, entities), base in zip(items, bases)
+              for t, i in example.verbs for col in range(len(entities))]
+    cell, start, end, kind = np.array(spans, dtype=np.intp).reshape(-1, 4).T
+    n, width = len(first), int(lengths.max())
     marks = np.zeros((n, width, 2))  # the two indicator flags, in token order
-    marks[tuple(np.array(marked, dtype=np.intp).reshape(-1, 3).T)] = 1.0
+    # span k's positions are start_k + 0, 1, ...: a running count less the
+    # count before the span, plus its start
+    size = end - start
+    positions = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
+    marks[np.repeat(cell, size), positions, np.repeat(kind, size)] = 1.0
     pos = np.arange(width)
     mask = pos < lengths
     # order[k, c, tau]: the token position direction k reads at time tau; the

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from statetrack import cli, corpus, model
+from statetrack import cli, corpus, evaluation, model, training
 
 
 def run_cli(*argv):
@@ -261,6 +261,32 @@ def test_train_numerical_failure_exit_code(tmp_path, gen_dir):
     assert code == cli.EXIT_NUMERIC
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_out_of_memory_is_a_one_line_usage_error(tmp_path, gen_dir, capsys, monkeypatch,
+                                                 command):
+    # the sizes stay small: the allocation failure is simulated, never provoked
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(model, "predict_grids", _out_of_memory)
+    monkeypatch.setattr(training, "train", _out_of_memory)
+    capsys.readouterr()
+    if command == "train":
+        code, _, _ = train_small(out, gen_dir)
+    else:
+        code = run_cli("predict", str(ck), str(gen_dir / "test.jsonl"),
+                       "--out", str(out / "preds.jsonl"))
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "--hidden" in err and "--emb-dim" in err
+    assert list(out.iterdir()) == []  # no output and no temporary file left behind
+
+
 def test_unknown_flag_is_usage_error():
     assert run_cli("train", "--bogus") == cli.EXIT_USAGE
 
@@ -369,6 +395,30 @@ def test_predict_roundtrips_as_labeled_corpus(tmp_path, gen_dir):
         assert ex.gold.shape == (ex.n_steps, ex.n_entities)
     first = json.loads(out.read_text().splitlines()[0])
     assert "summary" in first
+
+
+def test_predict_writes_discretized_names_and_sorted_summaries(tmp_path, gen_dir):
+    # one paragraph keeps its gold, one has none, and one entity has a non-ASCII name
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    first, second = corpus.load_examples(gen_dir / "test.jsonl")[:2]
+    renamed = (dataclasses.replace(first.entities[0], name="Eau glacée ❄"), *first.entities[1:])
+    examples = [dataclasses.replace(first, entities=renamed),
+                dataclasses.replace(second, gold=None)]
+    source, out = tmp_path / "mixed.jsonl", tmp_path / "preds.jsonl"
+    corpus.save_examples(source, examples)
+    assert run_cli("predict", str(ck), str(source), "--out", str(out)) == 0
+    text = out.read_text(encoding="utf-8")
+    assert "Eau glacée ❄" in text  # written as is, not \u-escaped
+    params = model.load_checkpoint(ck)
+    lines = text.splitlines()
+    assert len(lines) == len(examples)
+    for ex, line in zip(examples, lines):
+        obj = json.loads(line)
+        assert list(obj) == ["id", "topic", "steps", "entities", "verbs", "gold", "summary"]
+        hard = evaluation.discretize(model.predict_grid(params, ex))
+        assert obj["gold"] == [[corpus.StateChange(v).name for v in row] for row in hard.labels]
+        assert obj["summary"] == {ent.name: sorted(c.name for c in evaluation.summary_set(hard, j))
+                                  for j, ent in enumerate(ex.entities)}
 
 
 def test_train_and_predict_rewritten_over_their_outputs_are_byte_identical(tmp_path, gen_dir):

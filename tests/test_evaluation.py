@@ -1,10 +1,14 @@
+import evaluation_reference as reference
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, StateChange,
                                TopicGroup)
-from statetrack.evaluation import (MetricsReport, consistency_score, discretize,
-                                   score_corpus, score_grids, summary_set)
+from statetrack.evaluation import (SUMMARY_NAMES, MetricsReport, consistency_score,
+                                   discretize, score_corpus, score_grids, summary_masks,
+                                   summary_set)
 
 M, C, D, N = (StateChange.MOVE.value, StateChange.CREATE.value,
               StateChange.DESTROY.value, StateChange.NONE.value)
@@ -176,3 +180,86 @@ def test_unshared_entities_do_not_count():
     preds = {"a": hard([[M]]), "b": hard([[M]])}
     report = consistency_score([group], preds)
     assert report.comparisons == 0
+
+
+# ---------------------------------------------------------------------------
+# the mask form against the frozen per-cell reference
+
+# names that align only after lowercasing and trimming, and one that never aligns
+NAMES = ("water", "Water", " water", "WATER\t", "sugar", "Sugar ", "salt")
+
+
+@hst.composite
+def scored_topics(draw):
+    """1-3 topics of 1-4 paragraphs, each with a hard prediction of at most
+    8 steps x 5 entities; a paragraph is labeled or not, and a topic may
+    share no entity at all."""
+    groups, preds = [], {}
+    for ti in range(draw(hst.integers(1, 3))):
+        group = TopicGroup(topic=f"t{ti}")
+        for k in range(draw(hst.integers(1, 4))):
+            n_steps = draw(hst.integers(1, 8))
+            names = draw(hst.lists(hst.sampled_from(NAMES), min_size=1, max_size=5))
+            row = hst.lists(hst.sampled_from([N, N, M, C, D]), min_size=len(names),
+                            max_size=len(names))
+            grids = hst.lists(row, min_size=n_steps, max_size=n_steps).map(hard)
+            gold = draw(hst.none() | grids)
+            ex = ProcessExample(id=f"t{ti}-{k}", topic=group.topic, steps=(("w",),) * n_steps,
+                                entities=tuple(Entity(name=n, mentions=()) for n in names),
+                                verbs=(), gold=gold)
+            (group.unlabeled if gold is None else group.labeled).append(ex)
+            preds[ex.id] = draw(grids)
+        groups.append(group)
+    return groups, preds
+
+
+def scored_pairs(groups, preds):
+    return [(preds[ex.id], ex.gold) for g in groups for ex in g.labeled]
+
+
+def outcome(score, *args):
+    """What a scoring call returns, or the class and text of its ValueError."""
+    try:
+        return score(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(scored_topics())
+def test_mask_scoring_equals_the_per_cell_reference(case):
+    groups, preds = case
+    for grid in preds.values():
+        masks = summary_masks(grid)
+        assert masks.shape == (grid.shape[1],)
+        for j, mask in enumerate(masks.tolist()):
+            want = reference.summary_set(grid, j)
+            assert summary_set(grid, j) == want
+            assert mask == sum(1 << c for c in want)
+            assert list(SUMMARY_NAMES[mask]) == sorted(c.name for c in want)
+    pairs = scored_pairs(groups, preds)
+    assert score_corpus(iter(pairs)) == reference.score_corpus(iter(pairs))
+    got, want = consistency_score(groups, preds), reference.consistency_score(groups, preds)
+    assert got == want and got.to_json() == want.to_json()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(scored_topics(), hst.data())
+def test_soft_and_mismatched_grids_fail_like_the_reference(case, data):
+    # a soft grid fails consistency scoring only when some comparison reads it
+    groups, preds = case
+    soft_id = data.draw(hst.sampled_from(sorted(preds)))
+    steps, entities = preds[soft_id].shape
+    preds = {**preds, soft_id: ChangeGrid.from_dists(np.full((steps, entities, 4), 0.25))}
+    assert (outcome(consistency_score, groups, preds)
+            == outcome(reference.consistency_score, groups, preds))
+    pairs = scored_pairs(groups, preds)
+    if pairs:
+        k = data.draw(hst.integers(0, len(pairs) - 1))
+        pred, gold = pairs[k]
+        if pred.is_hard:
+            pred = data.draw(hst.sampled_from([
+                hard(pred.labels[1:]), hard(pred.labels[:, 1:]),
+                ChangeGrid.from_dists(np.eye(4)[pred.labels])]))
+        pairs[k] = data.draw(hst.sampled_from([(pred, gold), (gold, pred)]))
+    assert outcome(score_corpus, pairs) == outcome(reference.score_corpus, pairs)
