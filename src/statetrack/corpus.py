@@ -127,21 +127,22 @@ class ProcessExample:
         return [i for s, i in self.verbs if s == step]
 
     def validate(self) -> None:
-        if self.n_steps < 1:
+        lengths = [len(sent) for sent in self.steps]
+        n = len(lengths)
+        if n < 1:
             raise CorpusError(f"example {self.id}: needs at least one step")
         if self.n_entities < 1:
             raise CorpusError(f"example {self.id}: needs at least one entity")
-        for t, sent in enumerate(self.steps):
-            if len(sent) < 1:
-                raise CorpusError(f"example {self.id}: step {t} is empty")
+        if 0 in lengths:
+            raise CorpusError(f"example {self.id}: step {lengths.index(0)} is empty")
         for ent in self.entities:
             for s, a, b in ent.mentions:
-                if not (0 <= s < self.n_steps) or not (0 <= a < b <= len(self.steps[s])):
+                if not (0 <= s < n and 0 <= a < b <= lengths[s]):
                     raise CorpusError(
                         f"example {self.id}: mention {[s, a, b]} of '{ent.name}' "
                         f"outside its sentence")
         for s, i in self.verbs:
-            if not (0 <= s < self.n_steps) or not (0 <= i < len(self.steps[s])):
+            if not (0 <= s < n and 0 <= i < lengths[s]):
                 raise CorpusError(f"example {self.id}: verb index {[s, i]} outside its sentence")
         if self.gold is not None:
             if not self.gold.is_hard:
@@ -168,6 +169,9 @@ class TopicGroup:
 # ---------------------------------------------------------------------------
 # serialization
 
+_CHANGE_INDEX = {name: i for i, name in enumerate(CHANGE_NAMES)}
+
+
 def _is_list_of(value, item: type) -> bool:
     # types match exactly, so JSON true/false never pass as integers
     return type(value) is list and set(map(type, value)) <= {item}
@@ -179,39 +183,43 @@ def _is_rows(value, item: type, length: int | None = None) -> bool:
             and set(map(type, chain.from_iterable(value))) <= {item})
 
 
+def _is_str(value) -> bool:
+    return type(value) is str
+
+
+def _get(container: dict, key: str, where: str, expected: str, ok, *args):
+    """`container[key]` if present and `ok(value, *args)`, else a CorpusError."""
+    if key not in container:
+        raise CorpusError(f"{where}: missing field {key!r}")
+    value = container[key]
+    if not ok(value, *args):
+        raise CorpusError(f"{where}: field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def _parse_example(obj: dict, where: str) -> ProcessExample:
-    def get(container: dict, key: str, ok, expected: str):
-        if key not in container:
-            raise CorpusError(f"{where}: missing field {key!r}")
-        if not ok(container[key]):
-            raise CorpusError(f"{where}: field {key!r} must be {expected}, got {container[key]!r}")
-        return container[key]
-
-    def is_str(value) -> bool:
-        return type(value) is str
-
     entities = tuple(
-        Entity(name=get(e, "name", is_str, "a string"),
-               mentions=tuple(map(tuple, get(e, "mentions", lambda v: _is_rows(v, int, 3),
-                                             "a list of [step, start, end]"))))
-        for e in get(obj, "entities", lambda v: _is_list_of(v, dict), "a list of objects"))
+        Entity(name=_get(e, "name", where, "a string", _is_str),
+               mentions=tuple(map(tuple, _get(e, "mentions", where,
+                                              "a list of [step, start, end]", _is_rows, int, 3))))
+        for e in _get(obj, "entities", where, "a list of objects", _is_list_of, dict))
     gold = None
     if obj.get("gold") is not None:
-        rows = get(obj, "gold", lambda v: _is_rows(v, str, len(entities)),
-                   f"a list of rows of {len(entities)} labels")
-        labels = list(chain.from_iterable(rows))
-        if unknown := sorted(set(labels) - set(CHANGE_NAMES)):
-            raise CorpusError(f"{where}: unknown state change {unknown[0]!r}")
-        gold = ChangeGrid.from_labels(np.array([CHANGE_NAMES.index(label) for label in labels],
-                                               dtype=np.int64).reshape(len(rows), len(entities)))
+        n = len(entities)
+        rows = _get(obj, "gold", where, f"a list of rows of {n} labels", _is_rows, str, n)
+        try:
+            labels = [_CHANGE_INDEX[label] for row in rows for label in row]
+        except KeyError:
+            unknown = sorted(set(chain.from_iterable(rows)) - _CHANGE_INDEX.keys())
+            raise CorpusError(f"{where}: unknown state change {unknown[0]!r}") from None
+        gold = ChangeGrid(labels=np.array(labels, dtype=np.int64).reshape(len(rows), n))
     ex = ProcessExample(
-        id=get(obj, "id", is_str, "a string"),
-        topic=get(obj, "topic", is_str, "a string"),
-        steps=tuple(map(tuple, get(obj, "steps", lambda v: _is_rows(v, str),
-                                   "a list of token lists"))),
+        id=_get(obj, "id", where, "a string", _is_str),
+        topic=_get(obj, "topic", where, "a string", _is_str),
+        steps=tuple(map(tuple, _get(obj, "steps", where, "a list of token lists", _is_rows, str))),
         entities=entities,
-        verbs=tuple(map(tuple, get(obj, "verbs", lambda v: _is_rows(v, int, 2),
-                                   "a list of [step, token index]"))),
+        verbs=tuple(map(tuple, _get(obj, "verbs", where, "a list of [step, token index]",
+                                    _is_rows, int, 2))),
         gold=gold,
     )
     try:
@@ -427,18 +435,12 @@ class EmbeddingTable:
 _NOUNS = ("water", "oxygen", "sugar", "carbon", "light", "soil",
           "energy", "rain", "rock", "cell", "salt", "heat")
 _PLACES = ("sea", "air", "leaf", "ground", "cloud", "root")
-_CHANGE_VERBS = {
-    StateChange.MOVE: ("moves", "travels", "flows", "drifts", "migrates", "spreads"),
-    StateChange.CREATE: ("forms", "appears", "emerges", "develops", "arises", "originates"),
-    StateChange.DESTROY: ("vanishes", "dissolves", "decays", "collapses", "disappears", "erodes"),
-}
+# indexed by StateChange value: MOVE, CREATE, DESTROY
+_CHANGE_VERBS = (("moves", "travels", "flows", "drifts", "migrates", "spreads"),
+                 ("forms", "appears", "emerges", "develops", "arises", "originates"),
+                 ("vanishes", "dissolves", "decays", "collapses", "disappears", "erodes"))
+_PREPOSITION = ("to", "in", "near")
 _NONE_VERBS = ("remains", "rests", "waits")
-_PREPOSITION = {StateChange.MOVE: "to", StateChange.CREATE: "in", StateChange.DESTROY: "near"}
-
-
-def _sentence(entity: str, verb: str, prep: str, place: str):
-    tokens = ("the", entity, verb, prep, "the", place)
-    return tokens, 1, 2  # mention index, verb index
 
 
 def generate_synthetic(seed: int, topics: int, paragraphs_per_topic: int,
@@ -451,63 +453,66 @@ def generate_synthetic(seed: int, topics: int, paragraphs_per_topic: int,
     paragraph swaps one entity's change for a different one, violating the
     cross-paragraph agreement the training loss expects; the paragraph's own
     gold grid always matches its own text.
+
+    Each word is drawn as `pool[rng.integers(0, len(pool))]`, which consumes
+    the generator's stream exactly as `rng.choice(pool)` does at a fraction
+    of its cost; the corpus of a seed is pinned by a test.
     """
     if topics < 1 or paragraphs_per_topic < 1:
         raise ValueError("topics and paragraphs_per_topic must be >= 1")
     if not 0.0 <= noise <= 1.0:
         raise ValueError("noise must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    changes = (StateChange.MOVE, StateChange.CREATE, StateChange.DESTROY)
+    integers = rng.integers
+    none = int(StateChange.NONE)
     groups = []
     for ti in range(topics):
         topic = f"process-{ti:03d}"
-        k = int(rng.integers(2, 4))
+        k = int(integers(2, 4))
         entities = [str(n) for n in rng.choice(_NOUNS, size=k, replace=False)]
-        summary = {e: changes[int(rng.integers(0, 3))] for e in entities}
+        summary = [int(integers(0, 3)) for _ in entities]  # a change per entity
         group = TopicGroup(topic=topic)
         for pi in range(paragraphs_per_topic):
-            realized = dict(summary)
+            realized = list(summary)
             # perturbation draws are consumed unconditionally so that corpora
             # generated from the same seed align paragraph-for-paragraph
             # across noise levels
             perturb = rng.random() < noise
-            victim = entities[int(rng.integers(0, k))]
-            replacement = int(rng.integers(0, 2))
+            victim = int(integers(0, k))
+            replacement = int(integers(0, 2))
             if perturb:
-                others = [c for c in changes if c != summary[victim]]
-                realized[victim] = others[replacement]
+                realized[victim] = [c for c in range(3) if c != summary[victim]][replacement]
             sentences = []
-            cell_changes = []  # per sentence: (entity index, change)
-            for j, e in enumerate(entities):
-                change = realized[e]
-                verb = str(rng.choice(_CHANGE_VERBS[change]))
-                place = str(rng.choice(_PLACES))
-                sentences.append(_sentence(e, verb, _PREPOSITION[change], place))
-                cell_changes.append((j, change))
-            filler_j = int(rng.integers(0, k))
-            sentences.append(_sentence(entities[filler_j], str(rng.choice(_NONE_VERBS)),
-                                       "in", str(rng.choice(_PLACES))))
-            cell_changes.append((filler_j, StateChange.NONE))
+            # every sentence is "the <entity> <verb> <preposition> the <place>"
+            for e, change in zip(entities, realized):
+                pool = _CHANGE_VERBS[change]
+                verb = pool[int(integers(0, len(pool)))]
+                place = _PLACES[int(integers(0, len(_PLACES)))]
+                sentences.append(("the", e, verb, _PREPOSITION[change], "the", place))
+            filler_j = int(integers(0, k))
+            verb = _NONE_VERBS[int(integers(0, len(_NONE_VERBS)))]
+            place = _PLACES[int(integers(0, len(_PLACES)))]
+            sentences.append(("the", entities[filler_j], verb, "in", "the", place))
+            columns = [*range(k), filler_j]  # per sentence: its entity, and in
+            realized.append(none)            # realized its change
 
-            order = rng.permutation(len(sentences))
-            steps, mentions, verbs, gold = [], {j: [] for j in range(k)}, [], []
+            order = rng.permutation(k + 1).tolist()
+            mentions = [[] for _ in entities]
+            gold = []
             for t, src in enumerate(order):
-                tokens, m_idx, v_idx = sentences[src]
-                j, change = cell_changes[src]
-                steps.append(tokens)
-                mentions[j].append((t, m_idx, m_idx + 1))
-                verbs.append((t, v_idx))
-                row = [StateChange.NONE.value] * k
-                row[j] = change.value
+                j = columns[src]
+                mentions[j].append((t, 1, 2))
+                row = [none] * k
+                row[j] = realized[src]
                 gold.append(row)
 
             ex = ProcessExample(
                 id=f"{topic}-p{pi}",
                 topic=topic,
-                steps=tuple(steps),
-                entities=tuple(Entity(name=e, mentions=tuple(mentions[j]))
-                               for j, e in enumerate(entities)),
-                verbs=tuple(verbs),
+                steps=tuple(sentences[src] for src in order),
+                entities=tuple(Entity(name=e, mentions=tuple(m))
+                               for e, m in zip(entities, mentions)),
+                verbs=tuple((t, 2) for t in range(k + 1)),
                 gold=ChangeGrid.from_labels(gold),
             )
             ex.validate()

@@ -262,8 +262,9 @@ def predict_grids(params: ModelParams, examples: Sequence[ProcessExample],
     for start, plan in zip(range(0, len(examples), PREDICT_CHUNK), plans, strict=True):
         chunk = examples[start:start + PREDICT_CHUNK]
         dists = run_cells(params, plan).dists.values
+        ChangeGrid.from_dists(dists[:, None])  # checks every cell of the chunk at once
         ends = np.cumsum([ex.n_steps * ex.n_entities for ex in chunk])[:-1]
-        grids += [ChangeGrid.from_dists(rows.reshape(ex.n_steps, ex.n_entities, N_CHANGES))
+        grids += [ChangeGrid(dists=rows.reshape(ex.n_steps, ex.n_entities, N_CHANGES))
                   for ex, rows in zip(chunk, np.split(dists, ends))]
     return grids
 

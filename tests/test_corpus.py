@@ -5,9 +5,11 @@ import os
 import stat
 import threading
 
+import corpus_reference
+import generator_reference
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from statetrack import cli, corpus, model
@@ -213,6 +215,43 @@ def test_generator_validates_inputs():
         generate_synthetic(seed=0, topics=0, paragraphs_per_topic=1, noise=0.0)
     with pytest.raises(ValueError):
         generate_synthetic(seed=0, topics=1, paragraphs_per_topic=1, noise=1.5)
+
+
+def assert_same_examples(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.id, x.topic, x.steps, x.entities, x.verbs) == (y.id, y.topic, y.steps,
+                                                               y.entities, y.verbs)
+        assert (x.gold is None and y.gold is None
+                or x.gold.labels.dtype == y.gold.labels.dtype
+                and np.array_equal(x.gold.labels, y.gold.labels))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=hst.integers(0, 2**32), sizes=hst.tuples(*[hst.integers(0, 2)] * 3).filter(any),
+       paragraphs=hst.integers(1, 4),
+       noise=hst.sampled_from([0.0, 1.0]) | hst.floats(0.0, 1.0))
+def test_generator_equals_the_rng_choice_reference(tmp_path_factory, seed, sizes, paragraphs,
+                                                   noise):
+    """generate_synthetic draws the corpus of the frozen rng.choice form, and
+    gen writes each split as save_examples of the reference's groups."""
+    groups = generate_synthetic(seed, sum(sizes), paragraphs, noise)
+    reference = generator_reference.generate_synthetic(seed, sum(sizes), paragraphs, noise)
+    assert [g.topic for g in groups] == [g.topic for g in reference]
+    for g, r in zip(groups, reference):
+        assert_same_examples(g.members, r.members)
+    out = tmp_path_factory.mktemp("gen")
+    argv = ["gen", "--out-dir", str(out), "--seed", str(seed), "--paragraphs", str(paragraphs),
+            "--noise", repr(noise)]
+    for split, count in zip(("train", "dev", "test"), sizes):
+        argv += [f"--{split}-topics", str(count)]
+    assert cli.main(argv) == cli.EXIT_OK
+    offset = 0
+    for split, count in zip(("train", "dev", "test"), sizes):
+        expected = out / f"{split}.expected"
+        corpus.save_examples(expected, corpus.flatten_groups(reference[offset:offset + count]))
+        offset += count
+        assert (out / f"{split}.jsonl").read_bytes() == expected.read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +533,78 @@ def test_any_single_corpus_mutation_loads_or_raises_corpus_error(tmp_path_factor
         corpus.load_examples(path)
     except CorpusError as exc:
         assert str(exc).startswith(f"{path} line 2: ")
+
+
+def parsed_or_error(parse, record):
+    try:
+        return parse(record, "where")
+    except CorpusError as exc:
+        return str(exc)
+
+
+def targeted_mutation(data, record):
+    """Drop a top-level key, empty a step, put `true` where an int belongs,
+    move a mention or verb index to or past the end of its range, or give the
+    gold grid an unknown label, a ragged row or null."""
+    ints = [keys for keys in places(record) if keys and keys[0] in ("entities", "verbs")
+            and type(lookup(record, keys)) is int]
+    labels = [keys for keys in places(record) if keys[:1] == ("gold",) and len(keys) == 3]
+    kind = data.draw(hst.sampled_from(["drop"] + ["empty"] * 2 * ("steps" in record)
+                                      + ["true"] * 2 * bool(ints) + ["range"] * 6 * bool(ints)
+                                      + ["unknown"] * 3 * bool(labels)
+                                      + ["ragged", "null"] * bool(labels)))
+    if kind == "drop":
+        del record[data.draw(hst.sampled_from(sorted(record)))]
+    elif kind == "empty":
+        record["steps"][data.draw(hst.integers(0, len(record["steps"]) - 1))] = []
+    elif kind in ("true", "range"):
+        keys = data.draw(hst.sampled_from(ints))
+        span, steps = lookup(record, keys[:-1]), record.get("steps", [])
+        limit = (len(steps) if keys[-1] == 0
+                 else len(steps[span[0]]) if type(span[0]) is int and 0 <= span[0] < len(steps)
+                 else 1)
+        # the last choice copies the field before it: a mention's end onto its start
+        value = True if kind == "true" else data.draw(hst.sampled_from(
+            [-1, 0, limit, limit + 1, span[keys[-1] - 1]]))
+        span[keys[-1]] = value
+    elif kind == "unknown":
+        keys = data.draw(hst.sampled_from(labels))
+        lookup(record, keys[:-1])[keys[-1]] = data.draw(hst.sampled_from(["move", "MOVED", ""]))
+    elif kind == "ragged":
+        row = record["gold"][data.draw(hst.integers(0, len(record["gold"]) - 1))]
+        row[:] = data.draw(hst.sampled_from([row[:-1], row + row[:1]]))
+    else:
+        record["gold"] = None
+    return record
+
+
+def lookup(node, keys):
+    for key in keys:
+        node = node[key]
+    return node
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(hst.data())
+def test_parser_fails_and_succeeds_like_the_closure_reference(data):
+    """On a valid paragraph (drawn, or generated) with one to three targeted
+    mutations, and in a quarter of the cases a key dropped or a value swapped
+    anywhere after them, the parser raises the reference's CorpusError text or
+    returns an equal example."""
+    generated = hst.integers(0, 2**32).map(
+        lambda seed: generate_synthetic(seed, 1, 1, 0.5)[0].members[0])
+    record = corpus.example_to_json(data.draw(examples(id="p") | generated))
+    for _ in range(data.draw(hst.integers(1, 3))):
+        record = targeted_mutation(data, record)
+    if data.draw(hst.integers(0, 3)) == 0:
+        record = mutate(data, record)
+    assume(isinstance(record, dict))
+    got = parsed_or_error(corpus._parse_example, json.loads(json.dumps(record)))
+    expected = parsed_or_error(corpus_reference._parse_example, json.loads(json.dumps(record)))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert_same_examples([got], [expected])
 
 
 TOKENS = hst.text(min_size=1, max_size=6)

@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 
 from statetrack import autodiff as ad
 from statetrack import cli, model, training
-from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, TopicGroup,
+from statetrack.corpus import (ChangeGrid, CorpusError, Entity, ProcessExample, TopicGroup,
                                generate_synthetic)
 from statetrack.model import (CheckpointError, build_vocab, init_params,
                               load_checkpoint, plan_cells, predict_grid,
@@ -563,6 +563,45 @@ def test_predict_grids_match_predict_grid_across_chunk_boundary():
 def test_predict_grids_of_no_paragraphs_is_empty():
     _, _, params = ragged_batch()
     assert predict_grids(params, []) == []
+
+
+@pytest.mark.parametrize("cell, message", [([-0.25, 0.5, 0.5, 0.25], "nonnegative"),
+                                           ([0.5, 0.5, 0.5, 0.0], "sum to 1")])
+def test_predict_grids_check_each_chunk_once_and_return_views(monkeypatch, cell, message):
+    groups = generate_synthetic(seed=5, topics=23, paragraphs_per_topic=3, noise=0.15)
+    examples = [ex for g in groups for ex in g.members][:model.PREDICT_CHUNK + 1]
+    params = init_params(build_vocab(groups), 6, 4, seed=3)
+    chunks, checks, from_dists = [], [], ChangeGrid.from_dists
+
+    def spy_run_cells(params, plan):
+        out = run_cells(params, plan)
+        chunks.append(out.dists.values)
+        return out
+
+    def spy_from_dists(dists):
+        checks.append(dists)
+        return from_dists(dists)
+
+    monkeypatch.setattr(model, "run_cells", spy_run_cells)
+    monkeypatch.setattr(ChangeGrid, "from_dists", spy_from_dists)
+    grids = predict_grids(params, examples)
+    assert len(checks) == len(chunks) == 2
+    assert all(np.shares_memory(check, chunk) for check, chunk in zip(checks, chunks))
+    owners = [0] * model.PREDICT_CHUNK + [1]
+    assert all(np.shares_memory(grid.dists, chunks[k]) for grid, k in zip(grids, owners))
+    monkeypatch.undo()
+
+    def bad_run_cells(params, plan):
+        out = run_cells(params, plan)
+        out.dists.values[-1] = cell
+        return out
+
+    # a bad cell anywhere in a chunk fails with the message of ChangeGrid.from_dists
+    monkeypatch.setattr(model, "run_cells", bad_run_cells)
+    with pytest.raises(CorpusError, match=message):
+        predict_grids(params, examples)
+    with pytest.raises(CorpusError, match=message):
+        ChangeGrid.from_dists(np.array([[cell]]))
 
 
 # ---------------------------------------------------------------------------
