@@ -3,8 +3,8 @@
 Operations record onto an explicit :class:`ComputationTape` when one is
 active (``with ComputationTape() as tape:``); with no tape active they run
 forward-only, which is what evaluation paths use.  Only the operations the
-model actually needs are provided; the elementwise ones take operands of
-exactly equal shape, and nothing is broadcast.
+model actually calls are provided, each one model stage recorded as a single
+tape node; nothing is broadcast.
 """
 
 from __future__ import annotations
@@ -130,60 +130,12 @@ class ComputationTape:
                     t.grad += buf
 
 
-def active_tape() -> ComputationTape | None:
-    return _STATE.current
-
-
 def _record(out: Tensor, backward_fn) -> Tensor:
     tape = _STATE.current
     if tape is not None:
         tape.nodes.append(_Node(out, backward_fn))
         tape._produced.add(id(out))
     return out
-
-
-def constant(values) -> Tensor:
-    return Tensor(values, requires_grad=False)
-
-
-# ---------------------------------------------------------------------------
-# elementwise ops (exact shapes only)
-
-def _check_shapes(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: shapes {list(a.shape)} and {list(b.shape)} differ")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_shapes(a, b, "add")
-    out = Tensor(a.values + b.values)
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g
-        get_adj(b)[...] += g
-
-    return _record(out, fn)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_shapes(a, b, "mul")
-    out = Tensor(a.values * b.values)
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g * b.values
-        get_adj(b)[...] += g * a.values
-
-    return _record(out, fn)
-
-
-def scale(a: Tensor, k: float) -> Tensor:
-    """Multiply by a plain Python constant (no gradient for k)."""
-    out = Tensor(a.values * k)
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g * k
-
-    return _record(out, fn)
 
 
 def project(embedding: Tensor, wx: Sequence[Tensor], b: Sequence[Tensor],
@@ -403,33 +355,7 @@ def head(states: Tensor, attn_w: Tensor, attn_b: Tensor, dec_w: Tensor, dec_b: T
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise DimensionError(f"matmul: expected 2-D operands, got {list(a.shape)} and {list(b.shape)}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: inner dimensions disagree: {list(a.shape)} x {list(b.shape)}")
-    out = Tensor(a.values @ b.values)
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g @ b.values.T
-        get_adj(b)[...] += a.values.T @ g
-
-    return _record(out, fn)
-
-
-# ---------------------------------------------------------------------------
-# reductions and losses
-
-def total(a: Tensor) -> Tensor:
-    out = Tensor(a.values.sum())
-
-    def fn(g, get_adj):
-        get_adj(a)[...] += g
-
-    return _record(out, fn)
-
+# losses
 
 def mean_nll(dists: Tensor, labels) -> Tensor:
     """Mean over rows r of the negative log likelihood of class labels[r]
@@ -449,6 +375,46 @@ def mean_nll(dists: Tensor, labels) -> Tensor:
 
     def fn(g, get_adj):
         get_adj(dists)[rows, labels] += -(g / n) / p
+
+    return _record(out, fn)
+
+
+def consistency(primary: Tensor, members: Tensor, member_avg: np.ndarray,
+                primary_avg: np.ndarray, weight: np.ndarray) -> Tensor:
+    """sum(weight * (member_avg @ members - primary_avg @ primary)^2) over
+    [rows, classes] cells, as one tape node.  Each side is summarized before
+    subtracting, so a self-pair gives exactly 0; the matrices are constants."""
+    if (primary.values.ndim != 2 or members.values.ndim != 2 or weight.ndim != 2
+            or not primary.shape[1] == members.shape[1] == weight.shape[1]
+            or member_avg.shape != (len(weight), members.shape[0])
+            or primary_avg.shape != (len(weight), primary.shape[0])):
+        raise DimensionError(
+            f"consistency: primary {list(primary.shape)}, members {list(members.shape)}, "
+            f"averaging {list(primary_avg.shape)} and {list(member_avg.shape)} and weight "
+            f"{list(weight.shape)} do not fit")
+    # a - b rounds as a + b * -1.0 and 2.0 * d as d + d, so this rounds bitwise
+    # as the op-by-op form in tests/consistency_reference.py
+    diff = member_avg @ members.values - primary_avg @ primary.values
+    out = Tensor(((diff * diff) * weight).sum())
+
+    def fn(g, get_adj):
+        d = (g * weight) * diff * 2.0
+        get_adj(primary)[...] += primary_avg.T @ -d
+        get_adj(members)[...] += member_avg.T @ d
+
+    return _record(out, fn)
+
+
+def combine(a: Tensor, b: Tensor, k: float) -> Tensor:
+    """k*a + (1-k)*b for a plain Python weight k (no gradient for k), as one
+    tape node; with k = 1 this equals a exactly."""
+    if a.shape != b.shape:
+        raise DimensionError(f"combine: shapes {list(a.shape)} and {list(b.shape)} differ")
+    out = Tensor(a.values * k + b.values * (1.0 - k))
+
+    def fn(g, get_adj):
+        get_adj(a)[...] += g * k
+        get_adj(b)[...] += g * (1.0 - k)
 
     return _record(out, fn)
 

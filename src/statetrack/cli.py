@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -131,6 +132,15 @@ def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]
             taken[real] = name
 
 
+@contextlib.contextmanager
+def _naming(checkpoint: str):
+    """Name the checkpoint in a numerical failure of the model it holds."""
+    try:
+        yield
+    except NumericalError as exc:
+        raise NumericalError(f"checkpoint {checkpoint}: {exc}") from exc
+
+
 def _write_json(path, payload: dict) -> None:
     with corpus.atomic_open(path) as fh:
         json.dump(payload, fh, indent=2)
@@ -171,7 +181,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_outputs({"--out": args.out}, {"checkpoint": args.checkpoint, "corpus": args.corpus})
     params = model.load_checkpoint(args.checkpoint)
-    metrics, consistency = training._evaluate_split(params, _load_scorable(args.corpus))
+    with _naming(args.checkpoint):
+        metrics, consistency = training._evaluate_split(params, _load_scorable(args.corpus))
     payload = {**metrics.to_json(), **consistency.to_json()}
     print(json.dumps(payload, indent=2))
     if args.out:
@@ -185,7 +196,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     examples = corpus.load_examples(args.corpus)
     if not examples:
         raise CorpusError(f"{args.corpus}: corpus is empty")
-    with corpus.atomic_open(args.out) as fh:
+    with _naming(args.checkpoint), corpus.atomic_open(args.out) as fh:
         for ex, grid in zip(examples, model.predict_grids(params, examples)):
             hard = evaluation.discretize(grid)
             obj = corpus.example_to_json(dataclasses.replace(ex, gold=hard))

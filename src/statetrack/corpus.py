@@ -87,6 +87,8 @@ class ChangeGrid:
         arr = np.asarray(dists, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] != N_CHANGES:
             raise CorpusError(f"distribution grid must be [T, E, 4], got shape {list(arr.shape)}")
+        if not np.isfinite(arr).all():  # NaN passes both checks below
+            raise CorpusError("distribution cells must be finite")
         if arr.min(initial=0.0) < 0.0:
             raise CorpusError("distribution cells must be nonnegative")
         sums = arr.sum(axis=2)

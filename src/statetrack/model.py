@@ -37,6 +37,10 @@ class CheckpointError(ValueError):
     """A checkpoint file is malformed or internally inconsistent."""
 
 
+class NumericalError(RuntimeError):
+    """Training produced a non-finite loss, or a model a non-finite prediction."""
+
+
 @dataclass
 class ModelParams:
     """The vocabulary plus every `param_layout` tensor by name, in layout order.
@@ -261,7 +265,10 @@ def predict_grids(params: ModelParams, examples: Sequence[ProcessExample],
     grids = []
     for start, plan in zip(range(0, len(examples), PREDICT_CHUNK), plans, strict=True):
         chunk = examples[start:start + PREDICT_CHUNK]
-        dists = run_cells(params, plan).dists.values
+        with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
+            dists = run_cells(params, plan).dists.values
+        if not np.isfinite(dists).all():
+            raise NumericalError("the model predicts non-finite distributions")
         ChangeGrid.from_dists(dists[:, None])  # checks every cell of the chunk at once
         ends = np.cumsum([ex.n_steps * ex.n_entities for ex in chunk])[:-1]
         grids += [ChangeGrid(dists=rows.reshape(ex.n_steps, ex.n_entities, N_CHANGES))

@@ -25,13 +25,9 @@ from . import evaluation, model
 from .autodiff import ComputationTape, Tensor
 from .corpus import (N_CHANGES, ChangeGrid, EmbeddingTable, ProcessExample, TopicGroup,
                      flatten_groups, shared_entities)
-from .model import ModelParams
+from .model import ModelParams, NumericalError
 
 logger = logging.getLogger(__name__)
-
-
-class NumericalError(RuntimeError):
-    """Training produced a non-finite loss."""
 
 
 @dataclass
@@ -130,11 +126,13 @@ def _averaging(picks: list[tuple[int, int, int]], rows: int) -> np.ndarray:
 def consistency_matrices(steps: int, width: int,
                          blocks: Sequence[tuple[int, int, Sequence[tuple[int, int]]]]
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The constants of `consistency_sum` for a primary of `steps` x `width`
+    """The constants of `autodiff.consistency` for a primary of `steps` x `width`
     step-major cells and members stacked one block per (steps, block width,
     pairs) in `blocks`, each pair aligning a block column with a primary
     entity: the member and the primary averaging matrix (one row per pair)
-    and the weights of the squared differences."""
+    and the weights of the squared differences, which make the op's sum the
+    sum over members of the mean over shared entities of the mean squared
+    difference between summary distributions."""
     member_picks, primary_picks, weight, offset = [], [], [], 0
     for block_steps, block_width, pairs in blocks:
         member_picks += [(offset + column, block_width, block_steps) for column, _ in pairs]
@@ -145,21 +143,10 @@ def consistency_matrices(steps: int, width: int,
             np.array(weight))
 
 
-def consistency_sum(primary: Tensor, members: Tensor,
-                    matrices: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Tensor:
-    """Sum over members of the mean over shared entities of the mean squared
-    difference between member and primary summary distributions, given the
-    batch's `consistency_matrices`.  Each side is summarized by its own matmul
-    before subtracting, so a self-pair gives 0."""
-    member_avg, primary_avg, weight = map(ad.constant, matrices)
-    diff = ad.add(ad.matmul(member_avg, members), ad.scale(ad.matmul(primary_avg, primary), -1.0))
-    return ad.total(ad.mul(ad.mul(diff, diff), weight))
-
-
 def _cells(grid: ChangeGrid) -> Tensor:
     if grid.is_hard:
         raise ValueError("summaries need a distribution grid")
-    return ad.constant(grid.dists.reshape(-1, N_CHANGES))
+    return Tensor(grid.dists.reshape(-1, N_CHANGES))
 
 
 def summarize(grid: ChangeGrid, entity: int) -> np.ndarray:
@@ -179,13 +166,13 @@ def consistency_loss(pred_a: ChangeGrid, example_a: ProcessExample,
     pairs = shared_entities(example_a, example_b)
     if not pairs:
         return 0.0
-    return consistency_sum(_cells(pred_b), _cells(pred_a),
-                           consistency_matrices(*pred_b.shape, [(*pred_a.shape, pairs)])).item()
+    return ad.consistency(_cells(pred_b), _cells(pred_a),
+                          *consistency_matrices(*pred_b.shape, [(*pred_a.shape, pairs)])).item()
 
 
 def combine_losses(sup: Tensor, con_sum: Tensor, lambda_weight: float) -> Tensor:
     """lambda*sup + (1-lambda)*con_sum; with lambda=1 this equals sup exactly."""
-    return ad.add(ad.scale(sup, lambda_weight), ad.scale(con_sum, 1.0 - lambda_weight))
+    return ad.combine(sup, con_sum, lambda_weight)
 
 
 def batch_loss(params: ModelParams, batch: Batch,
@@ -213,11 +200,11 @@ def batch_loss(params: ModelParams, batch: Batch,
         return sup, BatchStats(sup_loss=sup_value, switched=True)
 
     if batch.member_cells is not None:
-        con_sum = consistency_sum(primary_dists, model.run_cells(params, batch.member_cells).dists,
-                                  batch.consistency)
+        con_sum = ad.consistency(primary_dists, model.run_cells(params, batch.member_cells).dists,
+                                 *batch.consistency)
     else:
         # an empty sum still goes through the combined formula, giving lambda*sup
-        con_sum = ad.constant(0.0)
+        con_sum = Tensor(0.0)
     total = combine_losses(sup, con_sum, cfg.lambda_weight)
     return total, BatchStats(sup_loss=sup_value, con_loss=con_sum.item())
 

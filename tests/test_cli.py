@@ -379,6 +379,32 @@ def test_checkpoint_with_invalid_sizes_is_data_error(tmp_path, gen_dir, capsys, 
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_predicting_nan_is_a_numerical_failure(tmp_path, gen_dir, capsys, command):
+    """Finite weights can still overflow the decoder's logits, and a softmax
+    of infinite logits is NaN: eval and predict must stop, naming the
+    checkpoint, not score or write labels computed from NaN.  Saturating
+    LSTM biases make every state about 0.76 or more, so every cell's logits
+    overflow."""
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    payload = json.loads(ck.read_text())
+    for name, value in [("fwd_b", 1e3), ("bwd_b", 1e3), ("dec_w", 1.7e308)]:
+        values = payload["tensors"][name]["values"]
+        values[:] = [value] * len(values)
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    code = run_cli(command, str(bad), str(gen_dir / "test.jsonl"),
+                   "--out", str(out / "result.json"))
+    assert code == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: checkpoint {bad}: ")
+    assert "non-finite" in captured.err and captured.err.count("\n") == 1
+    assert captured.out == "" and list(out.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # predict
 

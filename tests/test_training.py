@@ -266,6 +266,25 @@ def test_unlabeled_member_contributes_only_through_consistency():
     assert stats.con_loss > 0.0
 
 
+def test_batch_tape_holds_one_node_per_model_stage():
+    # an engaged batch, then one whose only other member shares no entity with
+    # the primary: its empty consistency sum still goes through the combination
+    a = example_with("a", "t", ("water", "sugar"), gold_rows=[[0, 3], [3, 1]])
+    b = example_with("b", "t", ("water", "sugar"), verb="travels")
+    d = example_with("d", "t", ("iron",))
+    cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
+    encoder = ["project", "bilstm", "head"]
+    for other, ops in [(b, [*encoder, "mean_nll", *encoder, "consistency", "combine"]),
+                       (d, [*encoder, "mean_nll", "combine"])]:
+        g = TopicGroup(topic="t", labeled=[a], unlabeled=[other])
+        params = params_for([g])
+        with ComputationTape() as tape:
+            _, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
+        assert not stats.switched
+        assert [node.backward_fn.__qualname__.split(".<locals>")[0]
+                for node in tape.nodes] == ops
+
+
 def test_batch_loss_gradient_matches_fd_including_consistency():
     g = two_paragraph_group()
     params = params_for([g], emb_dim=3, hidden=4, seed=2)
