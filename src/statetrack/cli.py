@@ -49,14 +49,10 @@ class RunConfig(TrainingConfig):
     use_unlabeled: bool = False
 
     def validate(self) -> None:
-        hints = typing.get_type_hints(type(self))
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-            if float in kinds:
-                kinds += (int,)
-            if isinstance(value, bool) and bool not in kinds or not isinstance(value, kinds):
-                raise ValueError(f"{f.name!r} must be {f.type}, got {value!r}")
+        name = corpus.mismatch(vars(self), typing.get_type_hints(type(self)))
+        if name is not None:
+            kind = next(f.type for f in dataclasses.fields(self) if f.name == name)
+            raise ValueError(f"{name!r} must be {kind}, got {getattr(self, name)!r}")
         super().validate()
         if not 0.0 < self.label_fraction <= 1.0:
             raise ValueError("label-fraction must lie in (0, 1]")
@@ -68,33 +64,15 @@ class RunConfig(TrainingConfig):
 _FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
 
 
-def _config_object(pairs: list[tuple[str, object]]) -> dict[str, object]:
-    """A config file's object keyed by field name; a field set twice, by a
-    repeated key or by a key and its alias, is an error, not a silent overwrite."""
-    raw: dict[str, object] = {}
-    for key, value in pairs:
-        name = "lambda_weight" if key == "lambda" else key
-        if name in raw:
-            raise UsageError(f"config file: key {key!r} sets {name!r} a second time")
-        raw[name] = value
-    return raw
-
-
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh, object_pairs_hook=_config_object)
+            data = Path(args.config).read_bytes()
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {args.config}: invalid JSON: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise UsageError(f"config file {args.config}: not UTF-8: "
-                             f"byte 0x{exc.object[exc.start]:02x}") from exc
-        if not isinstance(raw, dict):
-            raise UsageError("config file must hold a JSON object")
+        raw = corpus.read_json(data, f"config file {args.config}", UsageError,
+                               aliases={"lambda": "lambda_weight"})
         for name, value in raw.items():
             if name not in _FIELDS:
                 raise UsageError(f"config file: unknown key {name!r}")

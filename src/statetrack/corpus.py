@@ -19,12 +19,14 @@ import dataclasses
 import io
 import json
 import os
+import re
 import stat
+import types
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -172,43 +174,31 @@ class TopicGroup:
 # serialization
 
 _CHANGE_INDEX = {name: i for i, name in enumerate(CHANGE_NAMES)}
+_INT_ROWS, _STR_ROWS = list[list[int]], list[list[str]]
 
 
-def _is_list_of(value, item: type) -> bool:
-    # types match exactly, so JSON true/false never pass as integers
-    return type(value) is list and set(map(type, value)) <= {item}
-
-
-def _is_rows(value, item: type, length: int | None = None) -> bool:
-    """Whether parsed JSON is a list of lists of `item`, each `length` long if given."""
-    return (_is_list_of(value, list) and (length is None or set(map(len, value)) <= {length})
-            and set(map(type, chain.from_iterable(value))) <= {item})
-
-
-def _is_str(value) -> bool:
-    return type(value) is str
-
-
-def _get(container: dict, key: str, where: str, expected: str, ok, *args):
-    """`container[key]` if present and `ok(value, *args)`, else a CorpusError."""
+def _get(container: dict, key: str, where: str, expected: str, spec,
+         length: int | None = None):
+    """`container[key]` if present and matching `spec`, in rows of `length`
+    items when given, else a CorpusError."""
     if key not in container:
         raise CorpusError(f"{where}: missing field {key!r}")
     value = container[key]
-    if not ok(value, *args):
+    if not matches(value, spec) or length is not None and set(map(len, value)) - {length}:
         raise CorpusError(f"{where}: field {key!r} must be {expected}, got {value!r}")
     return value
 
 
 def _parse_example(obj: dict, where: str) -> ProcessExample:
     entities = tuple(
-        Entity(name=_get(e, "name", where, "a string", _is_str),
-               mentions=tuple(map(tuple, _get(e, "mentions", where,
-                                              "a list of [step, start, end]", _is_rows, int, 3))))
-        for e in _get(obj, "entities", where, "a list of objects", _is_list_of, dict))
+        Entity(name=_get(e, "name", where, "a string", str),
+               mentions=tuple(map(tuple, _get(e, "mentions", where, "a list of [step, start, end]",
+                                              _INT_ROWS, 3))))
+        for e in _get(obj, "entities", where, "a list of objects", list[dict]))
     gold = None
     if obj.get("gold") is not None:
         n = len(entities)
-        rows = _get(obj, "gold", where, f"a list of rows of {n} labels", _is_rows, str, n)
+        rows = _get(obj, "gold", where, f"a list of rows of {n} labels", _STR_ROWS, n)
         try:
             labels = [_CHANGE_INDEX[label] for row in rows for label in row]
         except KeyError:
@@ -216,12 +206,13 @@ def _parse_example(obj: dict, where: str) -> ProcessExample:
             raise CorpusError(f"{where}: unknown state change {unknown[0]!r}") from None
         gold = ChangeGrid(labels=np.array(labels, dtype=np.int64).reshape(len(rows), n))
     ex = ProcessExample(
-        id=_get(obj, "id", where, "a string", _is_str),
-        topic=_get(obj, "topic", where, "a string", _is_str),
-        steps=tuple(map(tuple, _get(obj, "steps", where, "a list of token lists", _is_rows, str))),
+        id=_get(obj, "id", where, "a string", str),
+        topic=_get(obj, "topic", where, "a string", str),
+        steps=tuple(map(tuple, _get(obj, "steps", where, "a list of token lists",
+                                    _STR_ROWS))),
         entities=entities,
         verbs=tuple(map(tuple, _get(obj, "verbs", where, "a list of [step, token index]",
-                                    _is_rows, int, 2))),
+                                    _INT_ROWS, 2))),
         gold=gold,
     )
     try:
@@ -258,6 +249,76 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
             yield n, line
 
 
+# an escaped backslash, a surrogate pair, or (group 1) a surrogate escape outside a pair
+_ESCAPE = re.compile(r"\\(?:\\|u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..))")
+
+
+def read_json(text: str | bytes, where: str, error: type[Exception],
+              aliases: Mapping[str, str] = types.MappingProxyType({})) -> dict:
+    """The JSON object in `text`, a whole file's bytes or a line `read_lines`
+    decoded, under I-JSON's rules (RFC 7493): UTF-8, no key twice in one
+    object, no lone surrogate.  A key and its name in `aliases` are one key.
+    Any other document, or one nested past the recursion limit, raises
+    `error` naming `where`.  NaN and Infinity parse, for the callers' checks
+    to name the field that holds one."""
+    def pairs_hook(pairs):
+        obj = {}
+        for key, value in pairs:
+            name = aliases.get(key, key)
+            if name in obj:
+                raise error(f"{where}: key {key!r} sets {name!r} a second time")
+            obj[name] = value
+        return obj
+
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        obj = json.loads(text, object_pairs_hook=pairs_hook)
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8: byte 0x{exc.object[exc.start]:02x}") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise error(f"{where}: invalid JSON: nested too deeply") from None
+    for escape in _ESCAPE.finditer(text):
+        if escape[1]:
+            raise error(f"{where}: invalid JSON: lone surrogate \\{escape[1].lower()} in a string")
+    if type(obj) is not dict:
+        raise error(f"{where}: expected a JSON object")
+    return obj
+
+
+def matches(value, spec) -> bool:
+    """Whether parsed JSON `value` has the type `spec`: a JSON type (str, int,
+    float, bool, NoneType, list, dict), a union of them, a `Literal`, or a
+    `list` of a JSON type or of such lists.  Types match exactly, so a bool is
+    never an int, but an int stands for a float.  A list is checked by the set
+    of its items' types, with no Python loop over the items."""
+    if type(spec) is type:
+        return type(value) is spec or spec is float and type(value) is int
+    if type(spec) is types.UnionType:
+        return any(matches(value, arm) for arm in spec.__args__)
+    if type(spec) is not types.GenericAlias:  # a Literal
+        return any(type(value) is type(a) and value == a for a in spec.__args__)
+    (item,) = spec.__args__
+    if type(value) is not list:
+        return False
+    while type(item) is types.GenericAlias:  # the rows, then all their items as one list
+        if not set(map(type, value)) <= {list}:
+            return False
+        value, (item,) = list(chain.from_iterable(value)), item.__args__
+    return set(map(type, value)) <= ({float, int} if item is float else {item})
+
+
+def mismatch(obj: dict, spec: dict) -> str | None:
+    """The first key of the JSON object `obj` that the object spec `spec`
+    (key -> spec) lacks, else the first key of `spec` whose value in `obj`,
+    None where absent, does not match; None when `obj` matches `spec`."""
+    unknown = (key for key in obj if key not in spec)
+    wrong = (key for key, item in spec.items() if not matches(obj.get(key), item))
+    return next(chain(unknown, wrong), None)
+
+
 def load_examples(path) -> list[ProcessExample]:
     """Parse a JSONL corpus file, in file order; paragraph ids must be unique."""
     out = []
@@ -265,13 +326,8 @@ def load_examples(path) -> list[ProcessExample]:
     for n, line in read_lines(path):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"{path} line {n}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise CorpusError(f"{path} line {n}: expected a JSON object")
-        ex = _parse_example(obj, where=f"{path} line {n}")
+        where = f"{path} line {n}"
+        ex = _parse_example(read_json(line, where, CorpusError), where)
         if ex.id in first_line:
             raise CorpusError(f"{path} line {n}: duplicate paragraph id {ex.id!r} "
                               f"(first on line {first_line[ex.id]})")

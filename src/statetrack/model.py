@@ -19,14 +19,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import (N_CHANGES, UNK_TOKEN, ChangeGrid, EmbeddingTable, ProcessExample,
-                     TopicGroup, atomic_open)
+                     TopicGroup, atomic_open, matches, mismatch, read_json)
 
 CHECKPOINT_VERSION = 1
 
@@ -146,20 +146,6 @@ def init_params(vocab: dict[str, int], embedding_dim: int, hidden_size: int,
 # ---------------------------------------------------------------------------
 # forward pass
 
-@dataclass
-class CellBatch:
-    """Encoder outputs for a batch of cells, one row per cell.
-
-    Rows run item by item and step-major within an item, so item k's rows
-    reshape to [n_steps, len(entities_k), ...].  Attention columns past a
-    sentence's end hold exactly 0.
-    """
-
-    attention: np.ndarray  # [cells, longest sentence], each row sums to 1 (untaped)
-    pooled: np.ndarray     # [cells, hidden_size], attention-weighted contextual vectors (untaped)
-    dists: Tensor          # [cells, N_CHANGES], state-change distributions
-
-
 @dataclass(frozen=True, eq=False)
 class CellPlan:
     """The encoder's index data for a batch of cells: everything `run_cells`
@@ -176,7 +162,8 @@ class CellPlan:
 
 def plan_cells(vocab: dict[str, int],
                items: Sequence[tuple[ProcessExample, Sequence[int]]]) -> CellPlan:
-    """Plan every (step, entity) cell of every item, in `CellBatch` row order.
+    """Plan every (step, entity) cell of every item, one row per cell, item by
+    item and step-major within an item.
 
     Each item pairs a paragraph with the entity indices whose columns are
     wanted.  A cell's result depends only on its own sentence and entity,
@@ -236,16 +223,15 @@ def plan_cells(vocab: dict[str, int],
     return plan
 
 
-def run_cells(params: ModelParams, plan: CellPlan) -> CellBatch:
-    """Encode and decode every cell of a plan in one pass, as three tape nodes;
-    `plan` must come from `plan_cells(params.vocab, ...)`."""
+def run_cells(params: ModelParams, plan: CellPlan) -> Tensor:
+    """The [cells, N_CHANGES] distributions of every cell of a plan, as three
+    tape nodes; `plan` must come from `plan_cells(params.vocab, ...)`."""
     t = params.tensors
     inputs = ad.project(t["embedding"], [t["fwd_wx"], t["bwd_wx"]], [t["fwd_b"], t["bwd_b"]],
                         plan.word_ids, plan.rows, plan.flags)
     states = ad.bilstm(inputs, [t["fwd_wh"], t["bwd_wh"]], plan.mask.shape[0])
-    dists, attention, pooled = ad.head(states, t["attn_w"], t["attn_b"], t["dec_w"], t["dec_b"],
-                                       plan.unshuffle, plan.pool, plan.mask)
-    return CellBatch(attention=attention, pooled=pooled, dists=dists)
+    return ad.head(states, t["attn_w"], t["attn_b"], t["dec_w"], t["dec_b"],
+                   plan.unshuffle, plan.pool, plan.mask)[0]
 
 
 def plan_chunks(vocab: dict[str, int], examples: Sequence[ProcessExample]) -> list[CellPlan]:
@@ -266,7 +252,7 @@ def predict_grids(params: ModelParams, examples: Sequence[ProcessExample],
     for start, plan in zip(range(0, len(examples), PREDICT_CHUNK), plans, strict=True):
         chunk = examples[start:start + PREDICT_CHUNK]
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
-            dists = run_cells(params, plan).dists.values
+            dists = run_cells(params, plan).values
         if not np.isfinite(dists).all():
             raise NumericalError("the model predicts non-finite distributions")
         ChangeGrid.from_dists(dists[:, None])  # checks every cell of the chunk at once
@@ -305,39 +291,29 @@ def save_checkpoint(params: ModelParams, path) -> None:
         fh.write("\n")
 
 
-_CHECKPOINT_FIELDS = {"hidden_size": int, "embedding_dim": int, "embedding_frozen": bool,
-                      "vocab": list, "tensors": dict}
+_CHECKPOINT = {"version": Literal[CHECKPOINT_VERSION], "hidden_size": int, "embedding_dim": int,
+               "embedding_frozen": bool, "vocab": list, "tensors": dict}
+_TENSOR = {"shape": list[int], "values": list[float]}
 
 
 def load_checkpoint(path) -> ModelParams:
     """Rebuild params from a checkpoint, rejecting malformed structure, shape
     mismatches and non-finite values with a CheckpointError naming the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"{path}: invalid JSON: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise CheckpointError(
-                f"{path}: not UTF-8: byte 0x{exc.object[exc.start]:02x}") from exc
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path}: checkpoint must hold a JSON object")
-    for key in payload:
-        if key != "version" and key not in _CHECKPOINT_FIELDS:
-            raise CheckpointError(f"{path}: unknown field '{key}'")
-    version = payload.get("version")
-    if type(version) is not int or version != CHECKPOINT_VERSION:  # not true, not 1.0
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-    for key, kind in _CHECKPOINT_FIELDS.items():
-        got = type(payload.get(key))
-        if got is not kind:  # exact, so a bool is not an int
-            raise CheckpointError(f"{path}: field '{key}' must be {kind.__name__}, "
-                                  f"got {got.__name__}")
+    with open(path, "rb") as fh:
+        payload = read_json(fh.read(), str(path), CheckpointError)
+    key = mismatch(payload, _CHECKPOINT)
+    if key is not None and key not in _CHECKPOINT:
+        raise CheckpointError(f"{path}: unknown field '{key}'")
+    if key == "version":
+        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get(key)!r}")
+    if key is not None:
+        raise CheckpointError(f"{path}: field '{key}' must be {_CHECKPOINT[key].__name__}, "
+                              f"got {type(payload.get(key)).__name__}")
     try:
         check_sizes(payload["hidden_size"], payload["embedding_dim"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: field {exc}") from exc
-    if set(map(type, payload["vocab"])) != {str} or UNK_TOKEN not in payload["vocab"]:
+    if not matches(payload["vocab"], list[str]) or UNK_TOKEN not in payload["vocab"]:
         raise CheckpointError(f"{path}: vocab must list token strings including {UNK_TOKEN}")
     vocab = {tok: i for i, tok in enumerate(payload["vocab"])}
     if len(vocab) != len(payload["vocab"]):
@@ -351,11 +327,14 @@ def load_checkpoint(path) -> ModelParams:
         entry = raw.get(name)
         if not isinstance(entry, dict):
             raise CheckpointError(f"{path}: tensor '{name}' is missing or not an object")
+        key = mismatch(entry, _TENSOR)
+        if key is not None and key not in _TENSOR:
+            raise CheckpointError(f"{path}: tensor '{name}' has unknown field '{key}'")
         got, values = entry.get("shape"), entry.get("values")
-        if not isinstance(got, list) or tuple(got) != shape:
+        if key == "shape" or tuple(got) != shape:
             raise CheckpointError(
                 f"{path}: tensor '{name}' has shape {got}, expected {list(shape)}")
-        if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        if key == "values":
             raise CheckpointError(f"{path}: tensor '{name}' values must be a list of numbers")
         if len(values) != int(np.prod(shape)):
             raise CheckpointError(f"{path}: tensor '{name}' has wrong number of values")

@@ -190,7 +190,7 @@ def batch_loss(params: ModelParams, batch: Batch,
     if cfg.consistency_enabled and not batch.consistency_enabled:
         raise ValueError(f"batch of topic {batch.topic!r} was planned with "
                          f"consistency_enabled=False, the config enables it")
-    primary_dists = model.run_cells(params, batch.primary_cells).dists
+    primary_dists = model.run_cells(params, batch.primary_cells)
     sup = ad.mean_nll(primary_dists, batch.primary.gold.labels.reshape(-1))
     sup_value = sup.item()
 
@@ -200,7 +200,7 @@ def batch_loss(params: ModelParams, batch: Batch,
         return sup, BatchStats(sup_loss=sup_value, switched=True)
 
     if batch.member_cells is not None:
-        con_sum = ad.consistency(primary_dists, model.run_cells(params, batch.member_cells).dists,
+        con_sum = ad.consistency(primary_dists, model.run_cells(params, batch.member_cells),
                                  *batch.consistency)
     else:
         # an empty sum still goes through the combined formula, giving lambda*sup

@@ -590,6 +590,46 @@ def test_non_utf8_input_is_named_with_its_line(tmp_path, gen_dir, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("deep", "invalid JSON: nested too deeply"),
+    ("duplicate", "key {key!r} sets {key!r} a second time"),
+    ("surrogate", "invalid JSON: lone surrogate \\ud800 in a string"),
+], ids=["deep", "duplicate", "surrogate"])
+@pytest.mark.parametrize("bad", ["corpus", "checkpoint", "config"])
+def test_every_json_input_follows_the_same_rules(tmp_path, gen_dir, capsys, bad, fault, message):
+    """A corpus line (via predict), a checkpoint (via eval) and a config file
+    (via train) nested too deeply, setting a key twice or holding a lone
+    surrogate each end in one error line naming the file, and the corpus's
+    line, with no output written."""
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    path, out, test = tmp_path / "bad", tmp_path / "out.json", gen_dir / "test.jsonl"
+    lines = test.read_text(encoding="utf-8").splitlines(keepends=True)
+    document, key, argv, where, code = {
+        "corpus": (json.loads(lines[1]), "id", ["predict", ck, path, "--out", out],
+                   f"{path} line 2", cli.EXIT_DATA),
+        "checkpoint": (json.loads(ck.read_text()), "vocab",
+                       ["eval", path, test, "--out", out], f"{path}", cli.EXIT_DATA),
+        "config": ({"train": str(gen_dir / "train.jsonl"), "epochs": 1}, "train",
+                   ["train", "--config", path, "--checkpoint", out], f"config file {path}",
+                   cli.EXIT_USAGE),
+    }[bad]
+    if fault == "surrogate":  # json.dumps writes it as the escape \ud800
+        document[key] = "\ud800"
+    text = json.dumps(document)
+    text = {"deep": f'{{"{key}": ' + "[" * 200_000,
+            "duplicate": f'{{"{key}": {json.dumps(document[key])}, ' + text[1:],
+            "surrogate": text}[fault]
+    path.write_text("".join([lines[0], text + "\n", *lines[2:]]) if bad == "corpus" else text,
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*map(str, argv)) == code
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {where}: {message.format(key=key)}"]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["train", "--checkpoint", "same.json", "--report", "same.json"],
      "report same.json is the same file as the checkpoint"),

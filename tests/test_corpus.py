@@ -1,9 +1,12 @@
 import contextlib
+import inspect
 import io
 import json
 import os
+import re
 import stat
 import threading
+from pathlib import Path
 
 import corpus_reference
 import generator_reference
@@ -114,6 +117,62 @@ def test_unknown_fields_are_ignored(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     assert len(corpus.load_examples(path)) == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"a": "\\ud83d\\ude00"}', None),
+    ('{"a": "\\uD83D\\uDE00"}', None),
+    ('{"a": "\\\\ud800"}', None),
+    ('{"a": NaN, "b": [Infinity]}', None),
+    ('{"a": ["\\uDBFF"]}', "invalid JSON: lone surrogate \\udbff in a string"),
+    ('{"a": "\\udc00\\ud800"}', "invalid JSON: lone surrogate \\udc00 in a string"),
+    ('{"a": "\\\\\\ud800"}', "invalid JSON: lone surrogate \\ud800 in a string"),
+    ('{"a": "\\ud800\\\\udc00"}', "invalid JSON: lone surrogate \\ud800 in a string"),
+    ('{"a": {"b": 1, "b": 1}}', "key 'b' sets 'b' a second time"),
+    ('[{}]', "expected a JSON object"),
+    (b'{"a": "\xe9"}', "not UTF-8: byte 0xe9"),
+    ('{"a": ' + "[" * 100_000, "invalid JSON: nested too deeply"),
+], ids=["surrogate-pair", "upper-case-pair", "escaped-backslash", "non-finite", "lone-high",
+        "reversed-pair", "backslash-then-lone", "high-then-backslash", "nested-duplicate",
+        "array", "latin-1", "deep"])
+def test_read_json_applies_the_i_json_rules(text, message):
+    if message is None:
+        assert corpus.read_json(text, "f", CorpusError) == json.loads(text)
+    else:
+        with pytest.raises(CorpusError) as info:
+            corpus.read_json(text, "f", CorpusError)
+        assert str(info.value) == f"f: {message}"
+
+
+ESCAPE_PIECES = ["\\ud800", "\\uDBFF", "\\udc00", "\\uDFFF", "\\\\", "\\u005c", "\\u0041",
+                 "\\n", "u", "d800", "a", "\U0001F600"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hst.lists(hst.sampled_from(ESCAPE_PIECES), max_size=8))
+def test_read_json_rejects_exactly_the_strings_that_decode_to_a_lone_surrogate(pieces):
+    text = '{"a": "' + "".join(pieces) + '"}'
+    try:
+        json.loads(text)["a"].encode("utf-8")
+        lone = False
+    except UnicodeEncodeError:
+        lone = True
+    try:
+        corpus.read_json(text, "f", CorpusError)
+        rejected = False
+    except CorpusError as exc:
+        assert "lone surrogate" in str(exc)
+        rejected = True
+    assert rejected == lone, text
+
+
+def test_read_json_is_the_only_json_decode_call_site():
+    """No module of the package parses JSON but through `corpus.read_json`."""
+    decode = re.compile(r"json\.loads?\(")
+    reader = inspect.getsource(corpus.read_json)
+    assert len(decode.findall(reader)) == 1
+    for path in sorted(Path(corpus.__file__).parent.glob("*.py")):
+        assert not decode.findall(path.read_text(encoding="utf-8").replace(reader, "")), path
 
 
 def test_roundtrip_is_byte_identical(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import threading
+from collections import namedtuple
 from contextlib import nullcontext
 from unittest.mock import patch
 
@@ -103,8 +104,22 @@ def oracle_cell(params, example, t, j):
 # ---------------------------------------------------------------------------
 # encode
 
+Cells = namedtuple("Cells", "dists attention pooled")  # the outputs of `ad.head`
+
+
 def encode_cells(params, items):
-    return run_cells(params, plan_cells(params.vocab, items))
+    """`run_cells` over a fresh plan, with the attention and pooled vectors that
+    its `ad.head` call computes and it drops."""
+    heads, head = [], ad.head
+
+    def spy(*args):
+        heads.append(head(*args))
+        return heads[-1]
+
+    with patch.object(ad, "head", spy):
+        dists = run_cells(params, plan_cells(params.vocab, items))
+    assert len(heads) == 1 and heads[0][0] is dists
+    return Cells(*heads[0])
 
 
 def single_pass_plan(vocab, items):
@@ -170,7 +185,7 @@ def single_pass_encode_cells(params, items):
     logits = pooled @ v["dec_w"] + v["dec_b"]
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     dists = ad.Tensor(e / e.sum(axis=-1, keepdims=True))
-    return model.CellBatch(attention=attention, pooled=pooled, dists=dists)
+    return Cells(dists=dists, attention=attention, pooled=pooled)
 
 
 def encode_one(params, example, t, j):
@@ -294,7 +309,7 @@ def test_plan_then_run_equals_single_pass_encoder_bitwise(calls):
     for items in all_items:
         for taped in (False, True):
             with ad.ComputationTape() if taped else nullcontext():
-                got = run_cells(params, plan_cells(params.vocab, items))
+                got = encode_cells(params, items)
                 want = single_pass_encode_cells(params, items)
             assert got.attention.tobytes() == want.attention.tobytes()
             assert got.pooled.tobytes() == want.pooled.tobytes()
@@ -575,7 +590,7 @@ def test_predict_grids_check_each_chunk_once_and_return_views(monkeypatch, cell,
 
     def spy_run_cells(params, plan):
         out = run_cells(params, plan)
-        chunks.append(out.dists.values)
+        chunks.append(out.values)
         return out
 
     def spy_from_dists(dists):
@@ -593,7 +608,7 @@ def test_predict_grids_check_each_chunk_once_and_return_views(monkeypatch, cell,
 
     def bad_run_cells(params, plan):
         out = run_cells(params, plan)
-        out.dists.values[-1] = cell
+        out.values[-1] = cell
         return out
 
     # a bad cell anywhere in a chunk fails with the message of ChangeGrid.from_dists
@@ -692,11 +707,12 @@ def mutated(payload, keys, value):
     (("version",), 1.0, "version 1.0"),
     (("tensors", "extra_w"), {"shape": [1], "values": [1.0]}, "unknown tensor 'extra_w'"),
     (("comment",), "trained on Monday", "unknown field 'comment'"),
+    (("tensors", "dec_b", "note"), "x", "tensor 'dec_b' has unknown field 'note'"),
     (("vocab",), [model.UNK_TOKEN, "moves", "the", "water", "sugar", "the"],
      "vocab lists token 'the' twice"),
 ], ids=["no-shape", "entry-not-object", "string-value", "values-object", "tensors-number",
         "hidden-size-string", "no-unk-token", "top-level-array", "version-true",
-        "version-float", "extra-tensor", "extra-key", "repeated-token"])
+        "version-float", "extra-tensor", "extra-key", "extra-tensor-field", "repeated-token"])
 def test_checkpoint_structure_errors_name_file_and_field(tmp_path, capsys, keys, value, field):
     path = tmp_path / "ck.json"
     path.write_text(json.dumps(mutated(saved_payload(path), keys, value)))
