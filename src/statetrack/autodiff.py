@@ -97,7 +97,9 @@ class ComputationTape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
-        Repeated calls without clearing leaf grads accumulate additively.
+        Repeated calls without clearing leaf grads accumulate additively.  A
+        leaf without a grad is handed its adjoint buffer, which no other tensor
+        shares.
         """
         if loss.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {list(loss.shape)}")
@@ -125,7 +127,7 @@ class ComputationTape:
             t = holders[tid]
             if t.requires_grad:
                 if t.grad is None:
-                    t.grad = buf.copy()
+                    t.grad = buf
                 else:
                     t.grad += buf
 
@@ -208,7 +210,7 @@ def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
                              f"{[list(r.shape) for r in recurrent]} do not fit {cells} cells")
     steps = inputs.shape[1] // cells
     x = inputs.values.reshape(dirs, steps, cells, 4, hd)
-    w = np.stack([r.values for r in recurrent])
+    w = np.array([r.values for r in recurrent])
     hs = np.empty((dirs, steps, cells, hd))
     # a step's activations are gate-major rows of [dirs, cells, hd], ordered
     # (g, c_prev, i, f, spare, o) so that backward's factors p = (g, c_prev, i)
@@ -256,8 +258,8 @@ def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
         r[:, 2] = 1.0
         u = np.multiply(tcs, tcs)
         np.subtract(1.0, u, out=u)  # 1 - tanh(c)^2
-        # each step's dz, in the inputs' gate layout, replaces its spent r
-        dz = r.reshape(steps, dirs, cells, 4 * hd)
+        # each step's dz, in the inputs' gate layout
+        dz = np.empty((steps, dirs, cells, 4 * hd))
         dz_gates = dz.reshape(steps, dirs, cells, 4, hd).transpose(0, 3, 1, 2, 4)
         dzg = np.empty((4, dirs, cells, hd))
         w_t = w.transpose(0, 2, 1)
@@ -268,7 +270,6 @@ def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
             np.multiply(dc, a[tau, :3], out=dzg[:3])
             np.multiply(gh, tcs[tau], out=dzg[3])
             dzg *= a[tau, 2:]
-            # r and dz share memory; numpy buffers the overlap
             np.multiply(dzg, r[tau], out=dz_gates[tau])
             if tau:  # the zero initial state takes no gradient
                 dh, gc = dz[tau] @ w_t, dc * f[tau]
@@ -365,7 +366,7 @@ def mean_nll(dists: Tensor, labels) -> Tensor:
         raise DimensionError(
             f"mean_nll: labels of shape {list(labels.shape)} do not match distributions "
             f"{list(dists.shape)}")
-    if np.any((labels < 0) | (labels >= dists.shape[1])):
+    if labels.min() < 0 or labels.max() >= dists.shape[1]:
         raise DimensionError(f"mean_nll: label out of range for {dists.shape[1]} classes")
     rows, n = np.arange(labels.size), labels.size
     p = dists.values[rows, labels]

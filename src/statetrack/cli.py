@@ -49,10 +49,6 @@ class RunConfig(TrainingConfig):
     use_unlabeled: bool = False
 
     def validate(self) -> None:
-        name = corpus.mismatch(vars(self), typing.get_type_hints(type(self)))
-        if name is not None:
-            kind = next(f.type for f in dataclasses.fields(self) if f.name == name)
-            raise ValueError(f"{name!r} must be {kind}, got {getattr(self, name)!r}")
         super().validate()
         if not 0.0 < self.label_fraction <= 1.0:
             raise ValueError("label-fraction must lie in (0, 1]")
@@ -61,7 +57,7 @@ class RunConfig(TrainingConfig):
                              "with every label kept no paragraph is demoted")
 
 
-_FIELDS = [f.name for f in dataclasses.fields(RunConfig)]
+_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _build_run_config(args: argparse.Namespace) -> RunConfig:
@@ -71,13 +67,18 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             data = Path(args.config).read_bytes()
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from exc
-        raw = corpus.read_json(data, f"config file {args.config}", UsageError,
-                               aliases={"lambda": "lambda_weight"})
+        where = f"config file {args.config}"
+        raw = corpus.read_json(data, where, UsageError, aliases={"lambda": "lambda_weight"})
+        # checked before the flags are merged in, so that the error names the file
+        name = corpus.mismatch(raw, {key: _TYPES[key] for key in raw if key in _TYPES})
+        if name is not None and name not in _TYPES:
+            raise UsageError(f"{where}: unknown key {name!r}")
+        if name is not None:
+            kind = next(f.type for f in dataclasses.fields(RunConfig) if f.name == name)
+            raise UsageError(f"{where}: {name!r} must be {kind}, got {raw[name]!r}")
         for name, value in raw.items():
-            if name not in _FIELDS:
-                raise UsageError(f"config file: unknown key {name!r}")
             setattr(cfg, name, value)
-    for name in _FIELDS:
+    for name in _TYPES:
         if getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
     try:

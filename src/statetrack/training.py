@@ -221,7 +221,8 @@ class TrainResult:
 def _sgd_step(params: ModelParams, lr: float) -> None:
     for t in params.tensors.values():
         if t.requires_grad and t.grad is not None:
-            t.values -= lr * t.grad
+            t.grad *= lr  # the grad is dropped next, so it holds lr * grad
+            t.values -= t.grad
             t.zero_grad()
 
 
@@ -276,7 +277,7 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
                 with ComputationTape() as tape:
                     loss, stats = batch_loss(params, batch, cfg)
                 value = loss.item()
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise NumericalError(
                         f"non-finite loss at epoch {epoch}, group {batch.topic!r} batch {bi}: "
                         f"total={value}, sup={stats.sup_loss}, con={stats.con_loss}")

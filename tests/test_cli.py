@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -148,10 +149,26 @@ def test_train_config_file_with_flag_override(tmp_path, gen_dir):
     assert report["config"]["lambda_weight"] == 0.10  # file value kept
 
 
-def test_train_rejects_bad_config_key(tmp_path):
+def test_train_rejects_bad_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"nonsense": 1}))
     assert run_cli("train", "--config", str(cfg_path)) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: config file {cfg_path}: unknown key 'nonsense'\n"
+
+
+@pytest.mark.parametrize("data, flags, message", [
+    ({"seed": 1, "bogus": 1}, [], "unknown key 'bogus'"),
+    ({"seed": "x"}, ["--seed", "3"], "'seed' must be int, got 'x'"),  # a flag does not hide it
+], ids=["unknown-after-known", "mistyped-under-flag"])
+def test_config_file_is_checked_before_the_flags(tmp_path, gen_dir, capsys, data, flags,
+                                                  message):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    assert run_cli("train", "--config", str(cfg_path), "--train", str(gen_dir / "train.jsonl"),
+                   "--checkpoint", str(tmp_path / "ck.json"),
+                   "--report", str(tmp_path / "r.json"), *flags) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: config file {cfg_path}: {message}\n"
+    assert not (tmp_path / "ck.json").exists()
 
 
 @pytest.mark.parametrize("text, key", [
@@ -196,7 +213,12 @@ def test_train_rejects_mistyped_config_value(tmp_path, gen_dir, capsys, key, val
     cfg_path.write_text(json.dumps({"train": str(gen_dir / "train.jsonl"), key: value}))
     assert run_cli("train", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "ck.json"),
                    "--report", str(tmp_path / "r.json")) == cli.EXIT_USAGE
-    assert f"'{key}' must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"'{key}' must be" in err
+    # a non-finite float has the right type: the range checks refuse it after the merge
+    if not (isinstance(value, float) and not math.isfinite(value)):
+        kind = next(f.type for f in dataclasses.fields(cli.RunConfig) if f.name == key)
+        assert err == f"error: config file {cfg_path}: '{key}' must be {kind}, got {value!r}\n"
 
 
 @pytest.mark.parametrize("flag, value, field", [

@@ -351,6 +351,53 @@ def test_plan_reused_after_an_sgd_step_equals_a_fresh_plan():
     assert reused.values.tobytes() == planned_now.values.tobytes()
 
 
+def engaged_batch_loss():
+    """(params, tape, loss) of one batch whose consistency term is engaged."""
+    a = example_with("a", "t", ("water", "sugar"), gold_rows=[[0, 3], [3, 1]])
+    b = example_with("b", "t", ("sugar", "salt"), verb="travels")
+    g = TopicGroup(topic="t", labeled=[a], unlabeled=[b])
+    params = params_for([g], seed=3)
+    cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
+    with ComputationTape() as tape:
+        loss, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
+    assert stats.con_loss > 0.0
+    return params, tape, loss
+
+
+def test_backward_gives_every_parameter_its_own_grad_and_accumulates_exactly():
+    params, tape, loss = engaged_batch_loss()
+    tape.backward(loss)
+    grads = [t.grad for t in params.tensors.values()]
+    assert all(g is not None for g in grads)
+    for i, g in enumerate(grads):
+        assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
+        assert not any(np.shares_memory(g, t.values) for t in params.tensors.values())
+    once = [g.copy() for g in grads]
+    tape.backward(loss)
+    for t, g in zip(params.tensors.values(), once):
+        assert t.grad.tobytes() == (g + g).tobytes()
+
+
+@pytest.mark.parametrize("lr", [0.5, 0.1, 1 / 3])
+def test_sgd_step_is_bitwise_values_minus_lr_times_grad(lr):
+    params, _, _ = engaged_batch_loss()
+    rng = np.random.default_rng(11)
+    embedding = params.tensors["embedding"]
+    embedding.requires_grad = False
+    for t in params.tensors.values():
+        t.values[...] = rng.normal(size=t.shape)
+        t.grad = rng.normal(size=t.shape)
+    want = {name: t.values - lr * t.grad for name, t in params.tensors.items()}
+    frozen = (embedding.values.copy(), embedding.grad.copy())
+    training._sgd_step(params, lr)
+    for name, t in params.tensors.items():
+        if t is not embedding:
+            assert t.values.tobytes() == want[name].tobytes(), name
+            assert t.grad is None, name
+    assert embedding.values.tobytes() == frozen[0].tobytes()
+    assert embedding.grad.tobytes() == frozen[1].tobytes()
+
+
 @pytest.mark.parametrize("consistency_enabled", [True, False])
 def test_train_plans_a_fixed_number_of_times_whatever_the_epochs(monkeypatch,
                                                                  consistency_enabled):
