@@ -51,9 +51,6 @@ class Tensor:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.values.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, requires_grad={self.requires_grad})"
 
@@ -82,7 +79,6 @@ class ComputationTape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self._produced: set[int] = set()
         self._outer: ComputationTape | None = None
 
     def __enter__(self) -> "ComputationTape":
@@ -103,28 +99,24 @@ class ComputationTape:
         """
         if loss.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {list(loss.shape)}")
-        if id(loss) not in self._produced:
+        if not any(node.out is loss for node in self.nodes):
             raise ContractError("backward() loss was not produced on this tape")
 
-        adjoints: dict[int, np.ndarray] = {}
-        holders: dict[int, Tensor] = {}
+        adjoints: dict[Tensor, np.ndarray] = {}  # Tensor has no __eq__: keyed by identity
 
         def get_adj(t: Tensor) -> np.ndarray:
-            buf = adjoints.get(id(t))
+            buf = adjoints.get(t)
             if buf is None:
-                buf = np.zeros(t.shape)  # float64, as every Tensor is
-                adjoints[id(t)] = buf
-                holders[id(t)] = t
+                buf = adjoints[t] = np.zeros(t.shape)  # float64, as every Tensor is
             return buf
 
         get_adj(loss)[...] = 1.0
         for node in reversed(self.nodes):
-            g = adjoints.get(id(node.out))
+            g = adjoints.get(node.out)
             if g is not None:
                 node.backward_fn(g, get_adj)
 
-        for tid, buf in adjoints.items():
-            t = holders[tid]
+        for t, buf in adjoints.items():
             if t.requires_grad:
                 if t.grad is None:
                     t.grad = buf
@@ -136,7 +128,6 @@ def _record(out: Tensor, backward_fn) -> Tensor:
     tape = _STATE.current
     if tape is not None:
         tape.nodes.append(_Node(out, backward_fn))
-        tape._produced.add(id(out))
     return out
 
 
@@ -423,7 +414,11 @@ def combine(a: Tensor, b: Tensor, k: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradient verification
 
-def finite_difference(f: Callable[[], float], t: Tensor, eps: float = 1e-5) -> np.ndarray:
+_FD_EPS = 1e-5  # the central-difference step
+_REL_FLOOR = 1e-6  # the scale below which relative_error treats a component as zero
+
+
+def finite_difference(f: Callable[[], float], t: Tensor) -> np.ndarray:
     """Central-difference gradient of f() w.r.t. every entry of t.
 
     Perturbs t.values in place and restores it; f must be a pure forward
@@ -433,27 +428,27 @@ def finite_difference(f: Callable[[], float], t: Tensor, eps: float = 1e-5) -> n
     out = np.zeros_like(flat)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + eps
+        flat[i] = orig + _FD_EPS
         fp = f()
-        flat[i] = orig - eps
+        flat[i] = orig - _FD_EPS
         fm = f()
         flat[i] = orig
-        out[i] = (fp - fm) / (2.0 * eps)
+        out[i] = (fp - fm) / (2.0 * _FD_EPS)
     return out.reshape(t.shape)
 
 
-def relative_error(a: np.ndarray, b: np.ndarray, floor: float = 1e-6) -> float:
-    """Max elementwise |a-b| / max(|a|, |b|, floor).
+def relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    """Max elementwise |a-b| / max(|a|, |b|, _REL_FLOOR).
 
     The floor treats components below it as zero-scale so that exact-zero
     gradients compare against finite-difference noise sensibly.
     """
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), _REL_FLOOR)
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-def check_gradients(build_loss: Callable[[], Tensor], tensors: dict[str, Tensor],
-                    eps: float = 1e-5, floor: float = 1e-6) -> dict[str, float]:
+def check_gradients(build_loss: Callable[[], Tensor],
+                    tensors: dict[str, Tensor]) -> dict[str, float]:
     """Compare backward gradients of build_loss() against central differences.
 
     Returns the worst relative error per named tensor.  build_loss is called
@@ -461,7 +456,7 @@ def check_gradients(build_loss: Callable[[], Tensor], tensors: dict[str, Tensor]
     for the finite differences.
     """
     for t in tensors.values():
-        t.zero_grad()
+        t.grad = None
     with ComputationTape() as tape:
         loss = build_loss()
     tape.backward(loss)
@@ -471,7 +466,7 @@ def check_gradients(build_loss: Callable[[], Tensor], tensors: dict[str, Tensor]
 
     errors = {}
     for name, t in tensors.items():
-        fd = finite_difference(forward, t, eps=eps)
+        fd = finite_difference(forward, t)
         ad = t.grad if t.grad is not None else np.zeros_like(t.values)
-        errors[name] = relative_error(ad, fd, floor=floor)
+        errors[name] = relative_error(ad, fd)
     return errors

@@ -49,12 +49,10 @@ class RunConfig(TrainingConfig):
     use_unlabeled: bool = False
 
     def validate(self) -> None:
+        """Each field's own rules; `_build_run_config` checks the rule between fields."""
         super().validate()
         if not 0.0 < self.label_fraction <= 1.0:
             raise ValueError("label-fraction must lie in (0, 1]")
-        if self.use_unlabeled and self.label_fraction == 1.0:
-            raise ValueError("use-unlabeled needs a label-fraction below 1: "
-                             "with every label kept no paragraph is demoted")
 
 
 _TYPES = typing.get_type_hints(RunConfig)
@@ -78,6 +76,10 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"{where}: {name!r} must be {kind}, got {raw[name]!r}")
         for name, value in raw.items():
             setattr(cfg, name, value)
+        try:
+            cfg.validate()  # the defaults pass, so a failing rule is the file's
+        except ValueError as exc:
+            raise UsageError(f"{where}: {exc}") from exc
     for name in _TYPES:
         if getattr(args, name) is not None:
             setattr(cfg, name, getattr(args, name))
@@ -85,6 +87,9 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if cfg.use_unlabeled and cfg.label_fraction == 1.0:
+        raise UsageError("use-unlabeled needs a label-fraction below 1: "
+                         "with every label kept no paragraph is demoted")
     return cfg
 
 
@@ -100,14 +105,16 @@ def _load_scorable(path) -> list[corpus.TopicGroup]:
 
 
 def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
-    """Refuse an output that resolves to the same file as an input or another
-    output of the command, which writing it would destroy."""
+    """Refuse an output in a missing directory, or one that resolves to the same
+    file as an input or another output of the command, which writing it would destroy."""
     taken = {os.path.realpath(path): name for name, path in inputs.items() if path}
     for name, path in outputs.items():
         if path:
             real = os.path.realpath(path)
             if real in taken:
                 raise UsageError(f"{name} {path} is the same file as the {taken[real]}")
+            if not os.path.isdir(os.path.dirname(real)):
+                raise UsageError(f"{name} {path}: no such directory")
             taken[real] = name
 
 

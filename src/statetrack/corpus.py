@@ -31,6 +31,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 N_CHANGES = 4
+_SUM_TOL = 1e-9  # how far a distribution cell's sum may be from 1
 
 UNK_TOKEN = "<unk>"  # the vocabulary and embedding entry of every unknown word
 
@@ -85,7 +86,7 @@ class ChangeGrid:
         return cls(labels=arr)
 
     @classmethod
-    def from_dists(cls, dists, tol: float = 1e-9) -> "ChangeGrid":
+    def from_dists(cls, dists) -> "ChangeGrid":
         arr = np.asarray(dists, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] != N_CHANGES:
             raise CorpusError(f"distribution grid must be [T, E, 4], got shape {list(arr.shape)}")
@@ -94,7 +95,7 @@ class ChangeGrid:
         if arr.min(initial=0.0) < 0.0:
             raise CorpusError("distribution cells must be nonnegative")
         sums = arr.sum(axis=2)
-        if arr.size and np.max(np.abs(sums - 1.0)) > tol:
+        if arr.size and np.max(np.abs(sums - 1.0)) > _SUM_TOL:
             raise CorpusError("distribution cells must sum to 1")
         return cls(dists=arr)
 
@@ -382,7 +383,10 @@ def atomic_open(path) -> Iterator[TextIO]:
         return
     directory, name = os.path.split(os.path.realpath(path))
     tmp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the file the caller asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with open(fd, "wb") as fh:
             if mode is not None:
@@ -446,16 +450,14 @@ class EmbeddingTable:
     unk_vector: np.ndarray
 
     @classmethod
-    def load(cls, path, dimension: int | None = None) -> "EmbeddingTable":
-        """Parse a text embedding file: one token plus D space-separated decimals per line.
+    def load(cls, path, dimension: int) -> "EmbeddingTable":
+        """Parse a text embedding file: a token plus `dimension` space-separated decimals a line.
 
-        D is `dimension` when given, else the first line's.  A token may appear
-        once.  The unknown-token vector is the file's UNK_TOKEN line when it has
-        one, else the mean of all loaded vectors.
+        A token may appear once.  The unknown-token vector is the file's
+        UNK_TOKEN line when it has one, else the mean of all loaded vectors.
         """
         vectors: dict[str, np.ndarray] = {}
         first_line: dict[str, int] = {}
-        dim = dimension
         for n, line in read_lines(path):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2:
@@ -466,11 +468,9 @@ class EmbeddingTable:
                 raise CorpusError(f"{path} line {n}: bad decimal") from exc
             if not np.isfinite(vec).all():
                 raise CorpusError(f"{path} line {n}: non-finite decimal")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
+            if vec.size != dimension:
                 raise CorpusError(f"{path} line {n}: vector length {vec.size} != "
-                                  f"{'configured ' if dimension else ''}{dim}")
+                                  f"configured {dimension}")
             if parts[0] in first_line:
                 raise CorpusError(f"{path} line {n}: duplicate token {parts[0]!r} "
                                   f"(first on line {first_line[parts[0]]})")
@@ -481,7 +481,7 @@ class EmbeddingTable:
         unk = vectors.get(UNK_TOKEN)
         if unk is None:
             unk = np.mean(np.stack(list(vectors.values())), axis=0)
-        return cls(dimension=int(dim), vectors=vectors, unk_vector=unk)
+        return cls(dimension=dimension, vectors=vectors, unk_vector=unk)
 
     def lookup(self, token: str) -> np.ndarray:
         return self.vectors.get(token, self.unk_vector)

@@ -170,11 +170,6 @@ def consistency_loss(pred_a: ChangeGrid, example_a: ProcessExample,
                           *consistency_matrices(*pred_b.shape, [(*pred_a.shape, pairs)])).item()
 
 
-def combine_losses(sup: Tensor, con_sum: Tensor, lambda_weight: float) -> Tensor:
-    """lambda*sup + (1-lambda)*con_sum; with lambda=1 this equals sup exactly."""
-    return ad.combine(sup, con_sum, lambda_weight)
-
-
 def batch_loss(params: ModelParams, batch: Batch,
                cfg: TrainingConfig) -> tuple[Tensor, BatchStats]:
     """Differentiable loss for one batch plus its reporting components.
@@ -205,7 +200,7 @@ def batch_loss(params: ModelParams, batch: Batch,
     else:
         # an empty sum still goes through the combined formula, giving lambda*sup
         con_sum = Tensor(0.0)
-    total = combine_losses(sup, con_sum, cfg.lambda_weight)
+    total = ad.combine(sup, con_sum, cfg.lambda_weight)
     return total, BatchStats(sup_loss=sup_value, con_loss=con_sum.item())
 
 
@@ -223,7 +218,7 @@ def _sgd_step(params: ModelParams, lr: float) -> None:
         if t.requires_grad and t.grad is not None:
             t.grad *= lr  # the grad is dropped next, so it holds lr * grad
             t.values -= t.grad
-            t.zero_grad()
+            t.grad = None
 
 
 def _evaluate_split(params: ModelParams, groups: Sequence[TopicGroup],

@@ -68,7 +68,7 @@ def test_criterion_1_gradient_correctness():
         assert stats.con_loss > 0.0, "consistency term must be active for this check"
 
         errors = ad.check_gradients(lambda: st.batch_loss(params, batch, cfg)[0],
-                                    params.tensors, eps=1e-5)
+                                    params.tensors)
         elapsed = time.time() - started
         worst = max(errors.values())
         assert worst <= 1e-4, f"worst relative error {worst:.3e}: {errors}"
@@ -137,7 +137,7 @@ def test_criterion_2_loss_algebra():
         assert stats.sup_loss > 0.2 and stats.switched
         assert loss.item() == stats.sup_loss
 
-        combined = st.training.combine_losses(Tensor(0.1), Tensor(0.2), 0.05)
+        combined = ad.combine(Tensor(0.1), Tensor(0.2), 0.05)
         assert combined.item() == 0.05 * 0.1 + 0.95 * 0.2 == 0.195
 
 

@@ -13,8 +13,8 @@ from statetrack.autodiff import ComputationTape, ContractError, DimensionError, 
 RNG = np.random.default_rng(20240817)
 
 
-def fd_check(build_loss, tensors, tol=1e-6, eps=1e-5):
-    errs = ad.check_gradients(build_loss, tensors, eps=eps)
+def fd_check(build_loss, tensors, tol=1e-6):
+    errs = ad.check_gradients(build_loss, tensors)
     worst = max(errs.values())
     assert worst < tol, f"gradient mismatch: {errs}"
 
@@ -315,7 +315,7 @@ def test_fused_consistency_matches_the_op_chain_bitwise(data):
              rng.dirichlet(np.ones(4), size=member_rows))
     matrices = training.consistency_matrices(steps, width, blocks)
     got = consistency_results(lambda p, m, mats: ad.consistency(p, m, *mats),
-                              training.combine_losses, cells, matrices, lambda_weight)
+                              ad.combine, cells, matrices, lambda_weight)
     want = consistency_results(reference.consistency_sum, reference.combine_losses,
                                cells, matrices, lambda_weight)
     for k, (g, w) in enumerate(zip(got, want)):
@@ -413,11 +413,15 @@ def test_backward_rejects_nonscalar():
         tape.backward(out)
 
 
-def test_backward_rejects_off_tape_loss():
+@pytest.mark.parametrize("source", ["stray", "other-tape"])
+def test_backward_rejects_off_tape_loss(source):
     w = Tensor(np.zeros(3), requires_grad=True)
     with ComputationTape() as tape:
         ad.combine(w, Tensor(np.ones(3)), 0.5)
     stray = Tensor(1.0)
+    if source == "other-tape":
+        with ComputationTape():
+            stray = ad.combine(w, Tensor(np.ones(3)), 0.5)
     with pytest.raises(ContractError):
         tape.backward(stray)
 

@@ -125,6 +125,17 @@ def test_train_rejects_use_unlabeled_with_every_label_kept(tmp_path, gen_dir, ca
     assert not ck.exists()
 
 
+def test_train_config_use_unlabeled_with_label_fraction_flag(tmp_path, gen_dir):
+    # the rule between fields runs once the flags are merged in
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"use_unlabeled": True}))
+    code, _, rep = train_small(tmp_path, gen_dir, "--config", str(cfg_path),
+                               "--label-fraction", "0.33")
+    assert code == 0
+    config = json.loads(rep.read_text())["config"]
+    assert config["use_unlabeled"] is True and config["label_fraction"] == 0.33
+
+
 def test_train_no_consistency_flag(tmp_path, gen_dir):
     code, _, rep = train_small(tmp_path, gen_dir, "--no-consistency")
     assert code == 0
@@ -159,7 +170,9 @@ def test_train_rejects_bad_config_key(tmp_path, capsys):
 @pytest.mark.parametrize("data, flags, message", [
     ({"seed": 1, "bogus": 1}, [], "unknown key 'bogus'"),
     ({"seed": "x"}, ["--seed", "3"], "'seed' must be int, got 'x'"),  # a flag does not hide it
-], ids=["unknown-after-known", "mistyped-under-flag"])
+    ({"epochs": 0}, [], "epochs must be >= 1"),
+    ({"epochs": 0}, ["--epochs", "2"], "epochs must be >= 1"),
+], ids=["unknown-after-known", "mistyped-under-flag", "out-of-range", "out-of-range-under-flag"])
 def test_config_file_is_checked_before_the_flags(tmp_path, gen_dir, capsys, data, flags,
                                                   message):
     cfg_path = tmp_path / "cfg.json"
@@ -214,9 +227,10 @@ def test_train_rejects_mistyped_config_value(tmp_path, gen_dir, capsys, key, val
     assert run_cli("train", "--config", str(cfg_path), "--checkpoint", str(tmp_path / "ck.json"),
                    "--report", str(tmp_path / "r.json")) == cli.EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"'{key}' must be" in err
-    # a non-finite float has the right type: the range checks refuse it after the merge
-    if not (isinstance(value, float) and not math.isfinite(value)):
+    if isinstance(value, float) and not math.isfinite(value):
+        # the right type: the range checks refuse it, before the flags are merged in
+        assert err == f"error: config file {cfg_path}: '{key}' must be finite, got {value!r}\n"
+    else:
         kind = next(f.type for f in dataclasses.fields(cli.RunConfig) if f.name == key)
         assert err == f"error: config file {cfg_path}: '{key}' must be {kind}, got {value!r}\n"
 
@@ -667,8 +681,12 @@ def test_every_json_input_follows_the_same_rules(tmp_path, gen_dir, capsys, bad,
      "is the same file as the corpus"),
     (["eval", "ck.json", "test.jsonl", "--out", "link.jsonl"],
      "is the same file as the corpus"),
+    (["train", "--report", "missing/r.json"], "error: report missing/r.json: no such directory\n"),
+    (["predict", "ck.json", "test.jsonl", "--out", "missing/x.jsonl"],
+     "error: --out missing/x.jsonl: no such directory\n"),
 ], ids=["checkpoint-report", "checkpoint-train", "report-dev", "report-config",
-        "checkpoint-embeddings", "predict-checkpoint", "predict-corpus", "eval-symlink"])
+        "checkpoint-embeddings", "predict-checkpoint", "predict-corpus", "eval-symlink",
+        "report-missing-directory", "predict-missing-directory"])
 def test_output_naming_another_file_of_the_command_is_refused(tmp_path, gen_dir, capsys,
                                                               monkeypatch, argv, message):
     _, ck, _ = train_small(tmp_path, gen_dir)

@@ -355,7 +355,7 @@ def test_demote_full_fraction_is_identity():
 def test_embedding_table_load_and_unk(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("water 1.0 2.0\noxygen 3.0 4.0\n", encoding="utf-8")
-    table = EmbeddingTable.load(path)
+    table = EmbeddingTable.load(path, 2)
     assert table.dimension == 2
     assert np.array_equal(table.lookup("water"), [1.0, 2.0])
     assert np.array_equal(table.lookup("zzz"), [2.0, 3.0])  # mean of all vectors
@@ -366,7 +366,7 @@ def test_embedding_table_unk_line_is_the_unknown_vector(tmp_path):
     # the vocabulary's <unk> row
     path = tmp_path / "emb.txt"
     path.write_text("water 1.0 2.0\n<unk> 9.0 -9.0\noxygen 3.0 4.0\n", encoding="utf-8")
-    table = EmbeddingTable.load(path)
+    table = EmbeddingTable.load(path, 2)
     assert np.array_equal(table.unk_vector, [9.0, -9.0])
     assert np.array_equal(table.lookup("zzz"), [9.0, -9.0])
     vocab = {UNK_TOKEN: 0, "oxygen": 1, "zzz": 2}
@@ -378,7 +378,7 @@ def test_embedding_table_dimension_mismatch(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("a 1.0 2.0\nb 3.0\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="line 2"):
-        EmbeddingTable.load(path)
+        EmbeddingTable.load(path, 2)
     # a given dimension binds the first line too
     with pytest.raises(CorpusError, match=f"{path} line 1: vector length 2 != configured 3"):
         EmbeddingTable.load(path, 3)
@@ -390,7 +390,7 @@ def test_embedding_table_rejects_repeated_token(tmp_path):
     path.write_text("the 1 0\nthe 0 1\nwater 1 1\n", encoding="utf-8")
     with pytest.raises(CorpusError,
                        match=f"{path} line 2: duplicate token 'the' \\(first on line 1\\)"):
-        EmbeddingTable.load(path)
+        EmbeddingTable.load(path, 2)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity", "1e400"])
@@ -398,7 +398,7 @@ def test_embedding_table_rejects_non_finite_values(tmp_path, bad):
     path = tmp_path / "emb.txt"
     path.write_text(f"water 1.0 2.0\nthe {bad} 1.0\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=f"{path} line 2"):
-        EmbeddingTable.load(path)
+        EmbeddingTable.load(path, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +417,15 @@ def test_failed_write_keeps_old_file_and_leaves_no_stray_file(tmp_path):
         corpus.save_examples(path, fails_part_way())
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["split.jsonl"]
+
+
+def test_atomic_open_names_the_target_when_it_cannot_create_a_file(tmp_path):
+    path = tmp_path / "missing" / "out.json"
+    with pytest.raises(FileNotFoundError) as info:
+        with corpus.atomic_open(path):
+            pass
+    assert info.value.filename == str(path)
+    assert os.listdir(tmp_path) == []
 
 
 def test_atomic_open_gives_the_modes_of_open(tmp_path):

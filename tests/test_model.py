@@ -526,7 +526,7 @@ def test_supervised_loss_gradient_matches_fd():
         dists = encode_cells(params, [(ex, range(ex.n_entities))]).dists
         return ad.mean_nll(dists, ex.gold.labels.reshape(-1))
 
-    errs = ad.check_gradients(loss, params.tensors, eps=1e-5)
+    errs = ad.check_gradients(loss, params.tensors)
     assert max(errs.values()) < 1e-4, errs
 
 
