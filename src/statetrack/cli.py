@@ -105,14 +105,20 @@ def _load_scorable(path) -> list[corpus.TopicGroup]:
 
 
 def _check_outputs(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
-    """Refuse an output in a missing directory, or one that resolves to the same
-    file as an input or another output of the command, which writing it would destroy."""
-    taken = {os.path.realpath(path): name for name, path in inputs.items() if path}
+    """Refuse an empty path (None is a path not given); then an output that is a
+    directory, lies in a missing directory, or resolves to the same file as an
+    input or another output of the command, which writing it would destroy."""
+    for name, path in [*inputs.items(), *outputs.items()]:
+        if path == "":
+            raise UsageError(f"{name} path is empty")
+    taken = {os.path.realpath(path): name for name, path in inputs.items() if path is not None}
     for name, path in outputs.items():
-        if path:
+        if path is not None:
             real = os.path.realpath(path)
             if real in taken:
                 raise UsageError(f"{name} {path} is the same file as the {taken[real]}")
+            if os.path.isdir(real):
+                raise UsageError(f"{name} {path} is a directory")
             if not os.path.isdir(os.path.dirname(real)):
                 raise UsageError(f"{name} {path}: no such directory")
             taken[real] = name
@@ -136,22 +142,22 @@ def _write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> None:
     cfg = _build_run_config(args)
-    if not cfg.train:
-        raise UsageError("train corpus path is required (--train or config)")
     _check_outputs({"checkpoint": cfg.checkpoint, "report": cfg.report},
                    {"train corpus": cfg.train, "dev corpus": cfg.dev,
                     "embeddings": cfg.embeddings, "config file": args.config})
+    if cfg.train is None:
+        raise UsageError("train corpus path is required (--train or config)")
     groups = corpus.load_corpus(cfg.train)
-    dev_groups = _load_scorable(cfg.dev) if cfg.dev else []
+    dev_groups = _load_scorable(cfg.dev) if cfg.dev is not None else []
     demoted = 0
     if cfg.label_fraction < 1.0:
         groups, demoted = corpus.demote_labels(
             groups, cfg.label_fraction, seed=cfg.seed,
             reuse_unlabeled=cfg.use_unlabeled)
     embeddings = (corpus.EmbeddingTable.load(cfg.embeddings, cfg.embedding_dim)
-                  if cfg.embeddings else None)
+                  if cfg.embeddings is not None else None)
     result = training.train(groups, cfg, dev=dev_groups, embeddings=embeddings)
 
     model.save_checkpoint(result.params, cfg.checkpoint)
@@ -161,22 +167,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     }
     _write_json(cfg.report, report)
     logger.info("wrote checkpoint %s and report %s", cfg.checkpoint, cfg.report)
-    return EXIT_OK
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace) -> None:
     _check_outputs({"--out": args.out}, {"checkpoint": args.checkpoint, "corpus": args.corpus})
     params = model.load_checkpoint(args.checkpoint)
     with _naming(args.checkpoint):
         metrics, consistency = training._evaluate_split(params, _load_scorable(args.corpus))
     payload = {**metrics.to_json(), **consistency.to_json()}
     print(json.dumps(payload, indent=2))
-    if args.out:
+    if args.out is not None:
         _write_json(args.out, payload)
-    return EXIT_OK
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> None:
     _check_outputs({"--out": args.out}, {"checkpoint": args.checkpoint, "corpus": args.corpus})
     params = model.load_checkpoint(args.checkpoint)
     examples = corpus.load_examples(args.corpus)
@@ -192,10 +196,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
             fh.write(json.dumps(obj, ensure_ascii=False))
             fh.write("\n")
     logger.info("wrote predictions for %d paragraphs to %s", len(examples), args.out)
-    return EXIT_OK
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+def cmd_gen(args: argparse.Namespace) -> None:
+    _check_outputs({}, {"--out-dir": args.out_dir})  # as an input: a directory, maybe not made yet
     sizes = {"train": args.train_topics, "dev": args.dev_topics, "test": args.test_topics}
     for split, count in sizes.items():
         if count < 0:
@@ -220,7 +224,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         offset += count
         corpus.save_examples(out_dir / f"{split}.jsonl", corpus.flatten_groups(split_groups))
         logger.info("wrote %s split: %d topics", split, count)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +300,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        return args.func(args)
-    except UsageError as exc:
+        args.func(args)
+    except (ValueError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return (EXIT_USAGE if isinstance(exc, UsageError) else
+                EXIT_NUMERIC if isinstance(exc, NumericalError) else EXIT_DATA)
     except MemoryError:
         print("error: out of memory; the model size (--hidden, --emb-dim, or a checkpoint's "
               "hidden_size and embedding_dim) or the input may be too large", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return EXIT_OK

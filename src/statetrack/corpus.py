@@ -65,10 +65,6 @@ class Entity:
         return out
 
 
-def normalize_entity(name: str) -> str:
-    return name.strip().lower()
-
-
 @dataclass
 class ChangeGrid:
     """T x E grid of state changes: hard labels or per-cell 4-way distributions."""
@@ -237,17 +233,21 @@ def example_to_json(ex: ProcessExample) -> dict:
     return obj
 
 
-def read_lines(path) -> Iterator[tuple[int, str]]:
-    """The lines of a UTF-8 text file, numbered from 1; a line that is not
-    UTF-8 raises a CorpusError naming the file, the line and the byte."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for n, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:  # an undecodable byte b became U+DC00 + b
-                raise CorpusError(f"{path} line {n}: not UTF-8: "
-                                  f"byte 0x{ord(line[exc.start]) - 0xDC00:02x}") from None
-            yield n, line
+def _decode(data: bytes, where: str, error: type[Exception]) -> str:
+    """`data` decoded as UTF-8; a byte that is not UTF-8 raises `error` naming
+    `where` and the byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{where}: not UTF-8: byte 0x{data[exc.start]:02x}") from None
+
+
+def read_lines(path) -> Iterator[tuple[int, bytes]]:
+    """The lines of a file, with their ends and numbered from 1, for the caller
+    to `_decode`.  A line ends where text mode ends one, at \\n, \\r or \\r\\n,
+    and nowhere else."""
+    with open(path, "rb") as fh:
+        return enumerate(fh.read().splitlines(keepends=True), start=1)
 
 
 # an escaped backslash, a surrogate pair, or (group 1) a surrogate escape outside a pair
@@ -256,8 +256,8 @@ _ESCAPE = re.compile(r"\\(?:\\|u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]
 
 def read_json(text: str | bytes, where: str, error: type[Exception],
               aliases: Mapping[str, str] = types.MappingProxyType({})) -> dict:
-    """The JSON object in `text`, a whole file's bytes or a line `read_lines`
-    decoded, under I-JSON's rules (RFC 7493): UTF-8, no key twice in one
+    """The JSON object in `text`, a whole file's bytes or a decoded corpus
+    line, under I-JSON's rules (RFC 7493): UTF-8, no key twice in one
     object, no lone surrogate.  A key and its name in `aliases` are one key.
     Any other document, or one nested past the recursion limit, raises
     `error` naming `where`.  NaN and Infinity parse, for the callers' checks
@@ -271,12 +271,10 @@ def read_json(text: str | bytes, where: str, error: type[Exception],
             obj[name] = value
         return obj
 
+    if isinstance(text, bytes):
+        text = _decode(text, where, error)
     try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
         obj = json.loads(text, object_pairs_hook=pairs_hook)
-    except UnicodeDecodeError as exc:
-        raise error(f"{where}: not UTF-8: byte 0x{exc.object[exc.start]:02x}") from None
     except json.JSONDecodeError as exc:
         raise error(f"{where}: invalid JSON: {exc.msg}") from None
     except RecursionError:
@@ -324,13 +322,14 @@ def load_examples(path) -> list[ProcessExample]:
     """Parse a JSONL corpus file, in file order; paragraph ids must be unique."""
     out = []
     first_line: dict[str, int] = {}
-    for n, line in read_lines(path):
+    for n, data in read_lines(path):
+        where = f"{path} line {n}"
+        line = _decode(data, where, CorpusError)  # first, so Unicode whitespace is blank
         if not line.strip():
             continue
-        where = f"{path} line {n}"
         ex = _parse_example(read_json(line, where, CorpusError), where)
         if ex.id in first_line:
-            raise CorpusError(f"{path} line {n}: duplicate paragraph id {ex.id!r} "
+            raise CorpusError(f"{where}: duplicate paragraph id {ex.id!r} "
                               f"(first on line {first_line[ex.id]})")
         first_line[ex.id] = n
         out.append(ex)
@@ -425,17 +424,11 @@ def shared_entities(a: ProcessExample, b: ProcessExample) -> list[tuple[int, int
 
     No synonym matching: "CO2" and "carbon dioxide" never align.
     """
-    b_index: dict[str, int] = {}
-    for j, ent in enumerate(b.entities):
-        b_index.setdefault(normalize_entity(ent.name), j)
-    pairs = []
-    seen: set[str] = set()
-    for i, ent in enumerate(a.entities):
-        key = normalize_entity(ent.name)
-        if key in b_index and key not in seen:
-            seen.add(key)
-            pairs.append((i, b_index[key]))
-    return pairs
+    first_a, first_b = {}, {}
+    for first, ex in ((first_a, a), (first_b, b)):
+        for i, ent in enumerate(ex.entities):
+            first.setdefault(ent.name.strip().lower(), i)
+    return [(i, first_b[key]) for key, i in first_a.items() if key in first_b]
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +451,9 @@ class EmbeddingTable:
         """
         vectors: dict[str, np.ndarray] = {}
         first_line: dict[str, int] = {}
-        for n, line in read_lines(path):
-            parts = line.rstrip("\n").split(" ")
+        for n, data in read_lines(path):
+            line = _decode(data, f"{path} line {n}", CorpusError)
+            parts = line.rstrip("\r\n").split(" ")
             if len(parts) < 2:
                 raise CorpusError(f"{path} line {n}: expected token plus decimals")
             try:

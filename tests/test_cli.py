@@ -2,10 +2,15 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import statetrack
 from statetrack import cli, corpus, evaluation, model, training
 
 
@@ -704,3 +709,87 @@ def test_output_naming_another_file_of_the_command_is_refused(tmp_path, gen_dir,
     assert run_cli(*argv) == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def _input_read(*args, **kwargs):
+    raise AssertionError("an input was read")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["train", "--train", ""], "train corpus path is empty"),
+    (["train", "--dev", ""], "dev corpus path is empty"),
+    (["train", "--embeddings", ""], "embeddings path is empty"),
+    (["train", "--config", ""], "config file path is empty"),
+    (["train", "--checkpoint", ""], "checkpoint path is empty"),
+    (["train", "--report", ""], "report path is empty"),
+    (["train", "--config", "dev-empty.json"], "dev corpus path is empty"),
+    (["train", "--config", "checkpoint-empty.json"], "checkpoint path is empty"),
+    (["train", "--checkpoint", "adir"], "checkpoint adir is a directory"),
+    (["train", "--report", "adir"], "report adir is a directory"),
+    (["eval", "", "test.jsonl"], "checkpoint path is empty"),
+    (["eval", "ck.json", ""], "corpus path is empty"),
+    (["eval", "ck.json", "test.jsonl", "--out", ""], "--out path is empty"),
+    (["eval", "ck.json", "test.jsonl", "--out", "adir"], "--out adir is a directory"),
+    (["predict", "", "test.jsonl", "--out", "p.jsonl"], "checkpoint path is empty"),
+    (["predict", "ck.json", "", "--out", "p.jsonl"], "corpus path is empty"),
+    (["predict", "ck.json", "test.jsonl", "--out", ""], "--out path is empty"),
+    (["predict", "ck.json", "test.jsonl", "--out", "adir"], "--out adir is a directory"),
+    (["predict", "ck.json", "test.jsonl", "--out", "alink"], "--out alink is a directory"),
+    (["gen", "--out-dir", ""], "--out-dir path is empty"),
+], ids=["train-train", "train-dev", "train-embeddings", "train-config", "train-checkpoint",
+        "train-report", "config-dev", "config-checkpoint", "train-checkpoint-dir",
+        "train-report-dir", "eval-checkpoint", "eval-corpus", "eval-out", "eval-out-dir",
+        "predict-checkpoint", "predict-corpus", "predict-out", "predict-out-dir",
+        "predict-out-dir-link", "gen-out-dir"])
+def test_empty_path_or_directory_output_is_refused_before_any_input_is_read(
+        tmp_path, gen_dir, capsys, monkeypatch, argv, line):
+    """An empty path, from a flag, an argument or a config file, and an output
+    that is a directory (or a link to one) end in one usage error naming the
+    flag or field, before any input is read and with no file made or changed."""
+    train_small(tmp_path, gen_dir)
+    for split in ("train", "dev", "test"):
+        (tmp_path / f"{split}.jsonl").write_bytes((gen_dir / f"{split}.jsonl").read_bytes())
+    (tmp_path / "dev-empty.json").write_text('{"dev": ""}')
+    (tmp_path / "checkpoint-empty.json").write_text('{"checkpoint": ""}')
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "adir" / "kept").write_text("kept\n")
+    (tmp_path / "alink").symlink_to(tmp_path / "adir")
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "train":
+        argv = [*argv, "--epochs", "1", "--hidden", "4", "--emb-dim", "4"]
+        if "--train" not in argv:
+            argv += ["--train", "train.jsonl"]
+    monkeypatch.setattr(corpus, "read_lines", _input_read)
+    monkeypatch.setattr(model, "load_checkpoint", _input_read)
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    assert run_cli(*argv) == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert [e for e in captured.err.splitlines() if e.startswith("error:")] == [f"error: {line}"]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
+def test_the_package_runs_as_a_program(tmp_path):
+    """`python -m statetrack`, as a shell starts it: the exit status, and a
+    failure as one error line with no traceback."""
+    env = {**os.environ, "PYTHONPATH": str(Path(statetrack.__file__).parent.parent)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "statetrack", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = run("gen", "--out-dir", "d", "--train-topics", "1", "--dev-topics", "0",
+               "--test-topics", "1", "--paragraphs", "1")
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+        "dev.jsonl", "test.jsonl", "train.jsonl"]
+    assert (tmp_path / "d" / "test.jsonl").read_text().count("\n") == 1
+    missing = run("predict", "missing.json", "d/test.jsonl", "--out", "p.jsonl")
+    assert missing.returncode == cli.EXIT_DATA
+    assert [e for e in missing.stderr.splitlines() if e.startswith("error:")] == [
+        "error: [Errno 2] No such file or directory: 'missing.json'"]
+    assert "Traceback" not in missing.stderr and not (tmp_path / "p.jsonl").exists()
+    usage = run("train", "--epochs", "1")
+    assert usage.returncode == cli.EXIT_USAGE
+    assert usage.stderr == "error: train corpus path is required (--train or config)\n"

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import inspect
 import io
 import json
@@ -8,6 +9,7 @@ import stat
 import threading
 from pathlib import Path
 
+import alignment_reference
 import corpus_reference
 import generator_reference
 import numpy as np
@@ -220,6 +222,24 @@ def test_shared_entities_case_and_space_insensitive():
     assert shared_entities(a, b) == [(0, 0)]
 
 
+# a few names, each in several cases and paddings, so that lists repeat a name
+# under its variants as well as verbatim
+ENTITY_NAMES = hst.builds(
+    lambda base, case, pad: pad[0] + case(base) + pad[1],
+    hst.sampled_from(["water", "oxygen", "carbon dioxide", "Straße", "İ", ""]),
+    hst.sampled_from([str, str.upper, str.title, str.lower]),
+    hst.sampled_from([("", ""), (" ", ""), ("", "  "), ("\t", "\n"), ("\u2003", "")]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hst.lists(ENTITY_NAMES, max_size=6), hst.lists(ENTITY_NAMES, max_size=6))
+def test_shared_entities_matches_the_reference(names_a, names_b):
+    a, b = (ProcessExample(id="p", topic="t", steps=(("w",),), verbs=(),
+                           entities=tuple(Entity(name=n, mentions=()) for n in names))
+            for names in (names_a, names_b))
+    assert shared_entities(a, b) == alignment_reference.shared_entities(a, b)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 
@@ -399,6 +419,61 @@ def test_embedding_table_rejects_non_finite_values(tmp_path, bad):
     path.write_text(f"water 1.0 2.0\nthe {bad} 1.0\n", encoding="utf-8")
     with pytest.raises(CorpusError, match=f"{path} line 2"):
         EmbeddingTable.load(path, 2)
+
+
+LINE_ENDS = {"lf": b"\n", "crlf": b"\r\n", "cr": b"\r"}
+
+
+def write_lines(path, lines: list[str], end: bytes, bad_line: int | None = None):
+    """Write `lines` as UTF-8 with `end` after each; a 0xff byte opens line `bad_line`."""
+    data = [line.encode("utf-8") for line in lines]
+    if bad_line is not None:
+        data[bad_line - 1] = b"\xff" + data[bad_line - 1]
+    path.write_bytes(b"".join(line + end for line in data))
+    return path
+
+
+def test_corpus_and_embeddings_load_alike_with_every_line_end(tmp_path):
+    """LF, CRLF and lone-CR files load to equal results; a line splits at
+    those ends only, not at the other characters `str.splitlines` splits at."""
+    examples = corpus.flatten_groups(generate_synthetic(seed=4, topics=2, paragraphs_per_topic=2,
+                                                        noise=0.2))
+    examples[0] = dataclasses.replace(examples[0], entities=(
+        Entity(name="a\u2028b\x85c\x1cd", mentions=examples[0].entities[0].mentions),
+        *examples[0].entities[1:]))
+    lines = [json.dumps(corpus.example_to_json(ex), ensure_ascii=False) for ex in examples]
+    lines[1:1] = ["", " \u2003\t"]  # blank lines, skipped
+    vectors = ["water 1.0 2.0", "x\x0by\u2028z\x85\x1c 3.0 4.0", "<unk> 0.5 -0.5"]
+    loaded = []
+    for name, end in LINE_ENDS.items():
+        got = corpus.load_examples(write_lines(tmp_path / f"{name}.jsonl", lines, end))
+        table = EmbeddingTable.load(write_lines(tmp_path / f"{name}.txt", vectors, end), 2)
+        loaded.append(([corpus.example_to_json(ex) for ex in got],
+                       {token: v.tolist() for token, v in table.vectors.items()},
+                       table.unk_vector.tolist()))
+    assert loaded[0][0] == [corpus.example_to_json(ex) for ex in examples]
+    assert list(loaded[0][1]) == ["water", "x\x0by\u2028z\x85\x1c", "<unk>"]
+    assert loaded[1] == loaded[0] and loaded[2] == loaded[0]
+
+
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS.keys())
+def test_a_faulty_line_is_named_alike_with_every_line_end(tmp_path, end):
+    """A 0xff byte on line 3 is reported on line 3; an unterminated string
+    reads the same whatever ends its line, since the parser sees the end."""
+    examples = generate_synthetic(seed=4, topics=2, paragraphs_per_topic=2, noise=0.2)
+    lines = [json.dumps(corpus.example_to_json(ex)) for ex in corpus.flatten_groups(examples)]
+    path = write_lines(tmp_path / "c.jsonl", lines, end, bad_line=3)
+    with pytest.raises(CorpusError) as info:
+        corpus.load_examples(path)
+    assert str(info.value) == f"{path} line 3: not UTF-8: byte 0xff"
+    path = write_lines(tmp_path / "c.jsonl", [lines[0], '{"id": "p'], end)
+    with pytest.raises(CorpusError) as info:
+        corpus.load_examples(path)
+    assert str(info.value) == f"{path} line 2: invalid JSON: Invalid control character at"
+    path = write_lines(tmp_path / "emb.txt", ["a 1.0", "b 2.0", "c 3.0"], end, bad_line=3)
+    with pytest.raises(CorpusError) as info:
+        EmbeddingTable.load(path, 1)
+    assert str(info.value) == f"{path} line 3: not UTF-8: byte 0xff"
 
 
 # ---------------------------------------------------------------------------
