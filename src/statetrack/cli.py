@@ -213,16 +213,21 @@ def cmd_gen(args: argparse.Namespace) -> None:
         raise UsageError(f"--paragraphs must be >= 1, got {args.paragraphs}")
     if not 0.0 <= args.noise <= 1.0:  # also rejects NaN
         raise UsageError(f"--noise must lie in [0, 1], got {args.noise}")
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out-dir {args.out_dir}: {exc.strerror}") from exc
+    paths = {split: out_dir / f"{split}.jsonl" for split in sizes}
+    _check_outputs({f"{split} split": str(path) for split, path in paths.items()}, {})
     groups = corpus.generate_synthetic(seed=args.seed, topics=total,
                                        paragraphs_per_topic=args.paragraphs,
                                        noise=args.noise)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     offset = 0
     for split, count in sizes.items():
         split_groups = groups[offset:offset + count]
         offset += count
-        corpus.save_examples(out_dir / f"{split}.jsonl", corpus.flatten_groups(split_groups))
+        corpus.save_examples(paths[split], corpus.flatten_groups(split_groups))
         logger.info("wrote %s split: %d topics", split, count)
 
 

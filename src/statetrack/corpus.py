@@ -172,17 +172,22 @@ class TopicGroup:
 
 _CHANGE_INDEX = {name: i for i, name in enumerate(CHANGE_NAMES)}
 _INT_ROWS, _STR_ROWS = list[list[int]], list[list[str]]
+_ECHO_CHARS = 80  # the most characters of a mistyped value's repr an error echoes
 
 
 def _get(container: dict, key: str, where: str, expected: str, spec,
          length: int | None = None):
     """`container[key]` if present and matching `spec`, in rows of `length`
-    items when given, else a CorpusError."""
+    items when given, else a CorpusError echoing at most _ECHO_CHARS
+    characters of the value's repr, then "..."."""
     if key not in container:
         raise CorpusError(f"{where}: missing field {key!r}")
     value = container[key]
     if not matches(value, spec) or length is not None and set(map(len, value)) - {length}:
-        raise CorpusError(f"{where}: field {key!r} must be {expected}, got {value!r}")
+        got = repr(value)
+        if len(got) > _ECHO_CHARS:
+            got = got[:_ECHO_CHARS] + "..."
+        raise CorpusError(f"{where}: field {key!r} must be {expected}, got {got}")
     return value
 
 

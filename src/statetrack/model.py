@@ -45,12 +45,16 @@ class NumericalError(RuntimeError):
 class ModelParams:
     """The vocabulary plus every `param_layout` tensor by name, in layout order.
 
-    The sizes and the embedding's freezing are read off the tensors themselves:
-    a frozen embedding is one that takes no gradient.
+    Every tensor's values are a view of `flat`, one vector in layout order,
+    and every trainable tensor's home (see `autodiff.Tensor`) is the same
+    view of `grads`.  The sizes and the embedding's freezing are read off the
+    tensors themselves: a frozen embedding is one that takes no gradient.
     """
 
     vocab: dict[str, int]
     tensors: dict[str, Tensor]
+    flat: np.ndarray
+    grads: np.ndarray
 
     @property
     def hidden_size(self) -> int:
@@ -66,7 +70,7 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return _assemble(dict(self.vocab), self.embedding_frozen,
-                         {name: t.values.copy() for name, t in self.tensors.items()})
+                         {name: t.values for name, t in self.tensors.items()})
 
 
 def param_layout(vocab_size: int, embedding_dim: int,
@@ -99,10 +103,19 @@ def check_sizes(hidden_size: int, embedding_dim: int) -> None:
 
 def _assemble(vocab: dict[str, int], embedding_frozen: bool,
               arrays: dict[str, np.ndarray]) -> ModelParams:
-    """ModelParams from the named arrays of `param_layout`; a frozen embedding gets no gradient."""
-    return ModelParams(vocab, {
-        name: Tensor(a, requires_grad=not (name == "embedding" and embedding_frozen))
-        for name, a in arrays.items()})
+    """ModelParams from the named arrays of `param_layout`, copied into one
+    vector in order; a frozen embedding gets no gradient, and so no home."""
+    flat = np.concatenate([a.reshape(-1) for a in arrays.values()], dtype=np.float64)
+    grads = np.zeros(flat.size)
+    tensors, start = {}, 0
+    for name, a in arrays.items():
+        end = start + a.size
+        t = tensors[name] = Tensor(flat[start:end].reshape(a.shape),
+                                   requires_grad=not (name == "embedding" and embedding_frozen))
+        if t.requires_grad:
+            t.home = grads[start:end].reshape(a.shape)
+        start = end
+    return ModelParams(vocab, tensors, flat, grads)
 
 
 def build_vocab(groups: Iterable[TopicGroup]) -> dict[str, int]:

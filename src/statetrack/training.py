@@ -214,11 +214,17 @@ class TrainResult:
 
 
 def _sgd_step(params: ModelParams, lr: float) -> None:
+    """values -= lr * grad for every trainable tensor, as three operations over
+    the trainable range of the gradient vector; every trainable grad is dropped.
+    A frozen embedding comes first in the layout, so the range leaves it out."""
     for t in params.tensors.values():
-        if t.requires_grad and t.grad is not None:
-            t.grad *= lr  # the grad is dropped next, so it holds lr * grad
-            t.values -= t.grad
-            t.grad = None
+        if t.requires_grad:
+            t.move_grad_home()
+    start = params.tensors["embedding"].size if params.embedding_frozen else 0
+    grads = params.grads[start:]
+    grads *= lr  # zeroed next, so it holds lr * grad
+    params.flat[start:] -= grads
+    grads[...] = 0.0
 
 
 def _evaluate_split(params: ModelParams, groups: Sequence[TopicGroup],

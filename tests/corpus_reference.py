@@ -29,7 +29,9 @@ def _parse_example(obj: dict, where: str) -> ProcessExample:
         if key not in container:
             raise CorpusError(f"{where}: missing field {key!r}")
         if not ok(container[key]):
-            raise CorpusError(f"{where}: field {key!r} must be {expected}, got {container[key]!r}")
+            got = repr(container[key])  # echoed up to 80 characters, then "..."
+            got = got if len(got) <= 80 else got[:80] + "..."
+            raise CorpusError(f"{where}: field {key!r} must be {expected}, got {got}")
         return container[key]
 
     def is_str(value) -> bool:

@@ -87,6 +87,23 @@ def test_gen_rejects_bad_sizes_and_noise_as_usage_error(tmp_path, capsys, flags,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out_dir, line", [
+    ("d", "test split d/test.jsonl is a directory"),
+    ("afile", "--out-dir afile: File exists"),
+    ("afile/sub", "--out-dir afile/sub: Not a directory"),
+], ids=["split-is-a-directory", "out-dir-is-a-file", "out-dir-under-a-file"])
+def test_gen_refuses_bad_outputs_before_generating(tmp_path, capsys, monkeypatch, out_dir, line):
+    (tmp_path / "d" / "test.jsonl").mkdir(parents=True)
+    (tmp_path / "d" / "train.jsonl").write_text("kept\n")
+    (tmp_path / "afile").write_text("kept\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(corpus, "generate_synthetic", _input_read)
+    before = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    assert run_cli("gen", "--out-dir", out_dir) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -107,6 +124,31 @@ def test_train_is_reproducible(tmp_path, gen_dir):
     _, ck2, rep2 = train_small(tmp_path / "r2", gen_dir)
     assert ck1.read_bytes() == ck2.read_bytes()
     assert json.loads(rep1.read_text())["epochs"] == json.loads(rep2.read_text())["epochs"]
+
+
+# the benchmark's corpus and model settings (perfbench/inputs.py and run.py)
+BENCH_GEN = ["--train-topics", "10", "--dev-topics", "3", "--test-topics", "3",
+             "--paragraphs", "3", "--noise", "0.15"]
+BENCH_MODEL = ["--lr", "0.5", "--hidden", "8", "--emb-dim", "16", "--seed", "1"]
+
+
+@pytest.mark.parametrize("flags", [["--no-consistency"],
+                                   ["--label-fraction", "0.33", "--use-unlabeled"]],
+                         ids=["supervised", "semi"])
+def test_train_repeats_in_one_process_after_a_run_on_other_data(tmp_path, flags):
+    """Many `train` commands in one interpreter, as the benchmark runs them: a
+    run on another corpus of the same shapes in between, which reuses every
+    kept `bilstm` workspace, leaves the next run's outputs unchanged."""
+    for seed in ("42", "43"):
+        assert run_cli("gen", "--out-dir", str(tmp_path / seed), "--seed", seed, *BENCH_GEN) == 0
+    outputs = []
+    for seed in ("42", "43", "42"):
+        ck, rep = tmp_path / f"ck{seed}.json", tmp_path / f"report{seed}.json"
+        assert run_cli("train", "--train", str(tmp_path / seed / "train.jsonl"),
+                       "--dev", str(tmp_path / seed / "dev.jsonl"), "--checkpoint", str(ck),
+                       "--report", str(rep), "--epochs", "3", *BENCH_MODEL, *flags) == 0
+        outputs.append((ck.read_bytes(), rep.read_bytes()))
+    assert outputs[2] == outputs[0] != outputs[1]
 
 
 def test_train_label_fraction_demotes(tmp_path, gen_dir):

@@ -98,6 +98,21 @@ def test_malformed_record_names_file_and_line(tmp_path, field, value, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize("value, got", [
+    (5, "5"),
+    (["a", "b"], "['a', 'b']"),
+    (["abcdefghij"] * 400, repr(["abcdefghij"] * 400)[:corpus._ECHO_CHARS] + "..."),
+], ids=["int", "short-list", "long-list"])
+def test_mistyped_field_echoes_its_value_up_to_a_cap(tmp_path, value, got):
+    bad = corpus.example_to_json(make_example(id="bad"))
+    bad["id"] = value
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as info:
+        corpus.load_examples(path)
+    assert str(info.value) == f"{path} line 1: field 'id' must be a string, got {got}"
+
+
 def test_duplicate_paragraph_id_rejected(tmp_path):
     examples = [make_example(id="p0"), make_example(id="p1"), make_example(id="p0")]
     path = write_corpus(tmp_path / "c.jsonl", examples)

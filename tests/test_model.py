@@ -14,8 +14,8 @@ from hypothesis import strategies as hst
 from probe import weighted_sum
 from statetrack import autodiff as ad
 from statetrack import cli, model, training
-from statetrack.corpus import (ChangeGrid, CorpusError, Entity, ProcessExample, TopicGroup,
-                               generate_synthetic)
+from statetrack.corpus import (ChangeGrid, CorpusError, EmbeddingTable, Entity, ProcessExample,
+                               TopicGroup, generate_synthetic)
 from statetrack.model import (CheckpointError, build_vocab, init_params,
                               load_checkpoint, plan_cells, predict_grid,
                               predict_grids, run_cells, save_checkpoint)
@@ -617,6 +617,58 @@ def test_predict_grids_check_each_chunk_once_and_return_views(monkeypatch, cell,
         predict_grids(params, examples)
     with pytest.raises(CorpusError, match=message):
         ChangeGrid.from_dists(np.array([[cell]]))
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter vector
+
+@pytest.mark.parametrize("source", ["init", "copy", "checkpoint"])
+def test_every_tensor_views_one_vector_in_layout_order_and_owns_a_disjoint_home(tmp_path,
+                                                                                source):
+    params = tiny_params(tiny_example())
+    if source == "copy":
+        params = params.copy()
+    elif source == "checkpoint":
+        save_checkpoint(params, tmp_path / "ck.json")
+        params = load_checkpoint(tmp_path / "ck.json")
+    layout = model.param_layout(len(params.vocab), params.embedding_dim, params.hidden_size)
+    assert list(params.tensors) == [name for name, _, _ in layout]
+    start = 0
+    for name, shape, _ in layout:
+        t = params.tensors[name]
+        assert t.shape == t.home.shape == shape, name
+        assert t.values.base is params.flat and t.home.base is params.grads, name
+        assert t.values.ctypes.data - params.flat.ctypes.data == 8 * start, name
+        assert t.home.ctypes.data - params.grads.ctypes.data == 8 * start, name
+        start += t.size
+    assert start == params.flat.size == params.grads.size
+    assert not params.grads.any()
+    homes = [t.home for t in params.tensors.values()]
+    for i, home in enumerate(homes):
+        assert not np.shares_memory(home, params.flat)
+        assert not any(np.shares_memory(home, other) for other in homes[i + 1:])
+
+
+def test_a_frozen_embedding_views_the_vector_but_has_no_home():
+    ex = tiny_example()
+    vocab = build_vocab([TopicGroup(topic="t", labeled=[ex])])
+    table = EmbeddingTable(4, {"water": np.ones(4)}, np.zeros(4))
+    params = init_params(vocab, 4, 4, seed=1, embeddings=table)
+    embedding = params.tensors["embedding"]
+    assert embedding.values.base is params.flat and embedding.home is None
+    assert all(t.home is not None for t in params.tensors.values() if t is not embedding)
+
+
+def test_copy_shares_no_memory_with_the_original():
+    params = tiny_params(tiny_example())
+    twin = params.copy()
+    assert twin.flat.tobytes() == params.flat.tobytes()
+
+    def arrays(p):
+        return [p.flat, p.grads, *(t.values for t in p.tensors.values()),
+                *(t.home for t in p.tensors.values())]
+
+    assert not any(np.shares_memory(a, b) for a in arrays(twin) for b in arrays(params))
 
 
 # ---------------------------------------------------------------------------

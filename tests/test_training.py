@@ -3,14 +3,15 @@ import math
 
 import numpy as np
 import pytest
+import sgd_reference
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from statetrack import autodiff as ad
 from statetrack import model, training
 from statetrack.autodiff import ComputationTape, Tensor
-from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, StateChange,
-                               TopicGroup, demote_labels, generate_synthetic)
+from statetrack.corpus import (ChangeGrid, EmbeddingTable, Entity, ProcessExample,
+                               StateChange, TopicGroup, demote_labels, generate_synthetic)
 from statetrack.training import (NumericalError, TrainingConfig,
                                  batch_loss, consistency_loss,
                                  make_batches, summarize, train)
@@ -415,6 +416,44 @@ def test_sgd_step_is_bitwise_values_minus_lr_times_grad(lr):
             assert t.grad is None, name
     assert embedding.values.tobytes() == frozen[0].tobytes()
     assert embedding.grad.tobytes() == frozen[1].tobytes()
+
+
+def test_sgd_step_drops_every_grad_and_zeroes_the_gradient_vector():
+    # the homes must hold zeros again, or the next batch's gradient would add to this one's
+    params, tape, loss = engaged_batch_loss()
+    tape.backward(loss)
+    params.tensors["dec_b"].grad = np.ones(params.tensors["dec_b"].shape)  # a grad outside its home
+    assert params.grads.any()
+    training._sgd_step(params, 0.5)
+    assert all(t.grad is None for t in params.tensors.values())
+    assert not params.grads.any()
+
+
+@pytest.mark.parametrize("setting", ["engaged", "frozen-embeddings", "supervised"])
+def test_train_ends_in_the_weights_of_the_per_tensor_step(monkeypatch, setting):
+    """Three epochs through the flat-vector step and the homes end in the same
+    bits as through `sgd_reference`'s per-tensor step and fresh adjoints: with
+    the consistency term engaged (two encoder passes of shared weights a
+    batch), with a frozen embedding table left out of the step, and without
+    consistency."""
+    groups = generate_synthetic(seed=4, topics=4, paragraphs_per_topic=3, noise=0.15)
+    train_groups, dev = groups[:3], groups[3:]
+    cfg = TrainingConfig(epochs=3, seed=2, hidden_size=4, embedding_dim=4, learning_rate=0.5,
+                         sup_threshold=100.0, consistency_enabled=setting != "supervised")
+    embeddings = None
+    if setting == "frozen-embeddings":
+        rng = np.random.default_rng(3)
+        vocab = model.build_vocab(train_groups)
+        embeddings = EmbeddingTable(4, {tok: rng.normal(size=4) for tok in list(vocab)[1::2]},
+                                    rng.normal(size=4))
+    got = train(train_groups, cfg, dev=dev, embeddings=embeddings)
+    with sgd_reference.installed(monkeypatch):
+        want = train(train_groups, cfg, dev=dev, embeddings=embeddings)
+    assert got.report == want.report
+    assert got.params.flat.tobytes() == want.params.flat.tobytes()
+    assert got.params.embedding_frozen == (setting == "frozen-embeddings")
+    engaged = [e["mean_con_loss"] > 0.0 for e in got.report["epochs"]]
+    assert all(engaged) if setting != "supervised" else not any(engaged)
 
 
 @pytest.mark.parametrize("consistency_enabled", [True, False])
