@@ -87,9 +87,6 @@ class _Node:
 class _TapeState(threading.local):
     current: "ComputationTape | None" = None
 
-    def __init__(self):
-        self.workspaces: dict[tuple[int, ...], list[_Workspace]] = {}  # by bilstm shape
-
 
 _STATE = _TapeState()
 
@@ -103,7 +100,6 @@ class ComputationTape:
 
     def __init__(self):
         self.nodes: list[_Node] = []
-        self.claims: list[tuple[_Workspace, int]] = []  # each bilstm workspace and its claim
         self._outer: ComputationTape | None = None
 
     def __enter__(self) -> "ComputationTape":
@@ -120,17 +116,12 @@ class ComputationTape:
 
         Repeated calls without clearing leaf grads accumulate additively.  A
         leaf without a grad is handed its home, or else its adjoint buffer,
-        which no other tensor shares.  After a later tape's `bilstm` call
-        reused a workspace of this tape, backward raises ContractError
-        before touching any gradient.
+        which no other tensor shares.
         """
         if loss.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {list(loss.shape)}")
         if not any(node.out is loss for node in self.nodes):
             raise ContractError("backward() loss was not produced on this tape")
-        if any(ws.claims != claim for ws, claim in self.claims):
-            raise ContractError("backward() after a later tape's bilstm call of the same shape "
-                                "overwrote this tape's activations")
 
         adjoints: dict[Tensor, np.ndarray] = {}  # Tensor has no __eq__: keyed by identity
 
@@ -212,69 +203,6 @@ _GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5]).reshape(4, 1, 1, 1)
 _GATE_SCALE.flags.writeable = False
 
 
-class _Workspace:
-    """`bilstm`'s buffers for one shape, with the per-step views of both of its
-    loops built once.
-
-    A step's activations are gate-major rows of [dirs, cells, hd], ordered
-    (g, c_prev, i, f, spare, o) so that backward's factors p = (g, c_prev, i)
-    and q = (i, f, 1 - g^2, o) are windows of rows; the gates are computed in
-    place over rows 2 to 5, the spare row holding tanh(z_g) until g is copied
-    out.  A taped call's workspace keeps every step's rows, plus a last entry
-    for the final cell state, and backward's scratch; an untaped call's
-    alternates two entries and has no backward part.  `claims` counts the
-    taped calls that have run in it.
-    """
-
-    def __init__(self, dirs: int, steps: int, cells: int, hd: int, taped: bool):
-        kept = steps if taped else 1
-        self.acts = acts = np.empty((kept + 1, 6, dirs, cells, hd))
-        acts[0, 1] = 0.0  # the zero initial cell state, which a taped call never overwrites
-        self.tcs = tcs = np.empty((kept, dirs, cells, hd))  # tanh(c)
-        self.z = np.empty((dirs, cells, 4 * hd))
-        self.z4 = self.z.reshape(dirs, cells, 4, hd)
-        self.h0 = np.zeros((dirs, cells, hd))
-        gates_in = acts[:, 2:].transpose(0, 2, 3, 1, 4)  # (i, f, g, o) rows, in the inputs' layout
-        # step tau runs in entry tau % (kept + 1): (gate inputs, gates, g, spare,
-        # c_prev, i, f, o, c, tanh(c))
-        entries = [(gates_in[j], a[2:], a[0], a[4], a[1], a[2], a[3], a[5],
-                    acts[(j + 1) % (kept + 1), 1], tcs[j % kept])
-                   for j, a in enumerate(acts[:min(steps, kept + 1)])]
-        self.forward = [entries[tau % (kept + 1)] for tau in range(steps)]
-        self.claims = 0
-        if not taped:
-            return
-        a = acts[:steps]
-        self.r = np.empty((steps, 4, dirs, cells, hd))  # (1 - i, 1 - f, 1, 1 - o)
-        self.u = np.empty((steps, dirs, cells, hd))  # 1 - tanh(c)^2
-        self.dz = np.empty((steps, dirs, cells, 4 * hd))  # each step's dz, in the inputs' layout
-        self.dzg = np.empty((4, dirs, cells, hd))
-        self.dw = np.empty((dirs, steps - 1, hd, 4 * hd))
-        self.dz_next = self.dz[1:].transpose(1, 0, 2, 3)
-        dz_gates = self.dz.reshape(steps, dirs, cells, 4, hd).transpose(0, 3, 1, 2, 4)
-        # backward's steps in reverse: (tau, o, 1 - tanh(c)^2, p, tanh(c), q, r,
-        # dz by gate, dz, f)
-        self.backward = [(tau, a[tau, 5], self.u[tau], a[tau, :3], tcs[tau], a[tau, 2:],
-                          self.r[tau], dz_gates[tau], self.dz[tau], a[tau, 3])
-                         for tau in reversed(range(steps))]
-        self.dw_steps = [(k, self.dw[k, tau]) for tau in reversed(range(steps - 1))
-                         for k in range(dirs)]
-
-
-def _claim(tape: ComputationTape, key: tuple[int, int, int, int]) -> _Workspace:
-    """A kept workspace of shape `key` that no other call on `tape` holds, built
-    on first need; from now on the backward of a tape that held it raises."""
-    held = [ws for ws, _ in tape.claims]
-    kept = _STATE.workspaces.setdefault(key, [])
-    ws = next((ws for ws in kept if ws not in held), None)
-    if ws is None:
-        ws = _Workspace(*key, taped=True)
-        kept.append(ws)
-    ws.claims += 1
-    tape.claims.append((ws, ws.claims))
-    return ws
-
-
 def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
     """Both directions of a BiLSTM over every time step, as one tape node.
 
@@ -283,12 +211,10 @@ def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
     order [input, forget, cell, output]; recurrent: one [h, 4h] weight per
     direction.  The directions run stacked, each from a zero state.
     Returns the hidden states as [directions * steps * cells, h], row
-    k * steps * cells + tau * cells + c, in a new array.  With no tape
-    active no gate activations are kept; with one, the forward keeps them in
-    time-major slabs whose every per-step slice is contiguous, and backward
-    is backpropagation through time.  The slabs live in a workspace kept
-    per thread for later taped calls of the same shape; a later tape's
-    call that reuses it makes this tape's backward raise ContractError.
+    k * steps * cells + tau * cells + c.  With no tape active no gate
+    activations are kept; with one, the forward keeps them in time-major
+    slabs whose every per-step slice is contiguous, and backward is
+    backpropagation through time.
     """
     dirs = len(recurrent)
     hd = recurrent[0].shape[0] if dirs else 0
@@ -300,61 +226,77 @@ def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
     steps = inputs.shape[1] // cells
     x = inputs.values.reshape(dirs, steps, cells, 4, hd)
     w = np.array([r.values for r in recurrent])
-    tape = _STATE.current
-    ws = (_Workspace(dirs, steps, cells, hd, taped=False) if tape is None
-          else _claim(tape, (dirs, steps, cells, hd)))
     hs = np.empty((dirs, steps, cells, hd))
-    z, z4, h = ws.z, ws.z4, ws.h0
-    for xt, ht, (gates_in, gates, g, spare, c_prev, i, f, o, c, tc) in zip(
-            x.transpose(1, 0, 2, 3, 4), hs.transpose(1, 0, 2, 3), ws.forward):
+    # a step's activations are gate-major rows of [dirs, cells, hd], ordered
+    # (g, c_prev, i, f, spare, o) so that backward's factors p = (g, c_prev, i)
+    # and q = (i, f, 1 - g^2, o) are windows of rows; the gates are computed in
+    # place over rows 2 to 5, the spare row holding tanh(z_g) until g is copied
+    # out.  Under a tape every step keeps its rows, plus a last entry for the
+    # final cell state; without one, two entries alternate.
+    kept = steps if _STATE.current is not None else 1
+    acts = np.empty((kept + 1, 6, dirs, cells, hd))
+    acts[0, 1] = 0.0  # the zero initial cell state
+    tcs = np.empty((kept, dirs, cells, hd))  # tanh(c)
+    gates_in = acts[:, 2:].transpose(0, 2, 3, 1, 4)  # (i, f, g, o) rows, in the inputs' layout
+    z = np.empty((dirs, cells, 4 * hd))
+    z4 = z.reshape(dirs, cells, 4, hd)
+    h = np.zeros((dirs, cells, hd))
+    for tau in range(steps):
+        j = tau % (kept + 1)
+        a, c, tc = acts[j], acts[(tau + 1) % (kept + 1), 1], tcs[tau % kept]
+        gates = a[2:]
         np.matmul(h, w, out=z)
-        np.add(z4, xt, out=gates_in)
+        np.add(z4, x[:, tau], out=gates_in[j])
         gates *= _GATE_SCALE
         np.tanh(gates, out=gates)
-        g[...] = spare
+        a[0] = a[4]
         gates += 1.0
         gates *= 0.5
-        np.multiply(f, c_prev, out=c)
-        c += i * g
+        np.multiply(a[3], a[1], out=c)
+        c += a[2] * a[0]
         np.tanh(c, out=tc)
-        h = np.multiply(o, tc, out=ht)
+        h = np.multiply(a[5], tc, out=hs[:, tau])
     out = Tensor(hs.reshape(-1, hd))
 
     def fn(grad, get_adj):
         grad = grad.reshape(dirs, steps, cells, hd)
-        a, r, u, dzg = ws.acts[:steps], ws.r, ws.u, ws.dzg
+        a = acts[:steps]
+        g, f, o = a[:, 0], a[:, 3], a[:, 5]
         # every factor of dz = (((dc|dc|dc|gh) * p) * q) * r, for all steps at
-        # once, in the step form's multiplication order: p = (g, c_prev, i)
-        # plus tanh(c) for the output gate's gh, q = (i, f, 1 - g^2, o) and
-        # r = (1 - i, 1 - f, 1, 1 - o); the spare row is rewritten on every
-        # backward, so repeated backward calls agree
-        np.multiply(a[:, 0], a[:, 0], out=a[:, 4])
+        # once, in the step form's multiplication order: p = (g, c_prev, i) =
+        # a[:, :3] plus tanh(c) for the output gate's gh, q = (i, f, 1 - g^2, o)
+        # = a[:, 2:] and r = (1 - i, 1 - f, 1, 1 - o); the spare row is
+        # rewritten on every backward, so repeated backward calls agree
+        np.multiply(g, g, out=a[:, 4])
         np.subtract(1.0, a[:, 4], out=a[:, 4])
-        np.subtract(1.0, a[:, 2:], out=r)
+        r = np.subtract(1.0, a[:, 2:])
         r[:, 2] = 1.0
-        np.multiply(ws.tcs, ws.tcs, out=u)
-        np.subtract(1.0, u, out=u)
-        dzg_p, dzg_h = dzg[:3], dzg[3]
+        u = np.multiply(tcs, tcs)
+        np.subtract(1.0, u, out=u)  # 1 - tanh(c)^2
+        # each step's dz, in the inputs' gate layout
+        dz = np.empty((steps, dirs, cells, 4 * hd))
+        dz_gates = dz.reshape(steps, dirs, cells, 4, hd).transpose(0, 3, 1, 2, 4)
+        dzg = np.empty((4, dirs, cells, hd))
         w_t = w.transpose(0, 2, 1)
         dh = gc = 0.0
-        for gt, (tau, o, u_t, p, tc, q, r_t, dz_gates, dz, f) in zip(
-                grad.transpose(1, 0, 2, 3)[::-1], ws.backward):
-            gh = gt + dh
-            dc = gc + gh * o * u_t
-            np.multiply(dc, p, out=dzg_p)
-            np.multiply(gh, tc, out=dzg_h)
-            dzg *= q
-            np.multiply(dzg, r_t, out=dz_gates)
+        for tau in reversed(range(steps)):
+            gh = grad[:, tau] + dh
+            dc = gc + gh * o[tau] * u[tau]
+            np.multiply(dc, a[tau, :3], out=dzg[:3])
+            np.multiply(gh, tcs[tau], out=dzg[3])
+            dzg *= a[tau, 2:]
+            np.multiply(dzg, r[tau], out=dz_gates[tau])
             if tau:  # the zero initial state takes no gradient
-                dh, gc = dz @ w_t, dc * f
-        get_adj(inputs).reshape(dirs, steps, cells, 4 * hd)[...] += ws.dz.transpose(1, 0, 2, 3)
+                dh, gc = dz[tau] @ w_t, dc * f[tau]
+        get_adj(inputs).reshape(dirs, steps, cells, 4 * hd)[...] += dz.transpose(1, 0, 2, 3)
         # h_prev^T dz of every step as one matmul, added into the adjoint step
         # by step in reverse: a local sum would round differently once another
         # call's gradient is in the buffer
-        np.matmul(hs[:, :-1].transpose(0, 1, 3, 2), ws.dz_next, out=ws.dw)
+        dw = hs[:, :-1].transpose(0, 1, 3, 2) @ dz[1:].transpose(1, 0, 2, 3)
         w_adj = [get_adj(wh) for wh in recurrent]
-        for k, dw in ws.dw_steps:
-            w_adj[k] += dw
+        for tau in reversed(range(steps - 1)):
+            for k in range(dirs):
+                w_adj[k] += dw[k, tau]
 
     return _record(out, fn)
 

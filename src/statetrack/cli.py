@@ -216,7 +216,7 @@ def cmd_gen(args: argparse.Namespace) -> None:
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (FileExistsError, NotADirectoryError) as exc:  # a file where a directory must be
         raise UsageError(f"--out-dir {args.out_dir}: {exc.strerror}") from exc
     paths = {split: out_dir / f"{split}.jsonl" for split in sizes}
     _check_outputs({f"{split} split": str(path) for split, path in paths.items()}, {})

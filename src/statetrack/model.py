@@ -47,7 +47,8 @@ class ModelParams:
 
     Every tensor's values are a view of `flat`, one vector in layout order,
     and every trainable tensor's home (see `autodiff.Tensor`) is the same
-    view of `grads`.  The sizes and the embedding's freezing are read off the
+    view of `grads`; `trainable` is the range of both that the trainable
+    tensors fill.  The sizes and the embedding's freezing are read off the
     tensors themselves: a frozen embedding is one that takes no gradient.
     """
 
@@ -55,6 +56,7 @@ class ModelParams:
     tensors: dict[str, Tensor]
     flat: np.ndarray
     grads: np.ndarray
+    trainable: slice
 
     @property
     def hidden_size(self) -> int:
@@ -104,7 +106,8 @@ def check_sizes(hidden_size: int, embedding_dim: int) -> None:
 def _assemble(vocab: dict[str, int], embedding_frozen: bool,
               arrays: dict[str, np.ndarray]) -> ModelParams:
     """ModelParams from the named arrays of `param_layout`, copied into one
-    vector in order; a frozen embedding gets no gradient, and so no home."""
+    vector in order; a frozen embedding gets no gradient, and so no home, and
+    since it comes first the trainable tensors fill the rest of the vector."""
     flat = np.concatenate([a.reshape(-1) for a in arrays.values()], dtype=np.float64)
     grads = np.zeros(flat.size)
     tensors, start = {}, 0
@@ -115,7 +118,8 @@ def _assemble(vocab: dict[str, int], embedding_frozen: bool,
         if t.requires_grad:
             t.home = grads[start:end].reshape(a.shape)
         start = end
-    return ModelParams(vocab, tensors, flat, grads)
+    trainable = slice(arrays["embedding"].size if embedding_frozen else 0, None)
+    return ModelParams(vocab, tensors, flat, grads, trainable)
 
 
 def build_vocab(groups: Iterable[TopicGroup]) -> dict[str, int]:

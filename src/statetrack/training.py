@@ -215,15 +215,13 @@ class TrainResult:
 
 def _sgd_step(params: ModelParams, lr: float) -> None:
     """values -= lr * grad for every trainable tensor, as three operations over
-    the trainable range of the gradient vector; every trainable grad is dropped.
-    A frozen embedding comes first in the layout, so the range leaves it out."""
+    the trainable range of the gradient vector; every trainable grad is dropped."""
     for t in params.tensors.values():
         if t.requires_grad:
             t.move_grad_home()
-    start = params.tensors["embedding"].size if params.embedding_frozen else 0
-    grads = params.grads[start:]
+    grads = params.grads[params.trainable]
     grads *= lr  # zeroed next, so it holds lr * grad
-    params.flat[start:] -= grads
+    params.flat[params.trainable] -= grads
     grads[...] = 0.0
 
 

@@ -103,79 +103,7 @@ def test_bilstm_directions_are_independent():
 
 
 # ---------------------------------------------------------------------------
-# bilstm workspaces and gradient homes
-
-def test_same_shape_taped_calls_on_one_tape_each_keep_their_own_workspace():
-    """Two taped calls of one shape on one tape, as an engaged batch's primary
-    and member passes can be, give the gradients of calls on fresh tapes,
-    also after earlier tapes used the kept workspaces; a shape keeps as many
-    workspaces as one tape has calls of it, however many tapes ran."""
-    xs = RNG.normal(size=(2, 1, 5 * 7, 4))
-    whs = RNG.normal(size=(2, 1, 1, 4))
-    rs = RNG.normal(size=(2, 5 * 7, 1))
-
-    def grads(bilstm, tapes):
-        out = []
-        for calls in tapes:
-            x = [Tensor(xs[i], requires_grad=True) for i in calls]
-            w = [[Tensor(v, requires_grad=True) for v in whs[i]] for i in calls]
-            with ComputationTape() as tape:
-                losses = [weighted_sum(bilstm(xk, wk, 7), Tensor(rs[i]))
-                          for xk, wk, i in zip(x, w, calls)]
-            for loss, xk, wk in zip(losses, x, w):
-                tape.backward(loss)  # reaches this call's node only
-                out += [xk.grad, *(t.grad for t in wk)]
-        return out
-
-    got = grads(ad.bilstm, [[0, 1], [0, 1], [1, 0]])
-    want = grads(step_form_bilstm, [[0], [1], [0], [1], [1], [0]])
-    assert len(got) == len(want) == 12
-    for k, (g, w) in enumerate(zip(got, want)):
-        assert g.tobytes() == w.tobytes(), k
-    assert len(ad._STATE.workspaces[(1, 5, 7, 1)]) == 2
-
-
-def test_untaped_calls_keep_no_workspace():
-    before = {key: list(kept) for key, kept in ad._STATE.workspaces.items()}
-    for cells in (1, 9):
-        ad.bilstm(Tensor(RNG.normal(size=(1, 3 * cells, 8))), [Tensor(RNG.normal(size=(2, 8)))],
-                  cells)
-    assert ad._STATE.workspaces == before
-
-
-def test_backward_after_a_later_tape_reused_the_workspace_raises_before_any_gradient():
-    x, y = (Tensor(RNG.normal(size=(2, 6, 8)), requires_grad=True),
-            Tensor(RNG.normal(size=(12, 2)), requires_grad=True))
-    whs = [Tensor(RNG.normal(size=(2, 8)), requires_grad=True) for _ in range(2)]
-    leaves = (x, y, *whs)
-    for t in leaves:
-        t.home = np.zeros(t.shape)
-    with ComputationTape() as old:
-        # y's gradient is written before the bilstm node is reached
-        loss = weighted_sum(ad.combine(ad.bilstm(x, whs, 3), y, 0.5),
-                            Tensor(RNG.normal(size=(12, 2))))
-    with ComputationTape() as later:
-        states = ad.bilstm(Tensor(RNG.normal(size=(2, 6, 8))), whs, 3)
-        later_loss = weighted_sum(states, Tensor(np.ones((12, 2))))
-    with pytest.raises(ContractError, match="overwrote this tape's activations"):
-        old.backward(loss)
-    assert all(t.grad is None and not t.home.any() for t in leaves)
-    later.backward(later_loss)
-    assert all(t.grad is t.home for t in whs)
-
-
-def test_returned_states_never_alias_a_workspace():
-    whs = [Tensor(RNG.normal(size=(2, 8))) for _ in range(2)]
-    xs = [Tensor(RNG.normal(size=(2, 6, 8))) for _ in range(3)]
-    untaped = ad.bilstm(xs[0], whs, 3)
-    with ComputationTape():
-        taped = ad.bilstm(xs[1], whs, 3)
-    kept = [untaped.values.tobytes(), taped.values.tobytes()]
-    ad.bilstm(xs[2], whs, 3)
-    with ComputationTape():
-        ad.bilstm(xs[2], whs, 3)
-    assert [untaped.values.tobytes(), taped.values.tobytes()] == kept
-
+# gradient homes
 
 def test_a_leaf_is_handed_its_home_once_and_dropping_that_grad_zeroes_it():
     w = Tensor(RNG.normal(size=5), requires_grad=True)

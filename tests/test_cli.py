@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -104,6 +105,20 @@ def test_gen_refuses_bad_outputs_before_generating(tmp_path, capsys, monkeypatch
     assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
+@pytest.mark.parametrize("err", [errno.EACCES, errno.EROFS, errno.ENOSPC],
+                         ids=["EACCES", "EROFS", "ENOSPC"])
+def test_gen_out_dir_failing_in_its_environment_exits_2(tmp_path, capsys, monkeypatch, err):
+    """Only a file where the directory must be is a usage error; a directory
+    that cannot be made exits 2, as any command's environment failure does."""
+    def mkdir(path, *args, **kwargs):
+        raise OSError(err, os.strerror(err), str(path))
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    monkeypatch.setattr(corpus, "generate_synthetic", _input_read)
+    assert run_cli("gen", "--out-dir", str(tmp_path / "new")) == cli.EXIT_DATA
+    assert os.strerror(err) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -137,8 +152,8 @@ BENCH_MODEL = ["--lr", "0.5", "--hidden", "8", "--emb-dim", "16", "--seed", "1"]
                          ids=["supervised", "semi"])
 def test_train_repeats_in_one_process_after_a_run_on_other_data(tmp_path, flags):
     """Many `train` commands in one interpreter, as the benchmark runs them: a
-    run on another corpus of the same shapes in between, which reuses every
-    kept `bilstm` workspace, leaves the next run's outputs unchanged."""
+    run on another corpus of the same shapes in between leaves the next run's
+    outputs unchanged."""
     for seed in ("42", "43"):
         assert run_cli("gen", "--out-dir", str(tmp_path / seed), "--seed", seed, *BENCH_GEN) == 0
     outputs = []

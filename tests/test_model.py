@@ -659,6 +659,20 @@ def test_a_frozen_embedding_views_the_vector_but_has_no_home():
     assert all(t.home is not None for t in params.tensors.values() if t is not embedding)
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
+def test_the_trainable_range_is_exactly_the_homes(frozen):
+    ex = tiny_example()
+    vocab = build_vocab([TopicGroup(topic="t", labeled=[ex])])
+    table = EmbeddingTable(4, {"water": np.ones(4)}, np.zeros(4)) if frozen else None
+    params = init_params(vocab, 4, 4, seed=1, embeddings=table)
+    params.grads[...] = 0.0
+    for t in params.tensors.values():
+        if t.home is not None:
+            t.home[...] = 1.0
+    assert params.grads[params.trainable].all()
+    assert params.grads.sum() == params.grads[params.trainable].size
+
+
 def test_copy_shares_no_memory_with_the_original():
     params = tiny_params(tiny_example())
     twin = params.copy()
