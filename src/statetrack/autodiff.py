@@ -28,36 +28,18 @@ class Tensor:
 
     Leaves created with ``requires_grad=True`` receive gradients from
     :meth:`ComputationTape.backward`; everything else is treated as a
-    constant or an intermediate.  A leaf may be given a `home`, a zeroed
-    array of its shape that backward hands it as its first gradient instead
-    of a new one; the home holds zeros whenever it is not the grad, so
-    dropping a grad that is its home zeroes it again.
+    constant or an intermediate.  Backward adds into a leaf's existing grad
+    in place, so a grad may be a view of a larger array (a parameter's slice
+    of `ModelParams.grads`): zero a grad in place, and never replace the
+    grad of a tensor whose grad is such a view.
     """
 
-    __slots__ = ("values", "requires_grad", "home", "_grad")
+    __slots__ = ("values", "requires_grad", "grad")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = requires_grad
-        self.home: np.ndarray | None = None
-        self._grad: np.ndarray | None = None
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self._grad
-
-    @grad.setter
-    def grad(self, grad: np.ndarray | None) -> None:
-        if self._grad is not None and self._grad is self.home and grad is not self.home:
-            self.home.fill(0.0)
-        self._grad = grad
-
-    def move_grad_home(self) -> None:
-        """Leave the gradient in the home, zeros if there is none, and drop the
-        grad, for an update over many homes at once; the caller zeroes the home."""
-        if self._grad is not None and self._grad is not self.home:
-            self.home[...] = self._grad
-        self._grad = None
+        self.grad: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -114,9 +96,9 @@ class ComputationTape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every requires_grad leaf.
 
-        Repeated calls without clearing leaf grads accumulate additively.  A
-        leaf without a grad is handed its home, or else its adjoint buffer,
-        which no other tensor shares.
+        Repeated calls without zeroing leaf grads accumulate additively: a
+        leaf's adjoint is its grad, added into in place; a leaf without a grad
+        is given a new zeroed one, which no other tensor shares.
         """
         if loss.size != 1:
             raise ContractError(f"backward() needs a scalar loss, got shape {list(loss.shape)}")
@@ -127,11 +109,10 @@ class ComputationTape:
 
         def get_adj(t: Tensor) -> np.ndarray:
             buf = adjoints.get(t)
-            if buf is None:
-                if t.home is not None and t._grad is None and t.requires_grad:
-                    buf = adjoints[t] = t.home  # all zeros until now
-                else:
-                    buf = adjoints[t] = np.zeros(t.shape)  # float64, as every Tensor is
+            if buf is None:  # new buffers are float64, as every Tensor is
+                if t.requires_grad and t.grad is None:
+                    t.grad = np.zeros(t.shape)
+                buf = adjoints[t] = t.grad if t.requires_grad else np.zeros(t.shape)
             return buf
 
         get_adj(loss)[...] = 1.0
@@ -139,13 +120,6 @@ class ComputationTape:
             g = adjoints.get(node.out)
             if g is not None:
                 node.backward_fn(g, get_adj)
-
-        for t, buf in adjoints.items():
-            if t.requires_grad:
-                if t._grad is None:
-                    t._grad = buf
-                else:
-                    t._grad += buf
 
 
 def _record(out: Tensor, backward_fn) -> Tensor:
@@ -480,7 +454,8 @@ def check_gradients(build_loss: Callable[[], Tensor],
     for the finite differences.
     """
     for t in tensors.values():
-        t.grad = None
+        if t.grad is not None:
+            t.grad[...] = 0.0
     with ComputationTape() as tape:
         loss = build_loss()
     tape.backward(loss)

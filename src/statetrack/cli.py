@@ -70,10 +70,11 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
         # checked before the flags are merged in, so that the error names the file
         name = corpus.mismatch(raw, {key: _TYPES[key] for key in raw if key in _TYPES})
         if name is not None and name not in _TYPES:
-            raise UsageError(f"{where}: unknown key {name!r}")
+            raise UsageError(f"{where}: unknown key {corpus.echo(repr(name))}")
         if name is not None:
             kind = next(f.type for f in dataclasses.fields(RunConfig) if f.name == name)
-            raise UsageError(f"{where}: {name!r} must be {kind}, got {raw[name]!r}")
+            raise UsageError(
+                f"{where}: {name!r} must be {kind}, got {corpus.echo(repr(raw[name]))}")
         for name, value in raw.items():
             setattr(cfg, name, value)
         try:

@@ -131,27 +131,28 @@ class ProcessExample:
         lengths = [len(sent) for sent in self.steps]
         n = len(lengths)
         if n < 1:
-            raise CorpusError(f"example {self.id}: needs at least one step")
+            raise CorpusError(f"example {echo(self.id)}: needs at least one step")
         if self.n_entities < 1:
-            raise CorpusError(f"example {self.id}: needs at least one entity")
+            raise CorpusError(f"example {echo(self.id)}: needs at least one entity")
         if 0 in lengths:
-            raise CorpusError(f"example {self.id}: step {lengths.index(0)} is empty")
+            raise CorpusError(f"example {echo(self.id)}: step {lengths.index(0)} is empty")
         for ent in self.entities:
             for s, a, b in ent.mentions:
                 if not (0 <= s < n and 0 <= a < b <= lengths[s]):
                     raise CorpusError(
-                        f"example {self.id}: mention {[s, a, b]} of '{ent.name}' "
+                        f"example {echo(self.id)}: mention {[s, a, b]} of '{echo(ent.name)}' "
                         f"outside its sentence")
         for s, i in self.verbs:
             if not (0 <= s < n and 0 <= i < lengths[s]):
-                raise CorpusError(f"example {self.id}: verb index {[s, i]} outside its sentence")
+                raise CorpusError(
+                    f"example {echo(self.id)}: verb index {[s, i]} outside its sentence")
         if self.gold is not None:
             if not self.gold.is_hard:
-                raise CorpusError(f"example {self.id}: gold grid must hold hard labels")
+                raise CorpusError(f"example {echo(self.id)}: gold grid must hold hard labels")
             if self.gold.shape != (self.n_steps, self.n_entities):
                 raise CorpusError(
-                    f"example {self.id}: gold grid shape {list(self.gold.shape)} does not match "
-                    f"{self.n_steps} steps x {self.n_entities} entities")
+                    f"example {echo(self.id)}: gold grid shape {list(self.gold.shape)} does not "
+                    f"match {self.n_steps} steps x {self.n_entities} entities")
 
 
 @dataclass
@@ -172,22 +173,25 @@ class TopicGroup:
 
 _CHANGE_INDEX = {name: i for i, name in enumerate(CHANGE_NAMES)}
 _INT_ROWS, _STR_ROWS = list[list[int]], list[list[str]]
-_ECHO_CHARS = 80  # the most characters of a mistyped value's repr an error echoes
+_ECHO_CHARS = 80  # the most characters of an input value an error echoes
+
+
+def echo(value: object) -> str:
+    """str(value) for an error message, cut after _ECHO_CHARS characters with
+    "..." appended, so that no value read from a file makes a long message."""
+    text = str(value)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
 
 
 def _get(container: dict, key: str, where: str, expected: str, spec,
          length: int | None = None):
     """`container[key]` if present and matching `spec`, in rows of `length`
-    items when given, else a CorpusError echoing at most _ECHO_CHARS
-    characters of the value's repr, then "..."."""
+    items when given, else a CorpusError `echo`ing the value's repr."""
     if key not in container:
         raise CorpusError(f"{where}: missing field {key!r}")
     value = container[key]
     if not matches(value, spec) or length is not None and set(map(len, value)) - {length}:
-        got = repr(value)
-        if len(got) > _ECHO_CHARS:
-            got = got[:_ECHO_CHARS] + "..."
-        raise CorpusError(f"{where}: field {key!r} must be {expected}, got {got}")
+        raise CorpusError(f"{where}: field {key!r} must be {expected}, got {echo(repr(value))}")
     return value
 
 
@@ -205,7 +209,7 @@ def _parse_example(obj: dict, where: str) -> ProcessExample:
             labels = [_CHANGE_INDEX[label] for row in rows for label in row]
         except KeyError:
             unknown = sorted(set(chain.from_iterable(rows)) - _CHANGE_INDEX.keys())
-            raise CorpusError(f"{where}: unknown state change {unknown[0]!r}") from None
+            raise CorpusError(f"{where}: unknown state change {echo(repr(unknown[0]))}") from None
         gold = ChangeGrid(labels=np.array(labels, dtype=np.int64).reshape(len(rows), n))
     ex = ProcessExample(
         id=_get(obj, "id", where, "a string", str),
@@ -272,7 +276,8 @@ def read_json(text: str | bytes, where: str, error: type[Exception],
         for key, value in pairs:
             name = aliases.get(key, key)
             if name in obj:
-                raise error(f"{where}: key {key!r} sets {name!r} a second time")
+                raise error(f"{where}: key {echo(repr(key))} sets {echo(repr(name))} "
+                            f"a second time")
             obj[name] = value
         return obj
 
@@ -334,7 +339,7 @@ def load_examples(path) -> list[ProcessExample]:
             continue
         ex = _parse_example(read_json(line, where, CorpusError), where)
         if ex.id in first_line:
-            raise CorpusError(f"{where}: duplicate paragraph id {ex.id!r} "
+            raise CorpusError(f"{where}: duplicate paragraph id {echo(repr(ex.id))} "
                               f"(first on line {first_line[ex.id]})")
         first_line[ex.id] = n
         out.append(ex)
@@ -471,7 +476,7 @@ class EmbeddingTable:
                 raise CorpusError(f"{path} line {n}: vector length {vec.size} != "
                                   f"configured {dimension}")
             if parts[0] in first_line:
-                raise CorpusError(f"{path} line {n}: duplicate token {parts[0]!r} "
+                raise CorpusError(f"{path} line {n}: duplicate token {echo(repr(parts[0]))} "
                                   f"(first on line {first_line[parts[0]]})")
             first_line[parts[0]] = n
             vectors[parts[0]] = vec

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import (N_CHANGES, UNK_TOKEN, ChangeGrid, EmbeddingTable, ProcessExample,
-                     TopicGroup, atomic_open, matches, mismatch, read_json)
+                     TopicGroup, atomic_open, echo, matches, mismatch, read_json)
 
 CHECKPOINT_VERSION = 1
 
@@ -46,10 +46,12 @@ class ModelParams:
     """The vocabulary plus every `param_layout` tensor by name, in layout order.
 
     Every tensor's values are a view of `flat`, one vector in layout order,
-    and every trainable tensor's home (see `autodiff.Tensor`) is the same
-    view of `grads`; `trainable` is the range of both that the trainable
-    tensors fill.  The sizes and the embedding's freezing are read off the
-    tensors themselves: a frozen embedding is one that takes no gradient.
+    and every trainable tensor's grad is the same view of `grads`;
+    `trainable` is the range of both that the trainable tensors fill.  Zero
+    a grad in place and never replace one: a tensor whose grad no longer
+    views `grads` drops out of the training step.  The sizes and the
+    embedding's freezing are read off the tensors themselves: a frozen
+    embedding is one that takes no gradient.
     """
 
     vocab: dict[str, int]
@@ -98,16 +100,16 @@ def param_layout(vocab_size: int, embedding_dim: int,
 def check_sizes(hidden_size: int, embedding_dim: int) -> None:
     """The model's size rules: hidden_size splits evenly over the two directions."""
     if hidden_size < 2 or hidden_size % 2 != 0:
-        raise ValueError(f"hidden_size must be a positive even integer, got {hidden_size}")
+        raise ValueError(f"hidden_size must be a positive even integer, got {echo(hidden_size)}")
     if embedding_dim < 1:
-        raise ValueError(f"embedding_dim must be >= 1, got {embedding_dim}")
+        raise ValueError(f"embedding_dim must be >= 1, got {echo(embedding_dim)}")
 
 
 def _assemble(vocab: dict[str, int], embedding_frozen: bool,
               arrays: dict[str, np.ndarray]) -> ModelParams:
     """ModelParams from the named arrays of `param_layout`, copied into one
-    vector in order; a frozen embedding gets no gradient, and so no home, and
-    since it comes first the trainable tensors fill the rest of the vector."""
+    vector in order, with zeroed grads viewing a second one; a frozen embedding
+    has no grad, and since it comes first the trainable tensors fill the rest."""
     flat = np.concatenate([a.reshape(-1) for a in arrays.values()], dtype=np.float64)
     grads = np.zeros(flat.size)
     tensors, start = {}, 0
@@ -116,7 +118,7 @@ def _assemble(vocab: dict[str, int], embedding_frozen: bool,
         t = tensors[name] = Tensor(flat[start:end].reshape(a.shape),
                                    requires_grad=not (name == "embedding" and embedding_frozen))
         if t.requires_grad:
-            t.home = grads[start:end].reshape(a.shape)
+            t.grad = grads[start:end].reshape(a.shape)
         start = end
     trainable = slice(arrays["embedding"].size if embedding_frozen else 0, None)
     return ModelParams(vocab, tensors, flat, grads, trainable)
@@ -320,9 +322,10 @@ def load_checkpoint(path) -> ModelParams:
         payload = read_json(fh.read(), str(path), CheckpointError)
     key = mismatch(payload, _CHECKPOINT)
     if key is not None and key not in _CHECKPOINT:
-        raise CheckpointError(f"{path}: unknown field '{key}'")
+        raise CheckpointError(f"{path}: unknown field '{echo(key)}'")
     if key == "version":
-        raise CheckpointError(f"{path}: unsupported checkpoint version {payload.get(key)!r}")
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {echo(repr(payload.get(key)))}")
     if key is not None:
         raise CheckpointError(f"{path}: field '{key}' must be {_CHECKPOINT[key].__name__}, "
                               f"got {type(payload.get(key)).__name__}")
@@ -335,7 +338,7 @@ def load_checkpoint(path) -> ModelParams:
     vocab = {tok: i for i, tok in enumerate(payload["vocab"])}
     if len(vocab) != len(payload["vocab"]):
         repeated = next(tok for i, tok in enumerate(payload["vocab"]) if vocab[tok] != i)
-        raise CheckpointError(f"{path}: vocab lists token {repeated!r} twice")
+        raise CheckpointError(f"{path}: vocab lists token {echo(repr(repeated))} twice")
     raw = payload["tensors"]
 
     arrays = {}
@@ -346,11 +349,11 @@ def load_checkpoint(path) -> ModelParams:
             raise CheckpointError(f"{path}: tensor '{name}' is missing or not an object")
         key = mismatch(entry, _TENSOR)
         if key is not None and key not in _TENSOR:
-            raise CheckpointError(f"{path}: tensor '{name}' has unknown field '{key}'")
+            raise CheckpointError(f"{path}: tensor '{name}' has unknown field '{echo(key)}'")
         got, values = entry.get("shape"), entry.get("values")
         if key == "shape" or tuple(got) != shape:
             raise CheckpointError(
-                f"{path}: tensor '{name}' has shape {got}, expected {list(shape)}")
+                f"{path}: tensor '{name}' has shape {echo(got)}, expected {list(shape)}")
         if key == "values":
             raise CheckpointError(f"{path}: tensor '{name}' values must be a list of numbers")
         if len(values) != int(np.prod(shape)):
@@ -364,5 +367,5 @@ def load_checkpoint(path) -> ModelParams:
         arrays[name] = values.reshape(shape)
     for name in raw:
         if name not in arrays:
-            raise CheckpointError(f"{path}: unknown tensor '{name}'")
+            raise CheckpointError(f"{path}: unknown tensor '{echo(name)}'")
     return _assemble(vocab, payload["embedding_frozen"], arrays)

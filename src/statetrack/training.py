@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import evaluation, model
 from .autodiff import ComputationTape, Tensor
 from .corpus import (N_CHANGES, ChangeGrid, EmbeddingTable, ProcessExample, TopicGroup,
-                     flatten_groups, shared_entities)
+                     echo, flatten_groups, shared_entities)
 from .model import ModelParams, NumericalError
 
 logger = logging.getLogger(__name__)
@@ -55,7 +55,7 @@ class TrainingConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed must be >= 0, got {echo(self.seed)}")
         model.check_sizes(self.hidden_size, self.embedding_dim)
 
 
@@ -215,10 +215,7 @@ class TrainResult:
 
 def _sgd_step(params: ModelParams, lr: float) -> None:
     """values -= lr * grad for every trainable tensor, as three operations over
-    the trainable range of the gradient vector; every trainable grad is dropped."""
-    for t in params.tensors.values():
-        if t.requires_grad:
-            t.move_grad_home()
+    the trainable range of the gradient vector; every trainable grad is zeroed."""
     grads = params.grads[params.trainable]
     grads *= lr  # zeroed next, so it holds lr * grad
     params.flat[params.trainable] -= grads

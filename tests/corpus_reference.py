@@ -24,14 +24,19 @@ def _is_rows(value, item: type, length: int | None = None) -> bool:
             and set(map(type, chain.from_iterable(value))) <= {item})
 
 
+def _echo(value) -> str:
+    """str(value) echoed up to 80 characters, then "..."."""
+    text = str(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _parse_example(obj: dict, where: str) -> ProcessExample:
     def get(container: dict, key: str, ok, expected: str):
         if key not in container:
             raise CorpusError(f"{where}: missing field {key!r}")
         if not ok(container[key]):
-            got = repr(container[key])  # echoed up to 80 characters, then "..."
-            got = got if len(got) <= 80 else got[:80] + "..."
-            raise CorpusError(f"{where}: field {key!r} must be {expected}, got {got}")
+            raise CorpusError(
+                f"{where}: field {key!r} must be {expected}, got {_echo(repr(container[key]))}")
         return container[key]
 
     def is_str(value) -> bool:
@@ -48,7 +53,7 @@ def _parse_example(obj: dict, where: str) -> ProcessExample:
                    f"a list of rows of {len(entities)} labels")
         labels = list(chain.from_iterable(rows))
         if unknown := sorted(set(labels) - set(CHANGE_NAMES)):
-            raise CorpusError(f"{where}: unknown state change {unknown[0]!r}")
+            raise CorpusError(f"{where}: unknown state change {_echo(repr(unknown[0]))}")
         gold = ChangeGrid.from_labels(np.array([CHANGE_NAMES.index(label) for label in labels],
                                                dtype=np.int64).reshape(len(rows), len(entities)))
     ex = ProcessExample(
@@ -70,25 +75,26 @@ def _parse_example(obj: dict, where: str) -> ProcessExample:
 
 def validate(self: ProcessExample) -> None:
     if self.n_steps < 1:
-        raise CorpusError(f"example {self.id}: needs at least one step")
+        raise CorpusError(f"example {_echo(self.id)}: needs at least one step")
     if self.n_entities < 1:
-        raise CorpusError(f"example {self.id}: needs at least one entity")
+        raise CorpusError(f"example {_echo(self.id)}: needs at least one entity")
     for t, sent in enumerate(self.steps):
         if len(sent) < 1:
-            raise CorpusError(f"example {self.id}: step {t} is empty")
+            raise CorpusError(f"example {_echo(self.id)}: step {t} is empty")
     for ent in self.entities:
         for s, a, b in ent.mentions:
             if not (0 <= s < self.n_steps) or not (0 <= a < b <= len(self.steps[s])):
                 raise CorpusError(
-                    f"example {self.id}: mention {[s, a, b]} of '{ent.name}' "
+                    f"example {_echo(self.id)}: mention {[s, a, b]} of '{_echo(ent.name)}' "
                     f"outside its sentence")
     for s, i in self.verbs:
         if not (0 <= s < self.n_steps) or not (0 <= i < len(self.steps[s])):
-            raise CorpusError(f"example {self.id}: verb index {[s, i]} outside its sentence")
+            raise CorpusError(
+                f"example {_echo(self.id)}: verb index {[s, i]} outside its sentence")
     if self.gold is not None:
         if not self.gold.is_hard:
-            raise CorpusError(f"example {self.id}: gold grid must hold hard labels")
+            raise CorpusError(f"example {_echo(self.id)}: gold grid must hold hard labels")
         if self.gold.shape != (self.n_steps, self.n_entities):
             raise CorpusError(
-                f"example {self.id}: gold grid shape {list(self.gold.shape)} does not match "
-                f"{self.n_steps} steps x {self.n_entities} entities")
+                f"example {_echo(self.id)}: gold grid shape {list(self.gold.shape)} does not "
+                f"match {self.n_steps} steps x {self.n_entities} entities")

@@ -1,8 +1,9 @@
 """A frozen copy of the per-tensor SGD step and of the tape's backward from
 before the parameters shared one flat vector: backward hands every tensor a
 new zeroed adjoint, and the step updates each tensor on its own with two
-numpy calls.  Kept as the bitwise reference for `training._sgd_step` and the
-gradient homes; install both with `installed`."""
+numpy calls.  Kept as the bitwise reference for `training._sgd_step` and for
+backward adding into grads that view the gradient vector; install both with
+`installed`."""
 
 from __future__ import annotations
 

@@ -80,16 +80,19 @@ def test_bilstm_matches_the_step_form_bitwise(dirs, steps, cells, hd, spread, se
 
 def test_bilstm_backward_twice_accumulates_the_same_gradient():
     # backward rewrites part of the saved activations in place; a second
-    # backward on the same tape must still add exactly the first gradient
+    # backward on the same tape, into zeroed grads, must still give exactly
+    # the first gradient
     xs = Tensor(RNG.normal(size=(2, 15, 12)), requires_grad=True)
     whs = [Tensor(RNG.normal(size=(3, 12)), requires_grad=True) for _ in range(2)]
     with ComputationTape() as tape:
         loss = weighted_sum(ad.bilstm(xs, whs, 5), Tensor(RNG.normal(size=(30, 3))))
     tape.backward(loss)
     once = [t.grad.copy() for t in (xs, *whs)]
+    for t in (xs, *whs):
+        t.grad[...] = 0.0
     tape.backward(loss)
     for t, g in zip((xs, *whs), once):
-        assert np.array_equal(t.grad, g + g)
+        assert t.grad.tobytes() == g.tobytes()
 
 
 def test_bilstm_directions_are_independent():
@@ -103,24 +106,23 @@ def test_bilstm_directions_are_independent():
 
 
 # ---------------------------------------------------------------------------
-# gradient homes
+# gradient accumulation
 
-def test_a_leaf_is_handed_its_home_once_and_dropping_that_grad_zeroes_it():
+def test_backward_adds_into_the_grad_in_place_and_gives_a_leaf_without_one_a_new_grad():
     w = Tensor(RNG.normal(size=5), requires_grad=True)
-    w.home = np.zeros(5)
+    weights = Tensor(np.arange(5.0))
     with ComputationTape() as tape:
-        loss = weighted_sum(w, Tensor(np.arange(5.0)))
+        loss = weighted_sum(w, weights)
     tape.backward(loss)
-    assert w.grad is w.home and np.array_equal(w.home, np.arange(5.0))
-    tape.backward(loss)  # the second gradient is added from a buffer of its own
-    assert w.grad is w.home and np.array_equal(w.home, 2.0 * np.arange(5.0))
-    w.grad = None
-    assert not w.home.any()
-    w.grad = np.ones(5)
-    tape.backward(loss)  # a grad outside the home keeps the home out of use
-    assert np.array_equal(w.grad, 1.0 + np.arange(5.0)) and not w.home.any()
-    w.move_grad_home()
-    assert w.grad is None and np.array_equal(w.home, 1.0 + np.arange(5.0))
+    first = w.grad
+    assert np.array_equal(first, np.arange(5.0)) and not np.shares_memory(first, w.values)
+    assert weights.grad is None  # a constant takes no gradient
+    tape.backward(loss)  # the second gradient is added into the same array
+    assert w.grad is first and np.array_equal(first, 2.0 * np.arange(5.0))
+    store = np.zeros(7)
+    w.grad = store[1:6]  # a grad that views a larger array, as a parameter's does
+    tape.backward(loss)
+    assert w.grad.base is store and np.array_equal(store, [0.0, *np.arange(5.0), 0.0])
 
 
 def test_bilstm_rejects_mismatched_shapes():

@@ -827,6 +827,83 @@ def test_empty_path_or_directory_output_is_refused_before_any_input_is_read(
     assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
+LONG = "x" * 3000  # far past corpus._ECHO_CHARS
+
+
+@pytest.mark.parametrize("site", [
+    "config-unknown-key", "config-mistyped-value", "config-seed", "corpus-mistyped-field",
+    "corpus-unknown-label", "corpus-repeated-key", "corpus-duplicate-id", "corpus-example-id",
+    "corpus-entity-name", "embeddings-duplicate-token", "checkpoint-version",
+    "checkpoint-unknown-field", "checkpoint-sizes", "checkpoint-repeated-token",
+    "tensor-unknown-field", "tensor-shape", "unknown-tensor"])
+def test_every_echo_of_an_input_value_is_capped(tmp_path, gen_dir, capsys, site):
+    """A value read from a file is echoed in the command's one error line up
+    to corpus._ECHO_CHARS characters, then "...", with the file named and the
+    exit code of any other value at that site."""
+    train_path, test = gen_dir / "train.jsonl", gen_dir / "test.jsonl"
+    path, ck, out = tmp_path / "bad", tmp_path / "ck.json", tmp_path / "out.json"
+    params = model.init_params(model.build_vocab(corpus.load_corpus(train_path)), 4, 4, seed=0)
+    model.save_checkpoint(params, ck)
+    payload = json.loads(ck.read_text())
+    tensors = payload["tensors"]
+    example = json.loads(test.read_text(encoding="utf-8").splitlines()[0])
+    steps, width = len(example["steps"]), len(example["entities"])
+    huge = 10 ** 3000 + 1
+    config = ["train", "--train", train_path, "--checkpoint", out,
+              "--report", tmp_path / "r.json", "--config", path]
+    embedded = ["train", "--train", train_path, "--checkpoint", out,
+                "--report", tmp_path / "r.json", "--embeddings", path, "--emb-dim", "4"]
+    predict, load = ["predict", ck, path, "--out", out], ["predict", path, test, "--out", out]
+
+    def line(**fields):
+        return json.dumps({**example, **fields})
+
+    def checkpoint(**fields):
+        return json.dumps({**payload, **fields})
+
+    def tensor(name, entry):
+        return checkpoint(tensors={**tensors, name: entry})
+
+    text, argv, value, code = {
+        "config-unknown-key": (json.dumps({LONG: 1}), config, repr(LONG), cli.EXIT_USAGE),
+        "config-mistyped-value": (json.dumps({"seed": [LONG]}), config, repr([LONG]),
+                                  cli.EXIT_USAGE),
+        "config-seed": (json.dumps({"seed": -huge}), config, str(-huge), cli.EXIT_USAGE),
+        "corpus-mistyped-field": (line(id=[LONG]), predict, repr([LONG]), cli.EXIT_DATA),
+        "corpus-unknown-label": (line(gold=[[LONG] * width] * steps), predict, repr(LONG),
+                                 cli.EXIT_DATA),
+        "corpus-repeated-key": (f'{{"{LONG}": 1, "{LONG}": 2}}', predict, repr(LONG),
+                                cli.EXIT_DATA),
+        "corpus-duplicate-id": (line(id=LONG) + "\n" + line(id=LONG), predict, repr(LONG),
+                                cli.EXIT_DATA),
+        "corpus-example-id": (line(id=LONG, steps=[[], *example["steps"][1:]]), predict, LONG,
+                              cli.EXIT_DATA),
+        "corpus-entity-name": (line(entities=[{"name": LONG, "mentions": [[0, 0, 10 ** 6]]}],
+                                    gold=None), predict, LONG, cli.EXIT_DATA),
+        "embeddings-duplicate-token": (f"{LONG} 1 2 3 4\n" * 2, embedded, repr(LONG),
+                                       cli.EXIT_DATA),
+        "checkpoint-version": (checkpoint(version=LONG), load, repr(LONG), cli.EXIT_DATA),
+        "checkpoint-unknown-field": (checkpoint(**{LONG: 1}), load, LONG, cli.EXIT_DATA),
+        "checkpoint-sizes": (checkpoint(hidden_size=huge), load, str(huge), cli.EXIT_DATA),
+        "checkpoint-repeated-token": (checkpoint(vocab=[*payload["vocab"], LONG, LONG]), load,
+                                      repr(LONG), cli.EXIT_DATA),
+        "tensor-unknown-field": (tensor("dec_b", {**tensors["dec_b"], LONG: 1}), load, LONG,
+                                 cli.EXIT_DATA),
+        "tensor-shape": (tensor("dec_b", {**tensors["dec_b"], "shape": list(range(2000))}),
+                         load, str(list(range(2000))), cli.EXIT_DATA),
+        "unknown-tensor": (tensor(LONG, tensors["dec_b"]), load, LONG, cli.EXIT_DATA),
+    }[site]
+    path.write_text(text + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(*map(str, argv)) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith((f"error: {path}", f"error: config file {path}"))
+    assert value[:corpus._ECHO_CHARS] + "..." in err[0]
+    assert value[:corpus._ECHO_CHARS + 1] not in err[0]
+    assert not out.exists()
+
+
 def test_the_package_runs_as_a_program(tmp_path):
     """`python -m statetrack`, as a shell starts it: the exit status, and a
     failure as one error line with no traceback."""

@@ -636,17 +636,17 @@ def test_every_tensor_views_one_vector_in_layout_order_and_owns_a_disjoint_home(
     start = 0
     for name, shape, _ in layout:
         t = params.tensors[name]
-        assert t.shape == t.home.shape == shape, name
-        assert t.values.base is params.flat and t.home.base is params.grads, name
+        assert t.shape == t.grad.shape == shape, name
+        assert t.values.base is params.flat and t.grad.base is params.grads, name
         assert t.values.ctypes.data - params.flat.ctypes.data == 8 * start, name
-        assert t.home.ctypes.data - params.grads.ctypes.data == 8 * start, name
+        assert t.grad.ctypes.data - params.grads.ctypes.data == 8 * start, name
         start += t.size
     assert start == params.flat.size == params.grads.size
     assert not params.grads.any()
-    homes = [t.home for t in params.tensors.values()]
-    for i, home in enumerate(homes):
-        assert not np.shares_memory(home, params.flat)
-        assert not any(np.shares_memory(home, other) for other in homes[i + 1:])
+    grads = [t.grad for t in params.tensors.values()]
+    for i, grad in enumerate(grads):
+        assert not np.shares_memory(grad, params.flat)
+        assert not any(np.shares_memory(grad, other) for other in grads[i + 1:])
 
 
 def test_a_frozen_embedding_views_the_vector_but_has_no_home():
@@ -655,8 +655,8 @@ def test_a_frozen_embedding_views_the_vector_but_has_no_home():
     table = EmbeddingTable(4, {"water": np.ones(4)}, np.zeros(4))
     params = init_params(vocab, 4, 4, seed=1, embeddings=table)
     embedding = params.tensors["embedding"]
-    assert embedding.values.base is params.flat and embedding.home is None
-    assert all(t.home is not None for t in params.tensors.values() if t is not embedding)
+    assert embedding.values.base is params.flat and embedding.grad is None
+    assert all(t.grad is not None for t in params.tensors.values() if t is not embedding)
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
@@ -667,8 +667,8 @@ def test_the_trainable_range_is_exactly_the_homes(frozen):
     params = init_params(vocab, 4, 4, seed=1, embeddings=table)
     params.grads[...] = 0.0
     for t in params.tensors.values():
-        if t.home is not None:
-            t.home[...] = 1.0
+        if t.grad is not None:
+            t.grad[...] = 1.0
     assert params.grads[params.trainable].all()
     assert params.grads.sum() == params.grads[params.trainable].size
 
@@ -680,7 +680,7 @@ def test_copy_shares_no_memory_with_the_original():
 
     def arrays(p):
         return [p.flat, p.grads, *(t.values for t in p.tensors.values()),
-                *(t.home for t in p.tensors.values())]
+                *(t.grad for t in p.tensors.values())]
 
     assert not any(np.shares_memory(a, b) for a in arrays(twin) for b in arrays(params))
 

@@ -1,5 +1,8 @@
 import dataclasses
+import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,8 +332,7 @@ def test_gradient_flows_through_nonprimary_members():
         loss, _ = batch_loss(params, batch, cfg)
     tape.backward(loss)
     with_con = {n: t.grad.copy() for n, t in params.tensors.items()}
-    for t in params.tensors.values():
-        t.grad = None
+    params.grads[...] = 0.0
 
     cfg_off = dataclasses.replace(cfg, consistency_enabled=False)
     with ComputationTape() as tape:
@@ -393,40 +395,79 @@ def test_backward_gives_every_parameter_its_own_grad_and_accumulates_exactly():
         assert not any(np.shares_memory(g, other) for other in grads[i + 1:])
         assert not any(np.shares_memory(g, t.values) for t in params.tensors.values())
     once = [g.copy() for g in grads]
+    params.grads[...] = 0.0
     tape.backward(loss)
     for t, g in zip(params.tensors.values(), once):
-        assert t.grad.tobytes() == (g + g).tobytes()
+        assert t.grad.tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("lr", [0.5, 0.1, 1 / 3])
 def test_sgd_step_is_bitwise_values_minus_lr_times_grad(lr):
-    params, _, _ = engaged_batch_loss()
-    rng = np.random.default_rng(11)
+    # the embedding is frozen, so the step must leave it and the range
+    # of the gradient vector before its trainable range alone
+    g = two_paragraph_group()
+    vocab = model.build_vocab([g])
+    table = EmbeddingTable(4, {"water": np.ones(4)}, np.zeros(4))
+    params = model.init_params(vocab, 4, 4, seed=5, embeddings=table)
     embedding = params.tensors["embedding"]
-    embedding.requires_grad = False
-    for t in params.tensors.values():
-        t.values[...] = rng.normal(size=t.shape)
-        t.grad = rng.normal(size=t.shape)
-    want = {name: t.values - lr * t.grad for name, t in params.tensors.items()}
-    frozen = (embedding.values.copy(), embedding.grad.copy())
+    assert params.embedding_frozen and embedding.grad is None
+    rng = np.random.default_rng(11)
+    params.flat[...] = rng.normal(size=params.flat.size)
+    params.grads[...] = rng.normal(size=params.grads.size)
+    want = {name: t.values - lr * t.grad for name, t in params.tensors.items()
+            if t is not embedding}
+    frozen = (embedding.values.copy(), params.grads[:embedding.size].copy())
     training._sgd_step(params, lr)
     for name, t in params.tensors.items():
         if t is not embedding:
             assert t.values.tobytes() == want[name].tobytes(), name
-            assert t.grad is None, name
     assert embedding.values.tobytes() == frozen[0].tobytes()
-    assert embedding.grad.tobytes() == frozen[1].tobytes()
+    assert params.grads[:embedding.size].tobytes() == frozen[1].tobytes()
+    assert not params.grads[params.trainable].any()
 
 
 def test_sgd_step_drops_every_grad_and_zeroes_the_gradient_vector():
-    # the homes must hold zeros again, or the next batch's gradient would add to this one's
+    # every grad must hold zeros again, or the next batch's gradient would add to this one's
     params, tape, loss = engaged_batch_loss()
     tape.backward(loss)
-    params.tensors["dec_b"].grad = np.ones(params.tensors["dec_b"].shape)  # a grad outside its home
+    grads = {name: t.grad for name, t in params.tensors.items()}
     assert params.grads.any()
     training._sgd_step(params, 0.5)
-    assert all(t.grad is None for t in params.tensors.values())
+    assert all(t.grad is grads[name] for name, t in params.tensors.items())
     assert not params.grads.any()
+
+
+def test_check_gradients_leaves_every_grad_a_view_of_the_gradient_vector():
+    # a grad replaced by a new array would silently drop out of the step
+    g = two_paragraph_group()
+    params = params_for([g], emb_dim=3, hidden=4, seed=2)
+    cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=3)
+    batch = make_batches(params.vocab, g, cfg)[0]
+    ad.check_gradients(lambda: batch_loss(params, batch, cfg)[0], params.tensors)
+    start = 0
+    for name, t in params.tensors.items():
+        assert t.grad.base is params.grads, name
+        assert t.grad.ctypes.data - params.grads.ctypes.data == 8 * start, name
+        start += t.size
+    before = {name: t.values.copy() for name, t in params.tensors.items()}
+    training._sgd_step(params, 0.5)
+    for name, t in params.tensors.items():
+        assert not np.array_equal(t.values, before[name]), name
+
+
+def test_only_the_tape_and_assemble_assign_a_grad():
+    """A grad is zeroed in place, never replaced: no module of the package
+    assigns `.grad` but `Tensor.__init__` (None), `ComputationTape.backward`
+    (a leaf without a grad) and `model._assemble` (the gradient vector's views)."""
+    assign = re.compile(r"\.grad\s*(?::[^=\n]*)?=(?!=)")
+    sites = [inspect.getsource(f) for f in (Tensor.__init__, ComputationTape.backward,
+                                            model._assemble)]
+    assert [len(assign.findall(site)) for site in sites] == [1, 1, 1]
+    for path in sorted(Path(ad.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for site in sites:
+            text = text.replace(site, "")
+        assert not assign.findall(text), path
 
 
 @pytest.mark.parametrize("setting", ["engaged", "frozen-embeddings", "supervised"])
