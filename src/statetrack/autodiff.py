@@ -10,7 +10,7 @@ tape node; nothing is broadcast.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,9 +29,9 @@ class Tensor:
     Leaves created with ``requires_grad=True`` receive gradients from
     :meth:`ComputationTape.backward`; everything else is treated as a
     constant or an intermediate.  Backward adds into a leaf's existing grad
-    in place, so a grad may be a view of a larger array (a parameter's slice
-    of `ModelParams.grads`): zero a grad in place, and never replace the
-    grad of a tensor whose grad is such a view.
+    in place, so a grad may be a view of a larger array (a parameter's view,
+    possibly strided, of `ModelParams.grads`): zero a grad in place, and
+    never replace the grad of a tensor whose grad is such a view.
     """
 
     __slots__ = ("values", "requires_grad", "grad")
@@ -129,43 +129,46 @@ def _record(out: Tensor, backward_fn) -> Tensor:
     return out
 
 
-def project(embedding: Tensor, wx: Sequence[Tensor], b: Sequence[Tensor],
+def project(embedding: Tensor, wx: Tensor, b: Tensor,
             word_ids: np.ndarray, rows: np.ndarray, flags: np.ndarray) -> Tensor:
     """Every direction's LSTM input pre-activations, as one tape node.
 
     word_ids: the vocabulary row of every token; rows[k]: the token each read
     of direction k takes; flags[k]: that read's indicator reals.  Direction k's
-    input weight wx[k] holds the word rows first and the flag rows last; b[k]
-    is its bias.  Each token's word projection is computed once and shared by
-    every read of it.  Returns the reads stacked as [directions, reads, 4h].
+    input weight wx[k] ([directions, in, 4h]) holds the word rows first and the
+    flag rows last; b[k] ([directions, 4h]) is its bias.  Each token's word
+    projection is computed once and shared by every read of it.  Returns the
+    reads stacked as [directions, reads, 4h].
     """
-    dirs, d = len(wx), embedding.shape[-1]
-    if (embedding.values.ndim != 2 or not dirs or len(b) != dirs or word_ids.ndim != 1
-            or rows.ndim != 2 or rows.shape[0] != dirs or flags.shape[:2] != rows.shape
-            or flags.ndim != 3 or any(w.shape != wx[0].shape for w in wx)
-            or wx[0].values.ndim != 2 or wx[0].shape[0] != d + flags.shape[2]
-            or any(v.shape != wx[0].shape[1:] for v in b)):
+    d = embedding.shape[-1]
+    if (embedding.values.ndim != 2 or wx.values.ndim != 3 or not wx.shape[0]
+            or word_ids.ndim != 1 or rows.ndim != 2 or rows.shape[0] != wx.shape[0]
+            or flags.ndim != 3 or flags.shape[:2] != rows.shape
+            or wx.shape[1] != d + flags.shape[2] or b.shape != (wx.shape[0], wx.shape[2])):
         raise DimensionError(
-            f"project: embedding {list(embedding.shape)}, input weights "
-            f"{[list(w.shape) for w in wx]}, biases {[list(v.shape) for v in b]} and flags "
-            f"{list(flags.shape)} do not fit {list(rows.shape)} reads")
+            f"project: embedding {list(embedding.shape)}, input weights {list(wx.shape)}, "
+            f"biases {list(b.shape)} and flags {list(flags.shape)} do not fit "
+            f"{list(rows.shape)} reads")
+    dirs, h4 = b.shape
     words = embedding.values[word_ids]
-    out = Tensor(np.empty((dirs, rows.shape[1], wx[0].shape[1])))
-    for k, (w, v) in enumerate(zip(wx, b)):
-        np.add((words @ w.values[:d])[rows[k]] + flags[k] @ w.values[d:], v.values,
-               out=out.values[k])
+    w = wx.values
+    out = Tensor(np.empty((dirs, rows.shape[1], h4)))
+    for k in range(dirs):
+        np.add((words @ w[k, :d])[rows[k]] + flags[k] @ w[k, d:], b.values[k], out=out.values[k])
 
     def fn(grad, get_adj):
-        words_grad = 0.0
-        for k, (w, v) in enumerate(zip(wx, b)):
-            get_adj(v)[...] += grad[k].sum(axis=0)
-            w_adj = get_adj(w)
-            w_adj[d:] += flags[k].T @ grad[k]
-            proj_grad = np.zeros((words.shape[0], w.shape[1]))
-            np.add.at(proj_grad, rows[k], grad[k])  # a token is read by every cell of its sentence
-            w_adj[:d] += words.T @ proj_grad
-            words_grad = words_grad + proj_grad @ w.values[:d].T
-        np.add.at(get_adj(embedding), word_ids, words_grad)
+        get_adj(b)[...] += grad.sum(axis=1)
+        w_adj = get_adj(wx)
+        w_adj[:, d:] += flags.transpose(0, 2, 1) @ grad
+        # a token is read by every cell of its sentence; direction k's reads
+        # scatter into rows k * tokens + token
+        tokens = words.shape[0]
+        proj_grad = np.zeros((dirs, tokens, h4))
+        np.add.at(proj_grad.reshape(-1, h4), (rows + tokens * np.arange(dirs)[:, None]).reshape(-1),
+                  grad.reshape(-1, h4))
+        w_adj[:, :d] += words.T @ proj_grad
+        np.add.at(get_adj(embedding), word_ids,
+                  (proj_grad @ w[:, :d].transpose(0, 2, 1)).sum(axis=0))
 
     return _record(out, fn)
 
@@ -177,29 +180,28 @@ _GATE_SCALE = np.array([0.5, 0.5, 1.0, 0.5]).reshape(4, 1, 1, 1)
 _GATE_SCALE.flags.writeable = False
 
 
-def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
+def bilstm(inputs: Tensor, wh: Tensor, cells: int) -> Tensor:
     """Both directions of a BiLSTM over every time step, as one tape node.
 
     inputs: the input pre-activations (input projection plus bias) as
     [directions, steps * cells, 4h], time-major (row tau * cells + c), gate
-    order [input, forget, cell, output]; recurrent: one [h, 4h] weight per
-    direction.  The directions run stacked, each from a zero state.
+    order [input, forget, cell, output]; wh: the recurrent weights as
+    [directions, h, 4h].  The directions run stacked, each from a zero state.
     Returns the hidden states as [directions * steps * cells, h], row
     k * steps * cells + tau * cells + c.  With no tape active no gate
     activations are kept; with one, the forward keeps them in time-major
     slabs whose every per-step slice is contiguous, and backward is
     backpropagation through time.
     """
-    dirs = len(recurrent)
-    hd = recurrent[0].shape[0] if dirs else 0
-    if (not dirs or inputs.values.ndim != 3 or inputs.shape[0] != dirs or cells < 1
-            or inputs.shape[1] % cells or inputs.shape[2] != 4 * hd
-            or any(r.shape != (hd, 4 * hd) for r in recurrent)):
-        raise DimensionError(f"bilstm: inputs {list(inputs.shape)} and recurrent "
-                             f"{[list(r.shape) for r in recurrent]} do not fit {cells} cells")
+    if (wh.values.ndim != 3 or not wh.shape[0] or wh.shape[2] != 4 * wh.shape[1]
+            or inputs.values.ndim != 3 or inputs.shape[0] != wh.shape[0] or cells < 1
+            or inputs.shape[1] % cells or inputs.shape[2] != wh.shape[2]):
+        raise DimensionError(f"bilstm: inputs {list(inputs.shape)} and recurrent weights "
+                             f"{list(wh.shape)} do not fit {cells} cells")
+    dirs, hd = wh.shape[:2]
     steps = inputs.shape[1] // cells
     x = inputs.values.reshape(dirs, steps, cells, 4, hd)
-    w = np.array([r.values for r in recurrent])
+    w = wh.values
     hs = np.empty((dirs, steps, cells, hd))
     # a step's activations are gate-major rows of [dirs, cells, hd], ordered
     # (g, c_prev, i, f, spare, o) so that backward's factors p = (g, c_prev, i)
@@ -267,10 +269,9 @@ def bilstm(inputs: Tensor, recurrent: Sequence[Tensor], cells: int) -> Tensor:
         # by step in reverse: a local sum would round differently once another
         # call's gradient is in the buffer
         dw = hs[:, :-1].transpose(0, 1, 3, 2) @ dz[1:].transpose(1, 0, 2, 3)
-        w_adj = [get_adj(wh) for wh in recurrent]
+        w_adj = get_adj(wh)
         for tau in reversed(range(steps - 1)):
-            for k in range(dirs):
-                w_adj[k] += dw[k, tau]
+            w_adj += dw[:, tau]
 
     return _record(out, fn)
 
@@ -419,20 +420,21 @@ _REL_FLOOR = 1e-6  # the scale below which relative_error treats a component as 
 def finite_difference(f: Callable[[], float], t: Tensor) -> np.ndarray:
     """Central-difference gradient of f() w.r.t. every entry of t.
 
-    Perturbs t.values in place and restores it; f must be a pure forward
-    evaluation (no tape needed).
+    Perturbs t.values in place, entry by entry in C order, and restores it
+    (t.values may be a strided view, which reshape would copy); f must be a
+    pure forward evaluation (no tape needed).
     """
-    flat = t.values.reshape(-1)
-    out = np.zeros_like(flat)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + _FD_EPS
+    values = t.values
+    out = np.zeros(t.shape)
+    for i in np.ndindex(t.shape):
+        orig = values[i]
+        values[i] = orig + _FD_EPS
         fp = f()
-        flat[i] = orig - _FD_EPS
+        values[i] = orig - _FD_EPS
         fm = f()
-        flat[i] = orig
+        values[i] = orig
         out[i] = (fp - fm) / (2.0 * _FD_EPS)
-    return out.reshape(t.shape)
+    return out
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

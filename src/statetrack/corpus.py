@@ -21,6 +21,7 @@ import json
 import os
 import re
 import stat
+import sys
 import types
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -263,32 +264,54 @@ def read_lines(path) -> Iterator[tuple[int, bytes]]:
 _ESCAPE = re.compile(r"\\(?:\\|u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..))")
 
 
+class _RepeatedKey(Exception):
+    """(key, name): a key that sets its object's field `name` a second time,
+    raised from inside the decoder for `read_json` to name the file."""
+
+
+def _pairs_hook(aliases: Mapping[str, str]):
+    """An object_pairs_hook in which a key and its name in `aliases` are one
+    key, and a key set twice raises _RepeatedKey."""
+    def hook(pairs):
+        obj = {aliases.get(key, key): value for key, value in pairs} if aliases else dict(pairs)
+        if len(obj) < len(pairs):
+            names = [aliases.get(key, key) for key, _ in pairs]
+            i = next(i for i, name in enumerate(names) if name in names[:i])
+            raise _RepeatedKey(pairs[i][0], names[i])
+        return obj
+    return hook
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_pairs_hook({}))
+
+
 def read_json(text: str | bytes, where: str, error: type[Exception],
               aliases: Mapping[str, str] = types.MappingProxyType({})) -> dict:
     """The JSON object in `text`, a whole file's bytes or a decoded corpus
     line, under I-JSON's rules (RFC 7493): UTF-8, no key twice in one
     object, no lone surrogate.  A key and its name in `aliases` are one key.
-    Any other document, or one nested past the recursion limit, raises
-    `error` naming `where`.  NaN and Infinity parse, for the callers' checks
-    to name the field that holds one."""
-    def pairs_hook(pairs):
-        obj = {}
-        for key, value in pairs:
-            name = aliases.get(key, key)
-            if name in obj:
-                raise error(f"{where}: key {echo(repr(key))} sets {echo(repr(name))} "
-                            f"a second time")
-            obj[name] = value
-        return obj
-
+    Any other document, one nested past the recursion limit, or an integer
+    past Python's digit limit, raises `error` naming `where`.  NaN and
+    Infinity parse, for the callers' checks to name the field that holds one."""
     if isinstance(text, bytes):
         text = _decode(text, where, error)
+    if text.startswith("\ufeff"):  # as json.loads, which checks this before decoding
+        raise error(f"{where}: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)")
+    decoder = _DECODER if not aliases else json.JSONDecoder(
+        object_pairs_hook=_pairs_hook(aliases))
     try:
-        obj = json.loads(text, object_pairs_hook=pairs_hook)
+        obj = decoder.decode(text)
+    except _RepeatedKey as exc:
+        key, name = exc.args
+        raise error(f"{where}: key {echo(repr(key))} sets {echo(repr(name))} "
+                    f"a second time") from None
     except json.JSONDecodeError as exc:
         raise error(f"{where}: invalid JSON: {exc.msg}") from None
     except RecursionError:
         raise error(f"{where}: invalid JSON: nested too deeply") from None
+    except ValueError:  # the one other error of the decoder: int()'s digit limit
+        raise error(f"{where}: invalid JSON: an integer of more than "
+                    f"{sys.get_int_max_str_digits()} digits") from None
     for escape in _ESCAPE.finditer(text):
         if escape[1]:
             raise error(f"{where}: invalid JSON: lone surrogate \\{escape[1].lower()} in a string")

@@ -6,7 +6,8 @@ token a mention of the conditioned entity / is it a verb).  A bidirectional
 LSTM produces contextual vectors; a bilinear attention conditioned on the
 mean entity-mention vector and mean verb vector pools them; a single affine
 layer plus softmax yields the cell distribution.  The parameters are the
-named tensors of `param_layout`, the one list of their names and shapes.
+named arrays of `param_layout`, the one list of their names and shapes; in
+memory each LSTM weight kind is one tensor over both directions.
 Every grid cell is predicted independently, but all cells of a batch are
 computed together, as three tape ops: the input projection, the whole
 BiLSTM and the attention-decoder head.  A batch's index data depends only
@@ -17,6 +18,7 @@ and then run with the current weights as often as needed (`run_cells`).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Literal, Sequence
@@ -43,15 +45,18 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class ModelParams:
-    """The vocabulary plus every `param_layout` tensor by name, in layout order.
+    """The vocabulary plus the parameter tensors by name.
 
-    Every tensor's values are a view of `flat`, one vector in layout order,
-    and every trainable tensor's grad is the same view of `grads`;
-    `trainable` is the range of both that the trainable tensors fill.  Zero
-    a grad in place and never replace one: a tensor whose grad no longer
-    views `grads` drops out of the training step.  The sizes and the
-    embedding's freezing are read off the tensors themselves: a frozen
-    embedding is one that takes no gradient.
+    `flat` holds every `param_layout` array in layout order, and `named`
+    gives each one's view of it.  The tensors view `flat` too: one tensor per
+    array, but each LSTM weight kind is one [2, ...] tensor over both
+    directions (`wx`, `wh` and `b`), so 8 tensors cover the layout's 11 arrays
+    exactly once.  Every trainable tensor's grad is the same view of `grads`;
+    `trainable` is the range of both that the trainable tensors fill.  Zero a
+    grad in place and never replace one: a tensor whose grad no longer views
+    `grads` drops out of the training step.  The sizes and the embedding's
+    freezing are read off the tensors themselves: a frozen embedding is one
+    that takes no gradient.
     """
 
     vocab: dict[str, int]
@@ -72,9 +77,17 @@ class ModelParams:
     def embedding_frozen(self) -> bool:
         return not self.tensors["embedding"].requires_grad
 
+    def named(self) -> dict[str, np.ndarray]:
+        """Every `param_layout` array by name, in layout order, as its view of `flat`."""
+        arrays, start = {}, 0
+        for name, shape, _ in param_layout(len(self.vocab), self.embedding_dim,
+                                           self.hidden_size):
+            end = start + math.prod(shape)
+            arrays[name], start = self.flat[start:end].reshape(shape), end
+        return arrays
+
     def copy(self) -> "ModelParams":
-        return _assemble(dict(self.vocab), self.embedding_frozen,
-                         {name: t.values for name, t in self.tensors.items()})
+        return _assemble(dict(self.vocab), self.embedding_frozen, self.named())
 
 
 def param_layout(vocab_size: int, embedding_dim: int,
@@ -108,18 +121,30 @@ def check_sizes(hidden_size: int, embedding_dim: int) -> None:
 def _assemble(vocab: dict[str, int], embedding_frozen: bool,
               arrays: dict[str, np.ndarray]) -> ModelParams:
     """ModelParams from the named arrays of `param_layout`, copied into one
-    vector in order, with zeroed grads viewing a second one; a frozen embedding
-    has no grad, and since it comes first the trainable tensors fill the rest."""
+    vector in order, with zeroed grads viewing a second one.  The two
+    directions' LSTM blocks are adjacent and of one size, so each LSTM weight
+    kind is one [2, ...] tensor, named without its direction, that views the
+    kind's array in both blocks.  A frozen embedding has no grad, and since it
+    comes first the trainable tensors fill the rest."""
     flat = np.concatenate([a.reshape(-1) for a in arrays.values()], dtype=np.float64)
     grads = np.zeros(flat.size)
-    tensors, start = {}, 0
-    for name, a in arrays.items():
-        end = start + a.size
-        t = tensors[name] = Tensor(flat[start:end].reshape(a.shape),
-                                   requires_grad=not (name == "embedding" and embedding_frozen))
-        if t.requires_grad:
-            t.grad = grads[start:end].reshape(a.shape)
-        start = end
+    starts = dict(zip(arrays, accumulate((a.size for a in arrays.values()), initial=0)))
+    first, block = starts["fwd_wx"], starts["bwd_wx"] - starts["fwd_wx"]
+
+    def view(vector: np.ndarray, name: str) -> np.ndarray:
+        a, start = arrays[name], starts[name]
+        if not name.startswith("fwd_"):
+            return vector[start:start + a.size].reshape(a.shape)
+        blocks = vector[first:first + 2 * block].reshape(2, block)
+        return blocks[:, start - first:start - first + a.size].reshape(2, *a.shape)
+
+    tensors = {}
+    for name in arrays:
+        if not name.startswith("bwd_"):
+            t = tensors[name.removeprefix("fwd_")] = Tensor(
+                view(flat, name), requires_grad=not (name == "embedding" and embedding_frozen))
+            if t.requires_grad:
+                t.grad = view(grads, name)
     trainable = slice(arrays["embedding"].size if embedding_frozen else 0, None)
     return ModelParams(vocab, tensors, flat, grads, trainable)
 
@@ -246,9 +271,8 @@ def run_cells(params: ModelParams, plan: CellPlan) -> Tensor:
     """The [cells, N_CHANGES] distributions of every cell of a plan, as three
     tape nodes; `plan` must come from `plan_cells(params.vocab, ...)`."""
     t = params.tensors
-    inputs = ad.project(t["embedding"], [t["fwd_wx"], t["bwd_wx"]], [t["fwd_b"], t["bwd_b"]],
-                        plan.word_ids, plan.rows, plan.flags)
-    states = ad.bilstm(inputs, [t["fwd_wh"], t["bwd_wh"]], plan.mask.shape[0])
+    inputs = ad.project(t["embedding"], t["wx"], t["b"], plan.word_ids, plan.rows, plan.flags)
+    states = ad.bilstm(inputs, t["wh"], plan.mask.shape[0])
     return ad.head(states, t["attn_w"], t["attn_b"], t["dec_w"], t["dec_b"],
                    plan.unshuffle, plan.pool, plan.mask)[0]
 
@@ -301,13 +325,13 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "embedding_frozen": params.embedding_frozen,
         "vocab": list(params.vocab),
         "tensors": {
-            name: {"shape": list(t.shape), "values": t.values.reshape(-1).tolist()}
-            for name, t in params.tensors.items()
+            name: {"shape": list(a.shape), "values": a.reshape(-1).tolist()}
+            for name, a in params.named().items()
         },
     }
+    text = json.dumps(payload)  # one call takes the C encoder, which `json.dump` never does
     with atomic_open(path) as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 _CHECKPOINT = {"version": Literal[CHECKPOINT_VERSION], "hidden_size": int, "embedding_dim": int,

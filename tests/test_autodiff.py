@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import consistency_reference as reference
-from bilstm_reference import bilstm as step_form_bilstm
+import project_reference
 from probe import weighted_sum
 from statetrack import autodiff as ad
 from statetrack import training
@@ -29,7 +29,7 @@ def test_sigmoid_tanh_at_zero():
     a = np.array([[[1.0, -2.0], [0.0, 4.0]], [[3.0, 0.5], [-1.0, 2.0]]])  # [direction, cell, h]
     xs = np.zeros((2, 2, 2, 8))  # [direction, time, cell, 4h]
     xs[:, 0, :, 4:6] = a
-    out = ad.bilstm(Tensor(xs.reshape(2, 4, 8)), [Tensor(np.zeros((2, 8)))] * 2, 2)
+    out = ad.bilstm(Tensor(xs.reshape(2, 4, 8)), Tensor(np.zeros((2, 2, 8))), 2)
     c1 = 0.5 * np.tanh(a)
     want = np.stack([0.5 * np.tanh(c1), 0.5 * np.tanh(0.5 * c1)], axis=1)
     assert out.values == pytest.approx(want.reshape(8, 2), abs=1e-15)
@@ -37,7 +37,7 @@ def test_sigmoid_tanh_at_zero():
 
 def test_bilstm_taped_and_untaped_forward_are_bitwise_equal():
     xs = Tensor(RNG.normal(size=(2, 12, 12)))
-    whs = [Tensor(RNG.normal(size=(3, 12))) for _ in range(2)]
+    whs = Tensor(RNG.normal(size=(2, 3, 12)))
     untaped = ad.bilstm(xs, whs, 4).values
     with ComputationTape() as tape:
         taped = ad.bilstm(xs, whs, 4).values
@@ -51,14 +51,13 @@ def bilstm_results(bilstm, xs, whs, cells, rs):
     both calls share the weights, so the first call's backward adds into wh
     adjoints that already hold the second call's gradient."""
     x = [Tensor(v, requires_grad=True) for v in xs]
-    ws = [Tensor(w, requires_grad=True) for w in whs]
-    untaped = bilstm(x[0], ws, cells).values
+    w = Tensor(whs, requires_grad=True)
+    untaped = bilstm(x[0], w, cells).values
     with ComputationTape() as tape:
-        states = [bilstm(xk, ws, cells) for xk in x]
+        states = [bilstm(xk, w, cells) for xk in x]
         loss = ad.combine(*(weighted_sum(h, Tensor(r)) for h, r in zip(states, rs)), 0.5)
     tape.backward(loss)
-    return [untaped, states[0].values, states[1].values,
-            *(xk.grad for xk in x), *(w.grad for w in ws)]
+    return [untaped, states[0].values, states[1].values, *(xk.grad for xk in x), *w.grad]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -72,10 +71,50 @@ def test_bilstm_matches_the_step_form_bitwise(dirs, steps, cells, hd, spread, se
     whs = rng.normal(scale=spread, size=(dirs, hd, 4 * hd))
     rs = rng.normal(size=(2, dirs * steps * cells, hd))
     got = bilstm_results(ad.bilstm, xs, whs, cells, rs)
-    want = bilstm_results(step_form_bilstm, xs, whs, cells, rs)
+    want = bilstm_results(project_reference.stacked_bilstm, xs, whs, cells, rs)
     assert len(got) == len(want) == 5 + dirs
     for k, (g, w) in enumerate(zip(got, want)):
         assert g.shape == w.shape and np.array_equal(g, w), k
+
+
+def project_results(project, values, frozen, word_ids, rows, flags, rs):
+    """The untaped and taped outputs of `project` and the gradients of
+    (sum(out_0 * rs[0]) + sum(out_1 * rs[1])) / 2 taken on one tape: both
+    calls share the leaves, so the first call's backward adds into adjoints
+    that already hold the second call's gradient."""
+    embedding, wx, b = (Tensor(v, requires_grad=not (frozen and k == 0))
+                        for k, v in enumerate(values))
+    untaped = project(embedding, wx, b, word_ids, rows, flags).values
+    with ComputationTape() as tape:
+        outs = [project(embedding, wx, b, word_ids, rows, flags) for _ in rs]
+        loss = ad.combine(*(weighted_sum(out, Tensor(r)) for out, r in zip(outs, rs)), 0.5)
+    tape.backward(loss)
+    return [untaped, *(out.values for out in outs), embedding.grad, wx.grad, b.grad]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(hst.sampled_from([1, 2]), hst.booleans(), hst.integers(1, 9), hst.integers(1, 40),
+       hst.integers(1, 5), hst.integers(1, 4), hst.integers(0, 2**32 - 1))
+def test_project_matches_the_per_direction_form_bitwise(dirs, frozen, tokens, reads, dim, hd,
+                                                        seed):
+    # the stacked backward runs each stage once for every direction; it must
+    # round every value as the per-direction loop did: outputs, taped and
+    # untaped, and the embedding, input weight and bias adjoints
+    rng = np.random.default_rng(seed)
+    vocab = 1 + tokens // 2  # tokens repeat vocabulary rows, and reads repeat tokens
+    values = (rng.normal(size=(vocab, dim)), rng.normal(size=(dirs, dim + 2, 4 * hd)),
+              rng.normal(size=(dirs, 4 * hd)))
+    word_ids = rng.integers(0, vocab, size=tokens)
+    rows = rng.integers(0, tokens, size=(dirs, reads))
+    flags = rng.integers(0, 2, size=(dirs, reads, 2)).astype(float)
+    rs = rng.normal(size=(2, dirs, reads, 4 * hd))
+    args = (values, frozen, word_ids, rows, flags, rs)
+    got = project_results(ad.project, *args)
+    want = project_results(project_reference.stacked_project, *args)
+    assert (got[3] is None) == (want[3] is None) == frozen
+    for k, (g, w) in enumerate(zip(got, want)):
+        if g is not None:
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), k
 
 
 def test_bilstm_backward_twice_accumulates_the_same_gradient():
@@ -83,25 +122,25 @@ def test_bilstm_backward_twice_accumulates_the_same_gradient():
     # backward on the same tape, into zeroed grads, must still give exactly
     # the first gradient
     xs = Tensor(RNG.normal(size=(2, 15, 12)), requires_grad=True)
-    whs = [Tensor(RNG.normal(size=(3, 12)), requires_grad=True) for _ in range(2)]
+    whs = Tensor(RNG.normal(size=(2, 3, 12)), requires_grad=True)
     with ComputationTape() as tape:
         loss = weighted_sum(ad.bilstm(xs, whs, 5), Tensor(RNG.normal(size=(30, 3))))
     tape.backward(loss)
-    once = [t.grad.copy() for t in (xs, *whs)]
-    for t in (xs, *whs):
+    once = [t.grad.copy() for t in (xs, whs)]
+    for t in (xs, whs):
         t.grad[...] = 0.0
     tape.backward(loss)
-    for t, g in zip((xs, *whs), once):
+    for t, g in zip((xs, whs), once):
         assert t.grad.tobytes() == g.tobytes()
 
 
 def test_bilstm_directions_are_independent():
     # a direction's states depend only on its own inputs and weights
     xs = RNG.normal(size=(2, 6, 8))
-    whs = [Tensor(RNG.normal(size=(2, 8))) for _ in range(2)]
-    both = ad.bilstm(Tensor(xs), whs, 3).values
+    whs = RNG.normal(size=(2, 2, 8))
+    both = ad.bilstm(Tensor(xs), Tensor(whs), 3).values
     for k in range(2):
-        alone = ad.bilstm(Tensor(xs[k:k + 1]), [whs[k]], 3).values
+        alone = ad.bilstm(Tensor(xs[k:k + 1]), Tensor(whs[k:k + 1]), 3).values
         assert np.array_equal(both[6 * k:6 * (k + 1)], alone)
 
 
@@ -126,17 +165,19 @@ def test_backward_adds_into_the_grad_in_place_and_gives_a_leaf_without_one_a_new
 
 
 def test_bilstm_rejects_mismatched_shapes():
-    x, wh = Tensor(np.zeros((2, 6, 8))), Tensor(np.zeros((2, 8)))
+    x, wh = Tensor(np.zeros((2, 6, 8))), Tensor(np.zeros((2, 2, 8)))
     with pytest.raises(DimensionError, match=r"\[2, 6, 8\]"):
-        ad.bilstm(x, [wh, Tensor(np.zeros((2, 4)))], 2)
+        ad.bilstm(x, Tensor(np.zeros((2, 2, 4))), 2)  # the weights are not [h, 4h]
     with pytest.raises(DimensionError):
-        ad.bilstm(x, [wh], 2)  # two directions of inputs for one weight
+        ad.bilstm(x, Tensor(np.zeros((1, 2, 8))), 2)  # two directions of inputs for one weight
     with pytest.raises(DimensionError):
-        ad.bilstm(Tensor(np.zeros((2, 6, 4))), [wh, wh], 2)  # not 4h wide
+        ad.bilstm(x, Tensor(np.zeros((2, 8))), 2)  # the weights are not stacked
     with pytest.raises(DimensionError):
-        ad.bilstm(Tensor(np.zeros((12, 8))), [wh, wh], 2)  # directions not stacked
+        ad.bilstm(Tensor(np.zeros((2, 6, 4))), wh, 2)  # not 4h wide
     with pytest.raises(DimensionError):
-        ad.bilstm(x, [wh, wh], 4)  # 6 rows are not whole steps of 4 cells
+        ad.bilstm(Tensor(np.zeros((12, 8))), wh, 2)  # directions not stacked
+    with pytest.raises(DimensionError):
+        ad.bilstm(x, wh, 4)  # 6 rows are not whole steps of 4 cells
 
 
 def test_softmax_rows_with_mask():
@@ -205,8 +246,8 @@ def project_inputs(frozen=False):
     tokens; word ids and token reads repeat, and padding reads token 0 with
     no flags, as in a plan."""
     embedding = Tensor(RNG.normal(size=(4, 3)), requires_grad=not frozen)
-    wx = [Tensor(RNG.normal(size=(5, 8)), requires_grad=True) for _ in range(2)]
-    b = [Tensor(RNG.normal(size=8), requires_grad=True) for _ in range(2)]
+    wx = Tensor(RNG.normal(size=(2, 5, 8)), requires_grad=True)
+    b = Tensor(RNG.normal(size=(2, 8)), requires_grad=True)
     word_ids = np.array([2, 0, 3, 2, 1])
     rows = np.array([[0, 1, 2, 4, 4, 0], [2, 1, 0, 3, 4, 0]])
     flags = RNG.integers(0, 2, size=(2, 6, 2)).astype(float)
@@ -243,14 +284,14 @@ def test_project_equals_gather_project_add():
     assert out.shape == (2, 6, 8)
     for k in range(2):
         x = np.concatenate([embedding.values[word_ids[rows[k]]], flags[k]], axis=1)
-        assert out[k] == pytest.approx(x @ wx[k].values + b[k].values, abs=1e-12)
+        assert out[k] == pytest.approx(x @ wx.values[k] + b.values[k], abs=1e-12)
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
 def test_grad_project(frozen):
     embedding, wx, b, word_ids, rows, flags = project_inputs(frozen)
     r = Tensor(RNG.normal(size=(2, 6, 8)))
-    tensors = {"wx_fwd": wx[0], "wx_bwd": wx[1], "b_fwd": b[0], "b_bwd": b[1]}
+    tensors = {"wx": wx, "b": b}
     if not frozen:
         tensors["embedding"] = embedding
     fd_check(lambda: weighted_sum(ad.project(embedding, wx, b, word_ids, rows, flags), r),
@@ -369,9 +410,11 @@ def test_fused_ops_reject_mismatched_operands():
     with pytest.raises(DimensionError, match="project"):
         ad.project(embedding, wx, b, word_ids, rows, flags[:, :, :1])  # wx expects 2 flags
     with pytest.raises(DimensionError, match="project"):
-        ad.project(embedding, wx, b[:1], word_ids, rows, flags)
+        ad.project(embedding, wx, Tensor(b.values[:1]), word_ids, rows, flags)
     with pytest.raises(DimensionError, match="project"):
-        ad.project(embedding, wx, [b[0], Tensor(np.zeros(4))], word_ids, rows, flags)
+        ad.project(embedding, wx, Tensor(np.zeros((2, 4))), word_ids, rows, flags)
+    with pytest.raises(DimensionError, match="project"):
+        ad.project(embedding, Tensor(wx.values[0]), b, word_ids, rows, flags)  # not stacked
     with pytest.raises(DimensionError, match="project"):
         ad.project(embedding, wx, b, word_ids, rows[:1], flags)
     states, params, unshuffle, pool, mask = head_inputs()
@@ -462,7 +505,7 @@ def test_backward_accumulates_additively():
 
 def test_forward_is_pure():
     embedding, wx, b, word_ids, rows, flags = project_inputs()
-    whs = [Tensor(RNG.normal(size=(2, 8))) for _ in range(2)]
+    whs = Tensor(RNG.normal(size=(2, 2, 8)))
     _, params, _, pool, mask = head_inputs(n=2, width=3)
 
     def forward():
@@ -480,10 +523,9 @@ def test_grad_tanh_sigmoid():
     # in both directions, each with its own recurrent weights, also check the
     # gradient through the recurrent state
     xs = Tensor(RNG.normal(size=(2, 6, 8)), requires_grad=True)
-    whs = [Tensor(RNG.normal(size=(2, 8)), requires_grad=True) for _ in range(2)]
+    whs = Tensor(RNG.normal(size=(2, 2, 8)), requires_grad=True)
     r = Tensor(RNG.normal(size=(12, 2)))
-    fd_check(lambda: weighted_sum(ad.bilstm(xs, whs, 2), r),
-             {"x": xs, "wh_fwd": whs[0], "wh_bwd": whs[1]})
+    fd_check(lambda: weighted_sum(ad.bilstm(xs, whs, 2), r), {"x": xs, "wh": whs})
 
 
 def test_grad_mean_total_scale():

@@ -692,13 +692,15 @@ def test_non_utf8_input_is_named_with_its_line(tmp_path, gen_dir, capsys, bad):
     ("deep", "invalid JSON: nested too deeply"),
     ("duplicate", "key {key!r} sets {key!r} a second time"),
     ("surrogate", "invalid JSON: lone surrogate \\ud800 in a string"),
-], ids=["deep", "duplicate", "surrogate"])
+    ("long-integer", "invalid JSON: an integer of more than 4300 digits"),
+], ids=["deep", "duplicate", "surrogate", "long-integer"])
 @pytest.mark.parametrize("bad", ["corpus", "checkpoint", "config"])
 def test_every_json_input_follows_the_same_rules(tmp_path, gen_dir, capsys, bad, fault, message):
     """A corpus line (via predict), a checkpoint (via eval) and a config file
-    (via train) nested too deeply, setting a key twice or holding a lone
-    surrogate each end in one error line naming the file, and the corpus's
-    line, with no output written."""
+    (via train) nested too deeply, setting a key twice, holding a lone
+    surrogate or an integer literal of 5,000 digits (past Python's digit
+    limit) each end in one error line naming the file, and the corpus's line,
+    with the exit code of the file's other faults and no output written."""
     _, ck, _ = train_small(tmp_path, gen_dir)
     path, out, test = tmp_path / "bad", tmp_path / "out.json", gen_dir / "test.jsonl"
     lines = test.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -714,9 +716,11 @@ def test_every_json_input_follows_the_same_rules(tmp_path, gen_dir, capsys, bad,
     if fault == "surrogate":  # json.dumps writes it as the escape \ud800
         document[key] = "\ud800"
     text = json.dumps(document)
+    rest = json.dumps({name: value for name, value in document.items() if name != key})
     text = {"deep": f'{{"{key}": ' + "[" * 200_000,
             "duplicate": f'{{"{key}": {json.dumps(document[key])}, ' + text[1:],
-            "surrogate": text}[fault]
+            "surrogate": text,
+            "long-integer": f'{{"{key}": {"9" * 5000}, ' + rest[1:]}[fault]
     path.write_text("".join([lines[0], text + "\n", *lines[2:]]) if bad == "corpus" else text,
                     encoding="utf-8")
     capsys.readouterr()

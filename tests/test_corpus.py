@@ -184,8 +184,15 @@ def test_read_json_rejects_exactly_the_strings_that_decode_to_a_lone_surrogate(p
 
 
 def test_read_json_is_the_only_json_decode_call_site():
-    """No module of the package parses JSON but through `corpus.read_json`."""
-    decode = re.compile(r"json\.loads?\(")
+    """No module of the package parses JSON but through `corpus.read_json`:
+    no `json.load`/`json.loads`, and no `.decode(` or `.raw_decode(` but a
+    UTF-8 bytes decode, which is how a JSON decoder object is called."""
+    decode = re.compile(r"json\.loads?\(|\.(?:raw_)?decode\((?![\"']utf-8[\"'])")
+    for call in ["json.loads(text)", "json.load(fh)", "_DECODER.decode(text)",
+                 "json.JSONDecoder().raw_decode(text, 0)", "decoder.decode(s)"]:
+        assert decode.search(call), call
+    for call in ['data.decode("utf-8")', "corpus._decode(data, where, error)"]:
+        assert not decode.search(call), call
     reader = inspect.getsource(corpus.read_json)
     assert len(decode.findall(reader)) == 1
     for path in sorted(Path(corpus.__file__).parent.glob("*.py")):

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import sys
 import threading
@@ -88,8 +89,8 @@ def oracle_cell(params, example, t, j):
             outs.append(h)
         return outs
 
-    fwd = lstm(v["fwd_wx"], v["fwd_wh"], v["fwd_b"], xs)
-    bwd = lstm(v["bwd_wx"], v["bwd_wh"], v["bwd_b"], xs[::-1])[::-1]
+    fwd = lstm(v["wx"][0], v["wh"][0], v["b"][0], xs)
+    bwd = lstm(v["wx"][1], v["wh"][1], v["b"][1], xs[::-1])[::-1]
     ctx = np.stack([np.concatenate([a, b]) for a, b in zip(fwd, bwd)])
     ent_mean = ctx[sorted(mention)].mean(axis=0) if mention else np.zeros(params.hidden_size)
     verb_mean = ctx[sorted(verbs)].mean(axis=0) if verbs else np.zeros(params.hidden_size)
@@ -169,11 +170,10 @@ def single_pass_encode_cells(params, items):
     v = {name: t.values for name, t in params.tensors.items()}
     words = v["embedding"][plan["word_ids"]]
     d, hidden = words.shape[1], params.hidden_size
-    inputs = np.stack([((words @ v[f"{k}_wx"][:d].copy())[rows[i]]
-                        + flags[i] @ v[f"{k}_wx"][d:].copy()) + v[f"{k}_b"]
-                       for i, k in enumerate(("fwd", "bwd"))])
-    states = ad.bilstm(ad.Tensor(inputs), [params.tensors[f"{k}_wh"] for k in ("fwd", "bwd")],
-                       n).values
+    inputs = np.stack([((words @ v["wx"][k, :d].copy())[rows[k]]
+                        + flags[k] @ v["wx"][k, d:].copy()) + v["b"][k]
+                       for k in range(2)])
+    states = ad.bilstm(ad.Tensor(inputs), params.tensors["wh"], n).values
     ctx = states[unshuffle].reshape(n, width, hidden)
     focus = (pool @ ctx).reshape(n, 2 * hidden)
     query = (focus @ v["attn_w"].T.copy()).reshape(n, hidden, 1)
@@ -253,11 +253,11 @@ def reference_lstm_step(x, state, wh):
 def stepwise_bilstm(inputs, recurrent, cells):
     """`ad.bilstm`'s forward values, one direction and one time step at a time."""
     states = []
-    for x, wh in zip(inputs.values, recurrent):
+    for x, wh in zip(inputs.values, recurrent.values):
         hd = wh.shape[0]
         state = np.zeros((cells, 2 * hd))
         for start in range(0, x.shape[0], cells):
-            state = reference_lstm_step(x[start:start + cells], state, wh.values)
+            state = reference_lstm_step(x[start:start + cells], state, wh)
             states.append(state[:, :hd])
     return ad.Tensor(np.concatenate(states))
 
@@ -358,7 +358,7 @@ def test_encoder_gradient_matches_fd_on_ragged_batch():
     items = [(a, [1, 0]), (b, range(b.n_entities))]
     r = ad.Tensor(RNG.normal(size=(13, 4)))
     tensors = params.tensors
-    assert not np.array_equal(tensors["fwd_wh"].values, tensors["bwd_wh"].values)
+    assert not np.array_equal(tensors["wh"].values[0], tensors["wh"].values[1])
     errs = ad.check_gradients(lambda: weighted_sum(encode_cells(params, items).dists, r), tensors)
     assert max(errs.values()) < 1e-4, errs  # criterion 1's bound
 
@@ -622,31 +622,64 @@ def test_predict_grids_check_each_chunk_once_and_return_views(monkeypatch, cell,
 # ---------------------------------------------------------------------------
 # the flat parameter vector
 
+def layout_views(params):
+    """(name, shape, values, grad) of every `param_layout` array, read through
+    the tensors: a per-direction array is row 0 (fwd) or 1 (bwd) of its
+    kind's stacked tensor; grad is None where the tensor takes none."""
+    for name, shape, _ in model.param_layout(len(params.vocab), params.embedding_dim,
+                                             params.hidden_size):
+        direction, _, kind = name.partition("_")
+        k = ("fwd", "bwd").index(direction) if direction in ("fwd", "bwd") else None
+        t = params.tensors[name if k is None else kind]
+        yield (name, shape, t.values if k is None else t.values[k],
+               t.grad if k is None or t.grad is None else t.grad[k])
+
+
 @pytest.mark.parametrize("source", ["init", "copy", "checkpoint"])
 def test_every_tensor_views_one_vector_in_layout_order_and_owns_a_disjoint_home(tmp_path,
                                                                                 source):
-    params = tiny_params(tiny_example())
+    # with a trained and with a frozen embedding
+    for frozen in (False, True):
+        assert_tensors_tile_the_vectors(tmp_path, source, frozen)
+
+
+def assert_tensors_tile_the_vectors(tmp_path, source, frozen):
+    ex = tiny_example()
+    vocab = build_vocab([TopicGroup(topic="t", labeled=[ex])])
+    table = EmbeddingTable(4, {"water": np.ones(4)}, np.zeros(4)) if frozen else None
+    params = init_params(vocab, 4, 4, seed=5, embeddings=table)
     if source == "copy":
         params = params.copy()
     elif source == "checkpoint":
         save_checkpoint(params, tmp_path / "ck.json")
         params = load_checkpoint(tmp_path / "ck.json")
-    layout = model.param_layout(len(params.vocab), params.embedding_dim, params.hidden_size)
-    assert list(params.tensors) == [name for name, _, _ in layout]
+    assert params.embedding_frozen == frozen
+    # 8 tensors for the layout's 11 arrays: each LSTM weight kind stacks both directions
+    assert list(params.tensors) == ["embedding", "wx", "wh", "b", "attn_w", "attn_b", "dec_w",
+                                    "dec_b"]
     start = 0
-    for name, shape, _ in layout:
-        t = params.tensors[name]
-        assert t.shape == t.grad.shape == shape, name
-        assert t.values.base is params.flat and t.grad.base is params.grads, name
-        assert t.values.ctypes.data - params.flat.ctypes.data == 8 * start, name
-        assert t.grad.ctypes.data - params.grads.ctypes.data == 8 * start, name
-        start += t.size
+    for name, shape, values, grad in layout_views(params):
+        assert values.shape == shape and values.base is params.flat, name
+        assert values.ctypes.data - params.flat.ctypes.data == 8 * start, name
+        if not (frozen and name == "embedding"):
+            assert grad.shape == shape and grad.base is params.grads, name
+            assert grad.ctypes.data - params.grads.ctypes.data == 8 * start, name
+        start += values.size
     assert start == params.flat.size == params.grads.size
+    assert len(params.named()) == 11
     assert not params.grads.any()
-    grads = [t.grad for t in params.tensors.values()]
+    grads = [t.grad for t in params.tensors.values() if t.grad is not None]
     for i, grad in enumerate(grads):
         assert not np.shares_memory(grad, params.flat)
         assert not any(np.shares_memory(grad, other) for other in grads[i + 1:])
+    # numbered entries, read back through the tensors: their views tile the
+    # vector, and their grads its trainable range, exactly once
+    params.flat[...] = np.arange(params.flat.size)
+    params.grads[...] = np.arange(params.grads.size)
+    seen = np.sort(np.concatenate([t.values.reshape(-1) for t in params.tensors.values()]))
+    assert np.array_equal(seen, np.arange(params.flat.size))
+    seen = np.sort(np.concatenate([grad.reshape(-1) for grad in grads]))
+    assert np.array_equal(seen, np.arange(params.grads.size)[params.trainable])
 
 
 def test_a_frozen_embedding_views_the_vector_but_has_no_home():
@@ -702,6 +735,26 @@ def test_checkpoint_roundtrip(tmp_path):
     a = predict_grid(params, ex)
     b = predict_grid(loaded, ex)
     assert np.array_equal(a.dists, b.dists)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
+def test_checkpoint_bytes_are_what_json_dump_writes(tmp_path, frozen):
+    """`save_checkpoint` encodes its payload in one `json.dumps` call, which
+    takes the C encoder; the file holds the bytes that `json.dump`, always the
+    pure-Python encoder, writes for the same payload, plus a newline."""
+    groups = generate_synthetic(seed=3, topics=2, paragraphs_per_topic=2, noise=0.15)
+    rng = np.random.default_rng(4)
+    table = EmbeddingTable(4, {tok: rng.normal(size=4) for tok in list(build_vocab(groups))[1::2]},
+                           rng.normal(size=4)) if frozen else None
+    cfg = training.TrainingConfig(epochs=2, seed=1, hidden_size=4, embedding_dim=4)
+    params = training.train(groups, cfg, embeddings=table).params
+    assert params.embedding_frozen == frozen
+    path = tmp_path / "ck.json"
+    save_checkpoint(params, path)
+    buffer = io.StringIO()
+    json.dump(json.loads(path.read_bytes()), buffer)  # floats read back to the same bits
+    assert path.read_bytes() == (buffer.getvalue() + "\n").encode()
+    assert load_checkpoint(path).flat.tobytes() == params.flat.tobytes()
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):

@@ -1,17 +1,19 @@
 import dataclasses
 import inspect
+import json
 import math
 import re
 from pathlib import Path
 
 import numpy as np
+import project_reference
 import pytest
 import sgd_reference
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from statetrack import autodiff as ad
-from statetrack import model, training
+from statetrack import cli, model, training
 from statetrack.autodiff import ComputationTape, Tensor
 from statetrack.corpus import (ChangeGrid, EmbeddingTable, Entity, ProcessExample,
                                StateChange, TopicGroup, demote_labels, generate_synthetic)
@@ -444,11 +446,12 @@ def test_check_gradients_leaves_every_grad_a_view_of_the_gradient_vector():
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=3)
     batch = make_batches(params.vocab, g, cfg)[0]
     ad.check_gradients(lambda: batch_loss(params, batch, cfg)[0], params.tensors)
-    start = 0
     for name, t in params.tensors.items():
+        # at the place in the gradient vector that the values hold in `flat`
         assert t.grad.base is params.grads, name
-        assert t.grad.ctypes.data - params.grads.ctypes.data == 8 * start, name
-        start += t.size
+        assert (t.grad.ctypes.data - params.grads.ctypes.data
+                == t.values.ctypes.data - params.flat.ctypes.data), name
+        assert t.grad.strides == t.values.strides, name
     before = {name: t.values.copy() for name, t in params.tensors.items()}
     training._sgd_step(params, 0.5)
     for name, t in params.tensors.items():
@@ -495,6 +498,54 @@ def test_train_ends_in_the_weights_of_the_per_tensor_step(monkeypatch, setting):
     assert got.params.embedding_frozen == (setting == "frozen-embeddings")
     engaged = [e["mean_con_loss"] > 0.0 for e in got.report["epochs"]]
     assert all(engaged) if setting != "supervised" else not any(engaged)
+
+
+def test_an_engaged_batch_on_the_per_direction_ops_gives_the_same_bits(monkeypatch):
+    """Both encoder passes of an engaged batch read the same stacked leaves;
+    on the per-direction `project` and the step-form `bilstm` the loss and
+    every gradient are the same bits."""
+    def run():
+        params, tape, loss = engaged_batch_loss()
+        tape.backward(loss)
+        return loss.values.tobytes(), params.grads.tobytes()
+
+    got = run()
+    with project_reference.installed(monkeypatch):
+        want = run()
+    assert got == want
+
+
+# the benchmark's model flags and its two workloads' flags and epochs, the
+# semi-supervised run long enough for the consistency term to engage
+MODEL_FLAGS = ["--lr", "0.5", "--hidden", "8", "--emb-dim", "16", "--seed", "1"]
+WORKLOADS = {"train-supervised": (4, ["--no-consistency"]),
+             "train-semi": (36, ["--label-fraction", "0.33", "--use-unlabeled"])}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_train_on_the_per_direction_ops_ends_in_the_same_bits(tmp_path, monkeypatch, workload):
+    """`train` with a benchmark workload's flags ends in the same weights and
+    report on the stacked encoder ops as on the per-direction `project` and
+    the step-form `bilstm`."""
+    assert cli.main(["gen", "--out-dir", str(tmp_path), "--seed", "42", "--train-topics", "10",
+                     "--dev-topics", "3", "--test-topics", "1", "--paragraphs", "3",
+                     "--noise", "0.15"]) == 0
+    epochs, flags = WORKLOADS[workload]
+    checkpoint, report = tmp_path / "ck.json", tmp_path / "report.json"
+
+    def run():
+        assert cli.main(["train", "--train", str(tmp_path / "train.jsonl"),
+                         "--dev", str(tmp_path / "dev.jsonl"), "--epochs", str(epochs),
+                         "--checkpoint", str(checkpoint), "--report", str(report),
+                         *MODEL_FLAGS, *flags]) == 0
+        return model.load_checkpoint(checkpoint).flat.tobytes(), json.loads(report.read_text())
+
+    got = run()
+    with project_reference.installed(monkeypatch):
+        want = run()
+    assert got == want
+    engaged = [e["mean_con_loss"] > 0.0 for e in got[1]["epochs"]]
+    assert any(engaged) if workload == "train-semi" else not any(engaged)
 
 
 @pytest.mark.parametrize("consistency_enabled", [True, False])
