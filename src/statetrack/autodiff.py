@@ -29,8 +29,8 @@ class Tensor:
     Leaves created with ``requires_grad=True`` receive gradients from
     :meth:`ComputationTape.backward`; everything else is treated as a
     constant or an intermediate.  Backward adds into a leaf's existing grad
-    in place, so a grad may be a view of a larger array (a parameter's view,
-    possibly strided, of `ModelParams.grads`): zero a grad in place, and
+    in place, so a grad may be a view of a larger array (a parameter's run of
+    `ModelParams.grads`): zero a grad in place, and
     never replace the grad of a tensor whose grad is such a view.
     """
 

@@ -7,7 +7,8 @@ LSTM produces contextual vectors; a bilinear attention conditioned on the
 mean entity-mention vector and mean verb vector pools them; a single affine
 layer plus softmax yields the cell distribution.  The parameters are the
 named arrays of `param_layout`, the one list of their names and shapes; in
-memory each LSTM weight kind is one tensor over both directions.
+memory each LSTM weight kind is one tensor over both directions, and the
+trained tensors are runs of one vector.
 Every grid cell is predicted independently, but all cells of a batch are
 computed together, as three tape ops: the input projection, the whole
 BiLSTM and the attention-decoder head.  A batch's index data depends only
@@ -18,7 +19,6 @@ and then run with the current weights as often as needed (`run_cells`).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Literal, Sequence
@@ -47,23 +47,21 @@ class NumericalError(RuntimeError):
 class ModelParams:
     """The vocabulary plus the parameter tensors by name.
 
-    `flat` holds every `param_layout` array in layout order, and `named`
-    gives each one's view of it.  The tensors view `flat` too: one tensor per
-    array, but each LSTM weight kind is one [2, ...] tensor over both
-    directions (`wx`, `wh` and `b`), so 8 tensors cover the layout's 11 arrays
-    exactly once.  Every trainable tensor's grad is the same view of `grads`;
-    `trainable` is the range of both that the trainable tensors fill.  Zero a
-    grad in place and never replace one: a tensor whose grad no longer views
-    `grads` drops out of the training step.  The sizes and the embedding's
-    freezing are read off the tensors themselves: a frozen embedding is one
-    that takes no gradient.
+    One tensor per `param_layout` array, but each LSTM weight kind is one
+    [2, ...] tensor whose rows 0 and 1 are the fwd and bwd arrays (`wx`, `wh`
+    and `b`); `named` reads the layout's arrays back.  Every trained tensor is
+    one C-contiguous run of `flat`, and its grad the same run of `grads`, so
+    the two vectors hold exactly what a training step updates.  Zero a grad in
+    place and never replace one: a tensor whose grad no longer views `grads`
+    drops out of the training step.  A frozen embedding is a constant tensor
+    outside both vectors.  The sizes and the embedding's freezing are read off
+    the tensors themselves.
     """
 
     vocab: dict[str, int]
     tensors: dict[str, Tensor]
     flat: np.ndarray
     grads: np.ndarray
-    trainable: slice
 
     @property
     def hidden_size(self) -> int:
@@ -78,16 +76,14 @@ class ModelParams:
         return not self.tensors["embedding"].requires_grad
 
     def named(self) -> dict[str, np.ndarray]:
-        """Every `param_layout` array by name, in layout order, as its view of `flat`."""
-        arrays, start = {}, 0
-        for name, shape, _ in param_layout(len(self.vocab), self.embedding_dim,
-                                           self.hidden_size):
-            end = start + math.prod(shape)
-            arrays[name], start = self.flat[start:end].reshape(shape), end
+        """Every `param_layout` array by name, in layout order: a tensor's
+        values, or for a per-direction name its row of the kind's tensor."""
+        arrays = {}
+        for name, _, _ in param_layout(len(self.vocab), self.embedding_dim, self.hidden_size):
+            direction, _, kind = name.partition("_")
+            arrays[name] = (self.tensors[kind].values[("fwd", "bwd").index(direction)]
+                            if direction in ("fwd", "bwd") else self.tensors[name].values)
         return arrays
-
-    def copy(self) -> "ModelParams":
-        return _assemble(dict(self.vocab), self.embedding_frozen, self.named())
 
 
 def param_layout(vocab_size: int, embedding_dim: int,
@@ -120,33 +116,26 @@ def check_sizes(hidden_size: int, embedding_dim: int) -> None:
 
 def _assemble(vocab: dict[str, int], embedding_frozen: bool,
               arrays: dict[str, np.ndarray]) -> ModelParams:
-    """ModelParams from the named arrays of `param_layout`, copied into one
-    vector in order, with zeroed grads viewing a second one.  The two
-    directions' LSTM blocks are adjacent and of one size, so each LSTM weight
-    kind is one [2, ...] tensor, named without its direction, that views the
-    kind's array in both blocks.  A frozen embedding has no grad, and since it
-    comes first the trainable tensors fill the rest."""
-    flat = np.concatenate([a.reshape(-1) for a in arrays.values()], dtype=np.float64)
+    """ModelParams from the named arrays of `param_layout`.  Each LSTM weight
+    kind, named without its direction, stacks its fwd and bwd arrays; every
+    trained tensor is copied into its run of one vector, in `tensors` order,
+    with a zeroed grad viewing the same run of a second one."""
+    stacked = {}
+    for name, a in arrays.items():
+        direction, _, kind = name.partition("_")
+        if direction == "fwd":
+            stacked[kind] = np.stack([a, arrays[f"bwd_{kind}"]])
+        elif direction != "bwd":
+            stacked[name] = a
+    tensors = {"embedding": Tensor(stacked.pop("embedding"))} if embedding_frozen else {}
+    flat = np.concatenate([a.reshape(-1) for a in stacked.values()], dtype=np.float64)
     grads = np.zeros(flat.size)
-    starts = dict(zip(arrays, accumulate((a.size for a in arrays.values()), initial=0)))
-    first, block = starts["fwd_wx"], starts["bwd_wx"] - starts["fwd_wx"]
-
-    def view(vector: np.ndarray, name: str) -> np.ndarray:
-        a, start = arrays[name], starts[name]
-        if not name.startswith("fwd_"):
-            return vector[start:start + a.size].reshape(a.shape)
-        blocks = vector[first:first + 2 * block].reshape(2, block)
-        return blocks[:, start - first:start - first + a.size].reshape(2, *a.shape)
-
-    tensors = {}
-    for name in arrays:
-        if not name.startswith("bwd_"):
-            t = tensors[name.removeprefix("fwd_")] = Tensor(
-                view(flat, name), requires_grad=not (name == "embedding" and embedding_frozen))
-            if t.requires_grad:
-                t.grad = view(grads, name)
-    trainable = slice(arrays["embedding"].size if embedding_frozen else 0, None)
-    return ModelParams(vocab, tensors, flat, grads, trainable)
+    start = 0
+    for name, a in stacked.items():
+        run, start = slice(start, start + a.size), start + a.size
+        t = tensors[name] = Tensor(flat[run].reshape(a.shape), requires_grad=True)
+        t.grad = grads[run].reshape(a.shape)
+    return ModelParams(vocab, tensors, flat, grads)
 
 
 def build_vocab(groups: Iterable[TopicGroup]) -> dict[str, int]:
@@ -210,8 +199,8 @@ def plan_cells(vocab: dict[str, int],
     item and step-major within an item.
 
     Each item pairs a paragraph with the entity indices whose columns are
-    wanted.  A cell's result depends only on its own sentence and entity,
-    never on the other cells it is batched with.
+    wanted.  A cell's result depends only on its own sentence and entity, up
+    to rounding: the other cells it is batched with may move its last bits.
     """
     for example, entities in items:
         for j in entities:
@@ -286,7 +275,8 @@ def plan_chunks(vocab: dict[str, int], examples: Sequence[ProcessExample]) -> li
 
 def predict_grids(params: ModelParams, examples: Sequence[ProcessExample],
                   plans: Sequence[CellPlan] | None = None) -> list[ChangeGrid]:
-    """`predict_grid` of each paragraph (a cell depends only on its own sentence),
+    """`predict_grid` of each paragraph (a cell depends only on its own sentence,
+    up to rounding),
     from one encoder pass per PREDICT_CHUNK paragraphs, which bounds the memory.
     `plans` are the examples' `plan_chunks`, built here when not given."""
     if plans is None:

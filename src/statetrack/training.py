@@ -214,12 +214,12 @@ class TrainResult:
 
 
 def _sgd_step(params: ModelParams, lr: float) -> None:
-    """values -= lr * grad for every trainable tensor, as three operations over
-    the trainable range of the gradient vector; every trainable grad is zeroed."""
-    grads = params.grads[params.trainable]
+    """values -= lr * grad for every trained tensor, as three operations over
+    the whole vectors, which hold exactly the trained tensors; every grad is zeroed."""
+    grads = params.grads
     grads *= lr  # zeroed next, so it holds lr * grad
-    params.flat[params.trainable] -= grads
-    grads[...] = 0.0
+    params.flat -= grads
+    grads.fill(0.0)
 
 
 def _evaluate_split(params: ModelParams, groups: Sequence[TopicGroup],
@@ -265,44 +265,45 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
     epochs_log = []
     best_f1 = -1.0
     best_epoch = None
-    best_params = None
-    for epoch in range(1, cfg.epochs + 1):
-        sup_losses, con_losses, switches = [], [], 0
-        for gi in rng.permutation(len(batches)):
-            for bi, batch in enumerate(batches[gi]):
-                with ComputationTape() as tape:
-                    loss, stats = batch_loss(params, batch, cfg)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise NumericalError(
-                        f"non-finite loss at epoch {epoch}, group {batch.topic!r} batch {bi}: "
-                        f"total={value}, sup={stats.sup_loss}, con={stats.con_loss}")
-                tape.backward(loss)
-                _sgd_step(params, cfg.learning_rate)
-                sup_losses.append(stats.sup_loss)
-                con_losses.append(stats.con_loss)
-                switches += int(stats.switched)
+    best_flat = None
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite loss
+        for epoch in range(1, cfg.epochs + 1):
+            sup_losses, con_losses, switches = [], [], 0
+            for gi in rng.permutation(len(batches)):
+                for bi, batch in enumerate(batches[gi]):
+                    with ComputationTape() as tape:
+                        loss, stats = batch_loss(params, batch, cfg)
+                    value = loss.item()
+                    if not math.isfinite(value):
+                        raise NumericalError(
+                            f"non-finite loss at epoch {epoch}, group {batch.topic!r} batch {bi}: "
+                            f"total={value}, sup={stats.sup_loss}, con={stats.con_loss}")
+                    tape.backward(loss)
+                    _sgd_step(params, cfg.learning_rate)
+                    sup_losses.append(stats.sup_loss)
+                    con_losses.append(stats.con_loss)
+                    switches += int(stats.switched)
 
-        dev_f1 = dev_consistency = None
-        if dev:
-            metrics, consistency = _evaluate_split(params, dev, dev_plans)
-            dev_f1, dev_consistency = metrics.f1, consistency.score
-            # ties keep the later epoch's checkpoint
-            if dev_f1 >= best_f1:
-                best_f1 = dev_f1
-                best_epoch = epoch
-                best_params = params.copy()
-        epochs_log.append({
-            "epoch": epoch,
-            "mean_sup_loss": float(np.mean(sup_losses)),
-            "mean_con_loss": float(np.mean(con_losses)),
-            "adaptive_switch_rate": switches / len(sup_losses),
-            "dev_f1": dev_f1,
-            "dev_consistency": dev_consistency,
-        })
-        logger.info("epoch %d: sup=%.4f con=%.4f switch=%.2f dev_f1=%s",
-                    epoch, epochs_log[-1]["mean_sup_loss"], epochs_log[-1]["mean_con_loss"],
-                    epochs_log[-1]["adaptive_switch_rate"], dev_f1)
+            dev_f1 = dev_consistency = None
+            if dev:
+                metrics, consistency = _evaluate_split(params, dev, dev_plans)
+                dev_f1, dev_consistency = metrics.f1, consistency.score
+                # ties keep the later epoch's checkpoint
+                if dev_f1 >= best_f1:
+                    best_f1 = dev_f1
+                    best_epoch = epoch
+                    best_flat = params.flat.copy()
+            epochs_log.append({
+                "epoch": epoch,
+                "mean_sup_loss": float(np.mean(sup_losses)),
+                "mean_con_loss": float(np.mean(con_losses)),
+                "adaptive_switch_rate": switches / len(sup_losses),
+                "dev_f1": dev_f1,
+                "dev_consistency": dev_consistency,
+            })
+            logger.info("epoch %d: sup=%.4f con=%.4f switch=%.2f dev_f1=%s",
+                        epoch, epochs_log[-1]["mean_sup_loss"], epochs_log[-1]["mean_con_loss"],
+                        epochs_log[-1]["adaptive_switch_rate"], dev_f1)
 
     report = {
         "skipped_groups": skipped,
@@ -310,5 +311,6 @@ def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,
         "best_dev_f1": best_f1 if best_epoch is not None else None,
         "epochs": epochs_log,
     }
-    return TrainResult(params=best_params if best_params is not None else params,
-                       report=report)
+    if best_flat is not None:
+        params.flat[...] = best_flat
+    return TrainResult(params=params, report=report)

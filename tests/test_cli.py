@@ -359,6 +359,20 @@ def test_train_numerical_failure_exit_code(tmp_path, gen_dir):
     assert code == cli.EXIT_NUMERIC
 
 
+def test_train_overflow_is_one_line_and_exit_3(tmp_path, capsys):
+    # an overflow inside the model shows only as the non-finite loss: no numpy
+    # warning is printed (and none is raised here, where warnings are errors)
+    data = tmp_path / "data"
+    assert run_cli("gen", "--out-dir", str(data)) == 0
+    capsys.readouterr()
+    code = run_cli("train", "--train", str(data / "train.jsonl"), "--lr", "1e300",
+                   "--checkpoint", str(tmp_path / "ck.json"),
+                   "--report", str(tmp_path / "report.json"))
+    assert code == cli.EXIT_NUMERIC == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite loss at epoch 1, ") and err.count("\n") == 1
+
+
 def _out_of_memory(*args, **kwargs):
     raise MemoryError
 

@@ -622,20 +622,7 @@ def test_predict_grids_check_each_chunk_once_and_return_views(monkeypatch, cell,
 # ---------------------------------------------------------------------------
 # the flat parameter vector
 
-def layout_views(params):
-    """(name, shape, values, grad) of every `param_layout` array, read through
-    the tensors: a per-direction array is row 0 (fwd) or 1 (bwd) of its
-    kind's stacked tensor; grad is None where the tensor takes none."""
-    for name, shape, _ in model.param_layout(len(params.vocab), params.embedding_dim,
-                                             params.hidden_size):
-        direction, _, kind = name.partition("_")
-        k = ("fwd", "bwd").index(direction) if direction in ("fwd", "bwd") else None
-        t = params.tensors[name if k is None else kind]
-        yield (name, shape, t.values if k is None else t.values[k],
-               t.grad if k is None or t.grad is None else t.grad[k])
-
-
-@pytest.mark.parametrize("source", ["init", "copy", "checkpoint"])
+@pytest.mark.parametrize("source", ["init", "checkpoint"])
 def test_every_tensor_views_one_vector_in_layout_order_and_owns_a_disjoint_home(tmp_path,
                                                                                 source):
     # with a trained and with a frozen embedding
@@ -648,74 +635,67 @@ def assert_tensors_tile_the_vectors(tmp_path, source, frozen):
     vocab = build_vocab([TopicGroup(topic="t", labeled=[ex])])
     table = EmbeddingTable(4, {"water": np.ones(4)}, np.zeros(4)) if frozen else None
     params = init_params(vocab, 4, 4, seed=5, embeddings=table)
-    if source == "copy":
-        params = params.copy()
-    elif source == "checkpoint":
+    if source == "checkpoint":
         save_checkpoint(params, tmp_path / "ck.json")
         params = load_checkpoint(tmp_path / "ck.json")
     assert params.embedding_frozen == frozen
     # 8 tensors for the layout's 11 arrays: each LSTM weight kind stacks both directions
     assert list(params.tensors) == ["embedding", "wx", "wh", "b", "attn_w", "attn_b", "dec_w",
                                     "dec_b"]
+    # every trained tensor is one C-contiguous run of `flat`, in `tensors`
+    # order, and its grad the same run of `grads`
+    trained = [t for t in params.tensors.values() if t.requires_grad]
+    assert len(trained) == 8 - frozen
     start = 0
-    for name, shape, values, grad in layout_views(params):
-        assert values.shape == shape and values.base is params.flat, name
-        assert values.ctypes.data - params.flat.ctypes.data == 8 * start, name
-        if not (frozen and name == "embedding"):
-            assert grad.shape == shape and grad.base is params.grads, name
-            assert grad.ctypes.data - params.grads.ctypes.data == 8 * start, name
-        start += values.size
+    for t in trained:
+        assert t.values.base is params.flat and t.values.flags.c_contiguous, t
+        assert t.values.ctypes.data - params.flat.ctypes.data == 8 * start, t
+        assert t.grad.shape == t.shape and t.grad.base is params.grads, t
+        assert t.grad.flags.c_contiguous, t
+        assert t.grad.ctypes.data - params.grads.ctypes.data == 8 * start, t
+        start += t.size
     assert start == params.flat.size == params.grads.size
-    assert len(params.named()) == 11
     assert not params.grads.any()
-    grads = [t.grad for t in params.tensors.values() if t.grad is not None]
-    for i, grad in enumerate(grads):
-        assert not np.shares_memory(grad, params.flat)
-        assert not any(np.shares_memory(grad, other) for other in grads[i + 1:])
-    # numbered entries, read back through the tensors: their views tile the
-    # vector, and their grads its trainable range, exactly once
+    for i, t in enumerate(trained):
+        assert not np.shares_memory(t.grad, params.flat)
+        assert not any(np.shares_memory(t.grad, other.grad) for other in trained[i + 1:])
+    # the layout's arrays, by name and shape, are the tensors' values or, per
+    # direction, rows 0 (fwd) and 1 (bwd) of an LSTM weight kind
+    named = params.named()
+    assert [(name, a.shape) for name, a in named.items()] == [
+        (name, shape) for name, shape, _ in model.param_layout(len(vocab), 4, 4)]
+    for name, a in named.items():
+        direction, _, kind = name.partition("_")
+        want = (params.tensors[kind].values[("fwd", "bwd").index(direction)]
+                if direction in ("fwd", "bwd") else params.tensors[name].values)
+        assert a.ctypes.data == want.ctypes.data and a.strides == want.strides, name
+    # numbered entries, read back through the tensors: their values tile the
+    # vector, and their grads the gradient vector, exactly once
     params.flat[...] = np.arange(params.flat.size)
     params.grads[...] = np.arange(params.grads.size)
-    seen = np.sort(np.concatenate([t.values.reshape(-1) for t in params.tensors.values()]))
+    seen = np.sort(np.concatenate([t.values.reshape(-1) for t in trained]))
     assert np.array_equal(seen, np.arange(params.flat.size))
-    seen = np.sort(np.concatenate([grad.reshape(-1) for grad in grads]))
-    assert np.array_equal(seen, np.arange(params.grads.size)[params.trainable])
+    seen = np.sort(np.concatenate([t.grad.reshape(-1) for t in trained]))
+    assert np.array_equal(seen, np.arange(params.grads.size))
 
 
-def test_a_frozen_embedding_views_the_vector_but_has_no_home():
+def test_a_frozen_embedding_is_a_constant_outside_both_vectors():
     ex = tiny_example()
     vocab = build_vocab([TopicGroup(topic="t", labeled=[ex])])
     table = EmbeddingTable(4, {"water": np.ones(4)}, np.zeros(4))
     params = init_params(vocab, 4, 4, seed=1, embeddings=table)
     embedding = params.tensors["embedding"]
-    assert embedding.values.base is params.flat and embedding.grad is None
+    assert not embedding.requires_grad and embedding.grad is None
+    assert not np.shares_memory(embedding.values, params.flat)
+    assert not np.shares_memory(embedding.values, params.grads)
+    assert np.array_equal(embedding.values[vocab["water"]], np.ones(4))
     assert all(t.grad is not None for t in params.tensors.values() if t is not embedding)
-
-
-@pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
-def test_the_trainable_range_is_exactly_the_homes(frozen):
-    ex = tiny_example()
-    vocab = build_vocab([TopicGroup(topic="t", labeled=[ex])])
-    table = EmbeddingTable(4, {"water": np.ones(4)}, np.zeros(4)) if frozen else None
-    params = init_params(vocab, 4, 4, seed=1, embeddings=table)
-    params.grads[...] = 0.0
-    for t in params.tensors.values():
-        if t.grad is not None:
-            t.grad[...] = 1.0
-    assert params.grads[params.trainable].all()
-    assert params.grads.sum() == params.grads[params.trainable].size
-
-
-def test_copy_shares_no_memory_with_the_original():
-    params = tiny_params(tiny_example())
-    twin = params.copy()
-    assert twin.flat.tobytes() == params.flat.tobytes()
-
-    def arrays(p):
-        return [p.flat, p.grads, *(t.values for t in p.tensors.values()),
-                *(t.grad for t in p.tensors.values())]
-
-    assert not any(np.shares_memory(a, b) for a in arrays(twin) for b in arrays(params))
+    # a backward pass gives it no gradient
+    with ad.ComputationTape() as tape:
+        loss = ad.mean_nll(run_cells(params, plan_cells(vocab, [(ex, range(2))])),
+                           ex.gold.labels.reshape(-1))
+    tape.backward(loss)
+    assert embedding.grad is None and params.grads.any()
 
 
 # ---------------------------------------------------------------------------

@@ -368,9 +368,8 @@ def test_plan_reused_after_an_sgd_step_equals_a_fresh_plan():
             loss, stats = batch_loss(params, batch, cfg)
         tape.backward(loss)
         training._sgd_step(params, 0.5)
-    fresh = params.copy()
     reused, _ = batch_loss(params, batch, cfg)
-    planned_now, _ = batch_loss(fresh, make_batches(fresh.vocab, g, cfg)[0], cfg)
+    planned_now, _ = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
     assert stats.con_loss > 0.0
     assert reused.values.tobytes() == planned_now.values.tobytes()
 
@@ -405,8 +404,8 @@ def test_backward_gives_every_parameter_its_own_grad_and_accumulates_exactly():
 
 @pytest.mark.parametrize("lr", [0.5, 0.1, 1 / 3])
 def test_sgd_step_is_bitwise_values_minus_lr_times_grad(lr):
-    # the embedding is frozen, so the step must leave it and the range
-    # of the gradient vector before its trainable range alone
+    # the embedding is frozen, so the step must leave it alone; the vectors
+    # hold the other tensors only, and every entry of both is stepped
     g = two_paragraph_group()
     vocab = model.build_vocab([g])
     table = EmbeddingTable(4, {"water": np.ones(4)}, np.zeros(4))
@@ -418,14 +417,14 @@ def test_sgd_step_is_bitwise_values_minus_lr_times_grad(lr):
     params.grads[...] = rng.normal(size=params.grads.size)
     want = {name: t.values - lr * t.grad for name, t in params.tensors.items()
             if t is not embedding}
-    frozen = (embedding.values.copy(), params.grads[:embedding.size].copy())
+    assert sum(w.size for w in want.values()) == params.flat.size
+    frozen = embedding.values.copy()
     training._sgd_step(params, lr)
     for name, t in params.tensors.items():
         if t is not embedding:
             assert t.values.tobytes() == want[name].tobytes(), name
-    assert embedding.values.tobytes() == frozen[0].tobytes()
-    assert params.grads[:embedding.size].tobytes() == frozen[1].tobytes()
-    assert not params.grads[params.trainable].any()
+    assert embedding.values.tobytes() == frozen.tobytes() and embedding.grad is None
+    assert not params.grads.any()
 
 
 def test_sgd_step_drops_every_grad_and_zeroes_the_gradient_vector():
@@ -601,6 +600,19 @@ def test_train_report_structure():
                         "adaptive_switch_rate", "dev_f1", "dev_consistency"}
     assert res.report["skipped_groups"] == 0
     assert res.report["best_epoch"] is not None
+
+
+def test_train_returns_the_best_epochs_weights():
+    # dev F1 peaks, for the last time, at epoch 8 of 10: the returned weights
+    # are an 8-epoch run's, bit for bit
+    groups = generate_synthetic(0, 6, 3, 0.5)
+    train_groups, dev = groups[:4], groups[4:]
+    cfg = TrainingConfig(epochs=10, seed=3, hidden_size=4, embedding_dim=4, learning_rate=2.0)
+    res = train(train_groups, cfg, dev=dev)
+    assert res.report["best_epoch"] == 8
+    best = train(train_groups, dataclasses.replace(cfg, epochs=8), dev=dev)
+    assert res.params.flat.tobytes() == best.params.flat.tobytes()
+    assert res.report["epochs"][:8] == best.report["epochs"]
 
 
 def test_train_counts_skipped_groups():
