@@ -187,15 +187,15 @@ def cmd_predict(args: argparse.Namespace) -> None:
     examples = corpus.load_examples(args.corpus)
     if not examples:
         raise CorpusError(f"{args.corpus}: corpus is empty")
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     with _naming(args.checkpoint), corpus.atomic_open(args.out) as fh:
-        for ex, grid in zip(examples, model.predict_grids(params, examples)):
-            hard = evaluation.discretize(grid)
-            obj = corpus.example_to_json(dataclasses.replace(ex, gold=hard))
-            obj["summary"] = {
-                ent.name: evaluation.SUMMARY_NAMES[mask]
-                for ent, mask in zip(ex.entities, evaluation.summary_masks(hard).tolist())}
-            fh.write(json.dumps(obj, ensure_ascii=False))
-            fh.write("\n")
+        for chunk, dists in model.predict_chunks(params, examples):
+            for ex, (labels, masks) in zip(chunk, evaluation.label_chunk(chunk, dists)):
+                obj = corpus.example_to_json(ex, labels)
+                obj["summary"] = {ent.name: evaluation.SUMMARY_NAMES[mask]
+                                  for ent, mask in zip(ex.entities, masks)}
+                fh.write(encode(obj))
+                fh.write("\n")
     logger.info("wrote predictions for %d paragraphs to %s", len(examples), args.out)
 
 

@@ -135,6 +135,10 @@ class ProcessExample:
             raise CorpusError(f"example {echo(self.id)}: needs at least one step")
         if self.n_entities < 1:
             raise CorpusError(f"example {echo(self.id)}: needs at least one entity")
+        names = [ent.name for ent in self.entities]
+        if len(set(names)) < len(names):  # a summary is keyed by its entity's name
+            twice = next(name for i, name in enumerate(names) if name in names[:i])
+            raise CorpusError(f"example {echo(self.id)}: two entities are named '{echo(twice)}'")
         if 0 in lengths:
             raise CorpusError(f"example {echo(self.id)}: step {lengths.index(0)} is empty")
         for ent in self.entities:
@@ -229,17 +233,25 @@ def _parse_example(obj: dict, where: str) -> ProcessExample:
     return ex
 
 
-def example_to_json(ex: ProcessExample) -> dict:
+_LABEL_NAMES = np.array(CHANGE_NAMES, dtype=object)
+
+
+def example_to_json(ex: ProcessExample, labels: np.ndarray | None = None) -> dict:
+    """The paragraph as the object of a corpus line.  With `labels`, a hard
+    [steps, entities] grid, its `gold` field holds them in place of the
+    paragraph's own."""
     obj: dict = {
         "id": ex.id,
         "topic": ex.topic,
-        "steps": [list(s) for s in ex.steps],
-        "entities": [{"name": e.name, "mentions": [list(m) for m in e.mentions]}
+        "steps": list(map(list, ex.steps)),
+        "entities": [{"name": e.name, "mentions": list(map(list, e.mentions))}
                      for e in ex.entities],
-        "verbs": [list(v) for v in ex.verbs],
+        "verbs": list(map(list, ex.verbs)),
     }
-    if ex.gold is not None:
-        obj["gold"] = [[CHANGE_NAMES[v] for v in row] for row in ex.gold.labels.tolist()]
+    if labels is None and ex.gold is not None:
+        labels = ex.gold.labels
+    if labels is not None:
+        obj["gold"] = _LABEL_NAMES[labels].tolist()
     return obj
 
 
@@ -312,7 +324,7 @@ def read_json(text: str | bytes, where: str, error: type[Exception],
     except ValueError:  # the one other error of the decoder: int()'s digit limit
         raise error(f"{where}: invalid JSON: an integer of more than "
                     f"{sys.get_int_max_str_digits()} digits") from None
-    for escape in _ESCAPE.finditer(text):
+    for escape in _ESCAPE.finditer(text) if "\\" in text else ():
         if escape[1]:
             raise error(f"{where}: invalid JSON: lone surrogate \\{escape[1].lower()} in a string")
     if type(obj) is not dict:

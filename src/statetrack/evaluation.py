@@ -7,18 +7,21 @@ in both, whether the two predicted summary sets (the non-NONE labels an
 entity receives anywhere in a paragraph) are equal.  A grid's summary sets
 are computed all at once as summary masks, one 3-bit int per entity with bit
 b set iff label b occurs in its column, so comparing two sets compares ints.
+`label_chunk` takes the hard labels and summary masks of a whole chunk of
+predicted paragraphs at once; `predict` and dev scoring both read them there.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CHANGE_NAMES, ChangeGrid, StateChange, TopicGroup, shared_entities
+from .corpus import (CHANGE_NAMES, N_CHANGES, ChangeGrid, ProcessExample, StateChange,
+                     TopicGroup, shared_entities)
 
 _NONE = StateChange.NONE.value
 
@@ -97,8 +100,35 @@ def summary_masks(grid: ChangeGrid) -> np.ndarray:
     not NONE, appears anywhere in the entity's column."""
     if not grid.is_hard:
         raise ValueError("summary_set needs a hard grid; discretize first")
-    labels = grid.labels
-    return np.bitwise_or.reduce(np.where(labels == _NONE, 0, 1 << labels), axis=0)
+    return _column_masks(grid.labels, np.arange(grid.shape[1]), grid.shape[1])
+
+
+def _column_masks(labels: np.ndarray, columns: np.ndarray, n_columns: int) -> np.ndarray:
+    """The summary mask of each of `n_columns` entity columns from hard
+    labels and the column of each label (broadcast against the labels)."""
+    seen = np.zeros((n_columns, N_CHANGES), dtype=bool)  # label b occurs in column c
+    seen[columns, labels] = True
+    return seen[:, :_NONE] @ (1 << np.arange(_NONE))
+
+
+def label_chunk(examples: Sequence[ProcessExample],
+                dists: np.ndarray) -> list[tuple[np.ndarray, list[int]]]:
+    """Each paragraph's hard labels, [steps, entities], and the summary masks
+    of its entity columns, from the [cells, N_CHANGES] distributions of a chunk
+    of paragraphs whose cells run paragraph by paragraph, step-major.  One
+    argmax labels the chunk, with ties to the earliest label as in
+    `discretize`; one pass over its entity columns gives masks equal to
+    `summary_masks` of each paragraph's labels."""
+    labels = np.argmax(dists, axis=1)
+    ends = [0, *accumulate(ex.n_steps * ex.n_entities for ex in examples)]
+    firsts = [0, *accumulate(ex.n_entities for ex in examples)]
+    # the chunk's entity column of every cell
+    columns = np.fromiter(chain.from_iterable(
+        [*range(first, last)] * ex.n_steps
+        for ex, first, last in zip(examples, firsts, firsts[1:])), np.intp, len(labels))
+    masks = _column_masks(labels, columns, firsts[-1]).tolist()
+    return [(labels[start:end].reshape(ex.n_steps, -1), masks[first:last])
+            for ex, start, end, first, last in zip(examples, ends, ends[1:], firsts, firsts[1:])]
 
 
 def summary_set(grid: ChangeGrid, entity: int) -> frozenset[StateChange]:
@@ -108,8 +138,9 @@ def summary_set(grid: ChangeGrid, entity: int) -> frozenset[StateChange]:
 
 
 def consistency_score(groups: Sequence[TopicGroup],
-                      preds: Mapping[str, ChangeGrid]) -> ConsistencyReport:
-    """Percentage of shared-entity paragraph pairs whose summary sets match exactly.
+                      masks: Mapping[str, Sequence[int]]) -> ConsistencyReport:
+    """Percentage of shared-entity paragraph pairs whose summary sets match
+    exactly, from each paragraph's summary masks by id (`summary_masks`).
 
     Counting is per entity pair: a paragraph pair sharing two entities
     contributes two comparisons.  Topics with no comparisons are skipped.
@@ -119,8 +150,6 @@ def consistency_score(groups: Sequence[TopicGroup],
     for g in groups:
         pairs = [(a, b, shared) for a, b in combinations(g.members, 2)
                  if (shared := shared_entities(a, b))]
-        masks = {ex.id: summary_masks(preds[ex.id]).tolist()
-                 for a, b, _ in pairs for ex in (a, b)}
         comparisons = sum(len(shared) for _, _, shared in pairs)
         matches = sum(masks[a.id][ia] == masks[b.id][ib]
                       for a, b, shared in pairs for ia, ib in shared)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Iterable, Literal, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .corpus import (N_CHANGES, UNK_TOKEN, ChangeGrid, EmbeddingTable, ProcessEx
 
 CHECKPOINT_VERSION = 1
 
-PREDICT_CHUNK = 64  # paragraphs per encoder pass in predict_grids
+PREDICT_CHUNK = 64  # paragraphs per encoder pass in predict_chunks
 
 
 class CheckpointError(ValueError):
@@ -193,6 +193,9 @@ class CellPlan:
     mask: np.ndarray       # [cells, width], True where the cell's sentence has a token
 
 
+_BACKWARD = np.array([False, True])[:, None, None]  # the direction axis of `plan_cells`' order
+
+
 def plan_cells(vocab: dict[str, int],
                items: Sequence[tuple[ProcessExample, Sequence[int]]]) -> CellPlan:
     """Plan every (step, entity) cell of every item, one row per cell, item by
@@ -207,49 +210,52 @@ def plan_cells(vocab: dict[str, int],
             if not 0 <= j < example.n_entities:
                 raise IndexError(f"entity {j} out of range for {example.id}")
     unk = vocab[UNK_TOKEN]
-    word_ids = [vocab.get(tok, unk) for example, _ in items
-                for tokens in example.steps for tok in tokens]
-    step_lengths = np.array([len(tokens) for example, _ in items for tokens in example.steps],
-                            dtype=np.intp)
+    steps = [tokens for example, _ in items for tokens in example.steps]
+    words = list(chain.from_iterable(steps))
+    word_ids = np.fromiter(map(vocab.get, words, repeat(unk)), np.intp, len(words))
+    step_lengths = np.fromiter(map(len, steps), np.intp, len(steps))
+    step_first = np.cumsum(step_lengths) - step_lengths  # each step's first token row
     columns = [len(entities) for example, entities in items for _ in example.steps]
     # each cell's first token row and sentence length, one cell per step and column
-    first, lengths = (np.repeat(a, columns)[:, None]
-                      for a in (np.cumsum(step_lengths) - step_lengths, step_lengths))
-    # (cell, start, end, kind) token spans to flag, kind 0 for the mentions of
-    # the cell's entity and 1 for the verbs; cells run item by item, step-major
-    bases = [0, *accumulate(example.n_steps * len(entities) for example, entities in items)]
-    spans = [(base + t * len(entities) + col, a, b, 0)
-             for (example, entities), base in zip(items, bases)
-             for col, j in enumerate(entities) for t, a, b in example.entities[j].mentions]
-    spans += [(base + t * len(entities) + col, i, i + 1, 1)
-              for (example, entities), base in zip(items, bases)
-              for t, i in example.verbs for col in range(len(entities))]
-    cell, start, end, kind = np.array(spans, dtype=np.intp).reshape(-1, 4).T
+    first, lengths = (np.repeat(a, columns)[:, None] for a in (step_first, step_lengths))
     n, width = len(first), int(lengths.max())
-    marks = np.zeros((n, width, 2))  # the two indicator flags, in token order
-    # span k's positions are start_k + 0, 1, ...: a running count less the
-    # count before the span, plus its start
-    size = end - start
-    positions = np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)
-    marks[np.repeat(cell, size), positions, np.repeat(kind, size)] = 1.0
     pos = np.arange(width)
     mask = pos < lengths
     # order[k, c, tau]: the token position direction k reads at time tau; the
     # backward direction reverses each cell's tokens and leaves padding last, so
     # a cell's valid states never depend on its padding and no mask is needed
-    order = np.stack([np.broadcast_to(pos, (n, width)), np.where(mask, lengths - 1 - pos, pos)])
-    # time-major inputs (row tau * n + c); padding reads token row 0 with no flags
-    rows = np.where(mask, first + order, 0).transpose(0, 2, 1).reshape(2, -1)
-    flags = np.take_along_axis(marks[None], order[..., None], axis=2)
-    flags = flags.transpose(0, 2, 1, 3).reshape(2, -1, 2)
+    order = np.where(mask & _BACKWARD, lengths - 1 - pos, pos)
+    tokens = np.where(mask, first + order, 0)  # their token rows; padding reads row 0
+    # the two indicator flags of every cell, kind-major: kind 0 marks the
+    # mentions of the cell's entity, kind 1 the verbs of its sentence, which
+    # are flagged once per token and read by every cell of the sentence
+    marks = np.zeros((n, 2, width))
+    bases = [0, *accumulate(example.n_steps * len(entities) for example, entities in items)]
+    cell, position = np.fromiter(chain.from_iterable(
+        (base + t * len(entities) + col, p) for (example, entities), base in zip(items, bases)
+        for col, j in enumerate(entities)
+        for t, a, b in example.entities[j].mentions for p in range(a, b)),
+        np.intp).reshape(-1, 2).T
+    marks[cell, 0, position] = 1.0
+    offsets = [0, *accumulate(example.n_steps for example, _ in items)]
+    step, at = np.fromiter(chain.from_iterable(
+        (offset + t, i) for (example, _), offset in zip(items, offsets)
+        for t, i in example.verbs), np.intp).reshape(-1, 2).T
+    verbs = np.zeros(len(words))
+    verbs[step_first[step] + at] = 1.0
+    marks[:, 1] = verbs[tokens[0]] * mask
+    # time-major inputs (row tau * n + c) and their flags
+    cells = np.arange(n)[:, None]
+    reads = (cells * width + order).transpose(0, 2, 1).reshape(-1)
+    rows = tokens.transpose(0, 2, 1).reshape(2, -1)
+    flags = np.take(marks.transpose(0, 2, 1).reshape(-1, 2), reads, axis=0).reshape(2, -1, 2)
     # reversal is its own inverse, so the same order gathers the states of
     # direction k (rows k * width * n + tau * n + c) back to cell-major rows
     # (c * width + position); row r of direction k is gathered as row 2r + k
-    unshuffle = (order * n + np.arange(n)[:, None]
-                 + np.arange(2)[:, None, None] * width * n).transpose(1, 2, 0).reshape(-1)
+    unshuffle = (order * n + cells + _BACKWARD * (width * n)).transpose(1, 2, 0).reshape(-1)
     # mean over the mention / verb positions; an empty selection gives the zero vector
-    pool = marks.transpose(0, 2, 1) / np.maximum(marks.sum(axis=1), 1.0)[:, :, None]
-    plan = CellPlan(word_ids=np.array(word_ids, dtype=np.intp), rows=rows, flags=flags,
+    pool = marks / np.maximum(marks.sum(axis=2, keepdims=True), 1.0)
+    plan = CellPlan(word_ids=word_ids, rows=rows, flags=flags,
                     unshuffle=unshuffle, pool=pool, mask=mask)
     for array in vars(plan).values():
         array.flags.writeable = False
@@ -273,22 +279,30 @@ def plan_chunks(vocab: dict[str, int], examples: Sequence[ProcessExample]) -> li
             for start in range(0, len(examples), PREDICT_CHUNK)]
 
 
-def predict_grids(params: ModelParams, examples: Sequence[ProcessExample],
-                  plans: Sequence[CellPlan] | None = None) -> list[ChangeGrid]:
-    """`predict_grid` of each paragraph (a cell depends only on its own sentence,
-    up to rounding),
-    from one encoder pass per PREDICT_CHUNK paragraphs, which bounds the memory.
-    `plans` are the examples' `plan_chunks`, built here when not given."""
+def predict_chunks(params: ModelParams, examples: Sequence[ProcessExample],
+                   plans: Sequence[CellPlan] | None = None
+                   ) -> Iterator[tuple[Sequence[ProcessExample], np.ndarray]]:
+    """Each PREDICT_CHUNK consecutive paragraphs with the [cells, N_CHANGES]
+    distributions of all their cells, paragraph by paragraph and step-major,
+    from one encoder pass, which bounds the memory.  `plans` are the
+    examples' `plan_chunks`, built here when not given."""
     if plans is None:
         plans = plan_chunks(params.vocab, examples)
-    grids = []
     for start, plan in zip(range(0, len(examples), PREDICT_CHUNK), plans, strict=True):
-        chunk = examples[start:start + PREDICT_CHUNK]
         with np.errstate(all="ignore"):  # an overflow shows as a non-finite value
             dists = run_cells(params, plan).values
         if not np.isfinite(dists).all():
             raise NumericalError("the model predicts non-finite distributions")
         ChangeGrid.from_dists(dists[:, None])  # checks every cell of the chunk at once
+        yield examples[start:start + PREDICT_CHUNK], dists
+
+
+def predict_grids(params: ModelParams, examples: Sequence[ProcessExample],
+                  plans: Sequence[CellPlan] | None = None) -> list[ChangeGrid]:
+    """`predict_grid` of each paragraph (a cell depends only on its own sentence,
+    up to rounding), as views of `predict_chunks`' distributions."""
+    grids = []
+    for chunk, dists in predict_chunks(params, examples, plans):
         ends = np.cumsum([ex.n_steps * ex.n_entities for ex in chunk])[:-1]
         grids += [ChangeGrid(dists=rows.reshape(ex.n_steps, ex.n_entities, N_CHANGES))
                   for ex, rows in zip(chunk, np.split(dists, ends))]

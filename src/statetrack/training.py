@@ -228,12 +228,13 @@ def _evaluate_split(params: ModelParams, groups: Sequence[TopicGroup],
     """Micro P/R/F1 over labeled examples and consistency score over all examples;
     `plans` are the split's `plan_chunks`, built here when not given."""
     examples = flatten_groups(groups)
-    hard = [evaluation.discretize(grid)
-            for grid in model.predict_grids(params, examples, plans)]
-    metrics = evaluation.score_corpus((h, ex.gold) for ex, h in zip(examples, hard)
-                                      if ex.gold is not None)
-    return metrics, evaluation.consistency_score(
-        groups, {ex.id: h for ex, h in zip(examples, hard)})
+    scored, masks = [], {}
+    for chunk, dists in model.predict_chunks(params, examples, plans):
+        for ex, (labels, ex_masks) in zip(chunk, evaluation.label_chunk(chunk, dists)):
+            masks[ex.id] = ex_masks
+            if ex.gold is not None:
+                scored.append((ChangeGrid(labels=labels), ex.gold))
+    return evaluation.score_corpus(scored), evaluation.consistency_score(groups, masks)
 
 
 def train(groups: Sequence[TopicGroup], cfg: TrainingConfig,

@@ -78,6 +78,12 @@ def validate(self: ProcessExample) -> None:
         raise CorpusError(f"example {_echo(self.id)}: needs at least one step")
     if self.n_entities < 1:
         raise CorpusError(f"example {_echo(self.id)}: needs at least one entity")
+    seen = set()
+    for ent in self.entities:
+        if ent.name in seen:
+            raise CorpusError(f"example {_echo(self.id)}: two entities are named "
+                              f"'{_echo(ent.name)}'")
+        seen.add(ent.name)
     for t, sent in enumerate(self.steps):
         if len(sent) < 1:
             raise CorpusError(f"example {_echo(self.id)}: step {t} is empty")

@@ -225,9 +225,9 @@ def _directional_run(seed, consistency_enabled, use_unlabeled, train_groups,
 
 
 def _train_consistency(params, groups):
-    preds = {ex.id: ev.discretize(md.predict_grid(params, ex))
+    masks = {ex.id: ev.summary_masks(ev.discretize(md.predict_grid(params, ex))).tolist()
              for g in groups for ex in g.members}
-    return ev.consistency_score(groups, preds).score
+    return ev.consistency_score(groups, masks).score
 
 
 def _test_f1(params, groups):
@@ -339,7 +339,8 @@ def test_criterion_8_metric_sanity():
         report = ev.score_corpus((preds[ex.id], ex.gold)
                                  for g in groups for ex in g.members)
         assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
-        cons = ev.consistency_score(groups, preds)
+        cons = ev.consistency_score(
+            groups, {i: ev.summary_masks(grid).tolist() for i, grid in preds.items()})
         assert cons.score == 100.0 and cons.comparisons > 0
 
         M, C, D, N = 0, 1, 2, 3

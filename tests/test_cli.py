@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import predict_reference
 import pytest
 
 import statetrack
@@ -384,7 +385,7 @@ def test_out_of_memory_is_a_one_line_usage_error(tmp_path, gen_dir, capsys, monk
     _, ck, _ = train_small(tmp_path, gen_dir)
     out = tmp_path / "out"
     out.mkdir()
-    monkeypatch.setattr(model, "predict_grids", _out_of_memory)
+    monkeypatch.setattr(model, "predict_chunks", _out_of_memory)
     monkeypatch.setattr(training, "train", _out_of_memory)
     capsys.readouterr()
     if command == "train":
@@ -418,6 +419,76 @@ def test_train_malformed_corpus_is_data_error(tmp_path, gen_dir, capsys):
                    "--report", str(tmp_path / "rep.json"), "--epochs", "1")
     assert code == cli.EXIT_DATA
     assert f"{path} line 2: field 'steps'" in capsys.readouterr().err
+
+
+def ragged_corpus(rng: np.random.Generator, paragraphs: int) -> list[corpus.ProcessExample]:
+    """`paragraphs` paragraphs in topics of three, with 1-4 sentences of 1-7
+    tokens, 1-3 entities from a pool with a non-ASCII name, mentions and verbs
+    at random (so some entities are never mentioned), and gold labels on all
+    but every seventh paragraph."""
+    words = ("the", "water", "café", "moves", "forms", "melts", "into", "sea", "leaf")
+    names = ("water", "café glacé", "Salt ", "salt", "sugar")
+    examples = []
+    for k in range(paragraphs):
+        steps = tuple(tuple(str(w) for w in rng.choice(words, size=rng.integers(1, 8)))
+                      for _ in range(rng.integers(1, 5)))
+        entities = []
+        for name in rng.choice(names, size=rng.integers(1, 4), replace=False):
+            mentions = []
+            for t, sent in enumerate(steps):
+                if rng.random() < 0.4:
+                    a = int(rng.integers(0, len(sent)))
+                    mentions.append((t, a, int(rng.integers(a + 1, len(sent) + 1))))
+            entities.append(corpus.Entity(name=str(name), mentions=tuple(mentions)))
+        verbs = tuple((t, int(rng.integers(0, len(sent)))) for t, sent in enumerate(steps)
+                      if rng.random() < 0.7)
+        gold = None if k % 7 == 3 else corpus.ChangeGrid.from_labels(
+            rng.integers(0, 4, size=(len(steps), len(entities))))
+        ex = corpus.ProcessExample(id=f"p{k}", topic=f"topic-{k // 3}", steps=steps,
+                                   entities=tuple(entities), verbs=verbs, gold=gold)
+        ex.validate()
+        examples.append(ex)
+    return examples
+
+
+def test_predict_and_eval_write_the_per_paragraph_reference_bytes(tmp_path):
+    # one paragraph past a chunk, so that the labels and summaries of two
+    # encoder passes are taken; "water" and one word are unknown to the model
+    examples = ragged_corpus(np.random.default_rng(11), model.PREDICT_CHUNK + 1)
+    assert any(not ent.mentions for ex in examples for ent in ex.entities)
+    path = tmp_path / "corpus.jsonl"
+    corpus.save_examples(path, examples)
+    vocab = {tok: i for i, tok in enumerate(
+        t for t in model.build_vocab(corpus.group_by_topic(examples)) if t not in ("water", "sea"))}
+    ck = tmp_path / "ck.json"
+    model.save_checkpoint(model.init_params(vocab, 4, 6, seed=8), ck)
+    params = model.load_checkpoint(ck)
+    assert run_cli("predict", str(ck), str(path), "--out", str(tmp_path / "p.jsonl")) == 0
+    assert (tmp_path / "p.jsonl").read_bytes() == predict_reference.predict_bytes(
+        params, corpus.load_examples(path))
+    assert run_cli("eval", str(ck), str(path), "--out", str(tmp_path / "e.json")) == 0
+    assert (tmp_path / "e.json").read_bytes() == predict_reference.eval_bytes(
+        params, corpus.load_corpus(path))
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_entity_named_twice_is_a_data_error_with_no_output(tmp_path, gen_dir, capsys, command):
+    # predict's summary is keyed by entity name, so a second "water" would
+    # silently replace the first one's summary
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    line = {"id": "p", "topic": "t", "steps": [["the", "water", "moves"], ["water", "forms"]],
+            "entities": [{"name": "water", "mentions": [[0, 1, 2]]},
+                         {"name": "water", "mentions": [[1, 0, 1]]}],
+            "verbs": [[0, 2], [1, 1]], "gold": [["MOVE", "NONE"], ["NONE", "CREATE"]]}
+    path = tmp_path / "twice.jsonl"
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert run_cli(command, str(ck), str(path), "--out", str(out / "result")) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {path} line 1: example p: two entities are named 'water'\n")
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

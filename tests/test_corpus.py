@@ -128,6 +128,25 @@ def test_mention_outside_sentence_rejected():
         ex.validate()
 
 
+@pytest.mark.parametrize("names, twice", [
+    (("water", "salt", "water"), "water"),
+    (("w" * 200, "w" * 200), "w" * corpus._ECHO_CHARS + "..."),
+], ids=["short", "long"])
+def test_entity_named_twice_names_file_line_example_and_name(tmp_path, names, twice):
+    record = corpus.example_to_json(make_example(id="bad"))
+    record["entities"] = [{"name": name, "mentions": []} for name in names]
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as info:
+        corpus.load_examples(path)
+    assert str(info.value) == f"{path} line 1: example bad: two entities are named '{twice}'"
+
+
+def test_entity_names_that_align_only_after_trimming_and_lowercasing_load(tmp_path):
+    path = write_corpus(tmp_path / "c.jsonl", [make_example(entities=("water", "Water "))])
+    assert [e.name for e in corpus.load_examples(path)[0].entities] == ["water", "Water "]
+
+
 def test_unknown_fields_are_ignored(tmp_path):
     obj = corpus.example_to_json(make_example())
     obj["summary"] = {"water": ["MOVE"]}
@@ -787,7 +806,7 @@ def examples(draw, id):
             min_size=min_size, max_size=3).map(tuple)
 
     entities = draw(hst.lists(hst.builds(Entity, name=TOKENS, mentions=spans(0)),
-                              min_size=1, max_size=3).map(tuple))
+                              min_size=1, max_size=3, unique_by=lambda e: e.name).map(tuple))
     verbs = tuple((s, a) for s, a, _ in draw(spans(0)))
     gold = draw(hst.none() | hst.lists(
         hst.lists(hst.integers(0, len(StateChange) - 1), min_size=len(entities),

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import evaluation_reference as reference
 import numpy as np
 import pytest
@@ -5,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, StateChange,
-                               TopicGroup)
+                               TopicGroup, shared_entities)
 from statetrack.evaluation import (SUMMARY_NAMES, MetricsReport, consistency_score,
-                                   discretize, score_corpus, score_grids, summary_masks,
-                                   summary_set)
+                                   discretize, label_chunk, score_corpus, score_grids,
+                                   summary_masks, summary_set)
 
 M, C, D, N = (StateChange.MOVE.value, StateChange.CREATE.value,
               StateChange.DESTROY.value, StateChange.NONE.value)
@@ -49,6 +51,42 @@ def test_discretize_idempotent():
     once = discretize(grid)
     again = discretize(once)
     assert np.array_equal(once.labels, again.labels)
+
+
+@hst.composite
+def chunks(draw):
+    """1-5 paragraphs of 1-6 steps x 1-4 entities and one distribution per
+    cell, paragraph by paragraph and step-major, made from integer weights
+    0-3 so that exact ties are common; with the weights, for an exact argmax."""
+    shapes = draw(hst.lists(hst.tuples(hst.integers(1, 6), hst.integers(1, 4)),
+                            min_size=1, max_size=5))
+    examples = [ProcessExample(id=f"p{k}", topic="t", steps=(("w",),) * steps,
+                               entities=tuple(Entity(name=f"e{j}", mentions=())
+                                              for j in range(width)), verbs=())
+                for k, (steps, width) in enumerate(shapes)]
+    cells = sum(steps * width for steps, width in shapes)
+    weights = draw(hst.lists(hst.lists(hst.integers(0, 3), min_size=4, max_size=4).filter(any),
+                             min_size=cells, max_size=cells))
+    dists = np.array(weights, dtype=np.float64)
+    return examples, dists / dists.sum(axis=1, keepdims=True), weights
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(chunks())
+def test_chunk_labels_and_masks_equal_discretize_and_summary_masks_grid_by_grid(case):
+    examples, dists, weights = case
+    labelled = label_chunk(examples, dists)
+    assert len(labelled) == len(examples)
+    start = 0
+    for ex, (labels, masks) in zip(examples, labelled):
+        end = start + ex.n_steps * ex.n_entities
+        grid = discretize(ChangeGrid.from_dists(
+            dists[start:end].reshape(ex.n_steps, ex.n_entities, 4)))
+        assert labels.dtype == grid.labels.dtype and np.array_equal(labels, grid.labels)
+        # equal probabilities give the earlier label
+        assert labels.reshape(-1).tolist() == [w.index(max(w)) for w in weights[start:end]]
+        assert masks == summary_masks(grid).tolist()
+        start = end
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +156,17 @@ def test_summary_set_deduplicates():
 # ---------------------------------------------------------------------------
 # consistency score
 
+def masks_read(groups, preds):
+    """The summary masks, by id, of the predictions that consistency scoring
+    compares: those of paragraphs that share an entity with another."""
+    return {ex.id: summary_masks(preds[ex.id]).tolist() for g in groups
+            for a, b in combinations(g.members, 2) if shared_entities(a, b) for ex in (a, b)}
+
+
+def scored(groups, preds):
+    return consistency_score(groups, masks_read(groups, preds))
+
+
 def topic_with_predictions(summaries_per_paragraph, topic="trees"):
     """One topic, one shared entity, each paragraph predicting a given column."""
     group = TopicGroup(topic=topic)
@@ -135,21 +184,21 @@ def topic_with_predictions(summaries_per_paragraph, topic="trees"):
 
 def test_all_agree_scores_100():
     group, preds = topic_with_predictions([[C, N], [N, C], [C, C]])
-    report = consistency_score([group], preds)
+    report = scored([group], preds)
     assert report.score == 100.0
     assert report.comparisons == 3
 
 
 def test_subset_summary_does_not_match():
     group, preds = topic_with_predictions([[M, N], [M, D]])
-    report = consistency_score([group], preds)
+    report = scored([group], preds)
     assert report.score == 0.0
     assert report.comparisons == 1
 
 
 def test_two_of_three_agree_scores_third():
     group, preds = topic_with_predictions([[C, N], [C, N], [D, N]])
-    report = consistency_score([group], preds)
+    report = scored([group], preds)
     assert report.comparisons == 3
     assert report.matches == 1
     assert report.score == pytest.approx(100.0 / 3.0, abs=1e-9)
@@ -159,15 +208,15 @@ def test_consistency_invariant_to_paragraph_order():
     group, preds = topic_with_predictions([[C, N], [D, N], [C, C], [C, N]])
     reordered = TopicGroup(topic=group.topic,
                            unlabeled=list(reversed(group.unlabeled)))
-    a = consistency_score([group], preds)
-    b = consistency_score([reordered], preds)
+    a = scored([group], preds)
+    b = scored([reordered], preds)
     assert a.score == b.score
     assert a.comparisons == b.comparisons
 
 
 def test_topics_without_comparisons_are_skipped():
     group, preds = topic_with_predictions([[C]])  # one paragraph: no pairs
-    report = consistency_score([group], preds)
+    report = scored([group], preds)
     assert report.comparisons == 0
     assert report.score == 0.0
     assert report.per_topic == []
@@ -178,7 +227,7 @@ def test_unshared_entities_do_not_count():
     b = paragraph("b", "t", ("sugar",))
     group = TopicGroup(topic="t", unlabeled=[a, b])
     preds = {"a": hard([[M]]), "b": hard([[M]])}
-    report = consistency_score([group], preds)
+    report = scored([group], preds)
     assert report.comparisons == 0
 
 
@@ -239,7 +288,7 @@ def test_mask_scoring_equals_the_per_cell_reference(case):
             assert list(SUMMARY_NAMES[mask]) == sorted(c.name for c in want)
     pairs = scored_pairs(groups, preds)
     assert score_corpus(iter(pairs)) == reference.score_corpus(iter(pairs))
-    got, want = consistency_score(groups, preds), reference.consistency_score(groups, preds)
+    got, want = scored(groups, preds), reference.consistency_score(groups, preds)
     assert got == want and got.to_json() == want.to_json()
 
 
@@ -251,7 +300,7 @@ def test_soft_and_mismatched_grids_fail_like_the_reference(case, data):
     soft_id = data.draw(hst.sampled_from(sorted(preds)))
     steps, entities = preds[soft_id].shape
     preds = {**preds, soft_id: ChangeGrid.from_dists(np.full((steps, entities, 4), 0.25))}
-    assert (outcome(consistency_score, groups, preds)
+    assert (outcome(scored, groups, preds)
             == outcome(reference.consistency_score, groups, preds))
     pairs = scored_pairs(groups, preds)
     if pairs:

@@ -659,8 +659,8 @@ def test_consistency_never_hurts_consistency_score_noise_free():
         cfg = TrainingConfig(epochs=25, seed=3, hidden_size=8, embedding_dim=12,
                              learning_rate=0.5, consistency_enabled=consistency_enabled)
         res = train(masked, cfg)
-        preds = {ex.id: ev.discretize(model.predict_grid(res.params, ex))
-                 for g in masked for ex in g.members}
-        return ev.consistency_score(masked, preds).score
+        masks = {ex.id: ev.summary_masks(ev.discretize(model.predict_grid(res.params, ex)))
+                 .tolist() for g in masked for ex in g.members}
+        return ev.consistency_score(masked, masks).score
 
     assert final_consistency(True) >= final_consistency(False)
