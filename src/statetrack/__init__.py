@@ -7,11 +7,10 @@ from .corpus import (ChangeGrid, CorpusError, EmbeddingTable, Entity,
                      generate_synthetic, load_corpus, load_examples,
                      save_examples, shared_entities)
 from .evaluation import (ConsistencyReport, MetricsReport, consistency_score,
-                         discretize, score_corpus, score_grids, summary_set)
+                         discretize, score_corpus, summary_set)
 from .model import (CellPlan, ModelParams, build_vocab, init_params, load_checkpoint,
                     plan_cells, predict_grid, run_cells, save_checkpoint)
 from .training import (Batch, BatchStats, NumericalError, TrainingConfig,
-                       TrainResult, batch_loss, consistency_loss, make_batches,
-                       summarize, train)
+                       TrainResult, batch_loss, make_batches, train)
 
 __version__ = "0.1.0"

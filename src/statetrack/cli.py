@@ -3,7 +3,7 @@
 Configuration comes from an optional JSON file plus flag overrides (flags
 win).  All outputs are UTF-8 JSON/JSONL.  Exit codes: 0 success, 1
 usage/config error or out of memory, 2 data validation error, 3 numerical
-failure.
+failure, 130 interrupted (128 + SIGINT).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_INTERRUPT = 130
 
 
 class UsageError(ValueError):
@@ -315,4 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         print("error: out of memory; the model size (--hidden, --emb-dim, or a checkpoint's "
               "hidden_size and embedding_dim) or the input may be too large", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:  # an output being written is removed, the old file kept
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     return EXIT_OK

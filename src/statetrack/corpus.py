@@ -9,8 +9,9 @@ Corpus files are UTF-8 JSON Lines, one paragraph per line:
      "verbs": [[step, token_index], ...],
      "gold": [["NONE", "MOVE"], ...]}          # optional, T rows x |E| labels
 
-Mention spans are half-open token ranges within one sentence.  Everything is
-immutable after load.
+Mention spans are half-open token ranges within one sentence.  A grid
+(`ChangeGrid`) holds hard labels only; a model's per-cell distributions are
+plain [..., N_CHANGES] arrays.  Everything is immutable after load.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 import numpy as np
 
 N_CHANGES = 4
-_SUM_TOL = 1e-9  # how far a distribution cell's sum may be from 1
 
 UNK_TOKEN = "<unk>"  # the vocabulary and embedding entry of every unknown word
 
@@ -68,10 +68,9 @@ class Entity:
 
 @dataclass
 class ChangeGrid:
-    """T x E grid of state changes: hard labels or per-cell 4-way distributions."""
+    """T x E grid of hard state-change labels, one `StateChange` value per cell."""
 
-    labels: np.ndarray | None = None  # int array [T, E]
-    dists: np.ndarray | None = None   # float array [T, E, 4]
+    labels: np.ndarray  # int array [T, E]
 
     @classmethod
     def from_labels(cls, labels) -> "ChangeGrid":
@@ -82,28 +81,9 @@ class ChangeGrid:
             raise CorpusError("hard grid labels must be in [0, 3]")
         return cls(labels=arr)
 
-    @classmethod
-    def from_dists(cls, dists) -> "ChangeGrid":
-        arr = np.asarray(dists, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != N_CHANGES:
-            raise CorpusError(f"distribution grid must be [T, E, 4], got shape {list(arr.shape)}")
-        if not np.isfinite(arr).all():  # NaN passes both checks below
-            raise CorpusError("distribution cells must be finite")
-        if arr.min(initial=0.0) < 0.0:
-            raise CorpusError("distribution cells must be nonnegative")
-        sums = arr.sum(axis=2)
-        if arr.size and np.max(np.abs(sums - 1.0)) > _SUM_TOL:
-            raise CorpusError("distribution cells must sum to 1")
-        return cls(dists=arr)
-
-    @property
-    def is_hard(self) -> bool:
-        return self.labels is not None
-
     @property
     def shape(self) -> tuple[int, int]:
-        arr = self.labels if self.labels is not None else self.dists
-        return (arr.shape[0], arr.shape[1])
+        return self.labels.shape
 
 
 @dataclass(frozen=True)
@@ -151,13 +131,10 @@ class ProcessExample:
             if not (0 <= s < n and 0 <= i < lengths[s]):
                 raise CorpusError(
                     f"example {echo(self.id)}: verb index {[s, i]} outside its sentence")
-        if self.gold is not None:
-            if not self.gold.is_hard:
-                raise CorpusError(f"example {echo(self.id)}: gold grid must hold hard labels")
-            if self.gold.shape != (self.n_steps, self.n_entities):
-                raise CorpusError(
-                    f"example {echo(self.id)}: gold grid shape {list(self.gold.shape)} does not "
-                    f"match {self.n_steps} steps x {self.n_entities} entities")
+        if self.gold is not None and self.gold.shape != (self.n_steps, self.n_entities):
+            raise CorpusError(
+                f"example {echo(self.id)}: gold grid shape {list(self.gold.shape)} does not "
+                f"match {self.n_steps} steps x {self.n_entities} entities")
 
 
 @dataclass
@@ -405,11 +382,13 @@ def atomic_open(path) -> Iterator[TextIO]:
     the text is encoded once, the temporary file is preallocated to its
     length with `posix_fallocate` (where the platform has it), written, and
     moved over the target; on any error, encoding included, it is removed
-    and the old file is left as it was.  The preallocation matters: ext4
-    with its default `auto_da_alloc` flushes a file whose blocks are not yet
-    allocated to disk when it is renamed over an existing file, and the
-    rename waits tens of milliseconds for it.  The price is one copy of the
-    output in memory.
+    and the old file is left as it was.  An OSError that names no file or
+    the temporary one (preallocating, writing, moving) is raised again
+    naming the target.  The preallocation matters: ext4 with its default
+    `auto_da_alloc` flushes a file whose blocks are not yet allocated to
+    disk when it is renamed over an existing file, and the rename waits
+    tens of milliseconds for it.  The price is one copy of the output in
+    memory.
 
     Like `open(path, "w")`, this writes through a symlink, keeps an
     existing file's mode and gives a new file the umask's.  A pipe or
@@ -442,8 +421,10 @@ def atomic_open(path) -> Iterator[TextIO]:
                 os.posix_fallocate(fd, 0, len(data))
             fh.write(data)
         os.replace(tmp, os.path.join(directory, name))
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename in (None, tmp):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 

@@ -4,11 +4,11 @@ cross-paragraph consistency score.
 A positive is any cell whose label is not NONE.  The consistency score asks,
 for every unordered pair of paragraphs within a topic and every entity named
 in both, whether the two predicted summary sets (the non-NONE labels an
-entity receives anywhere in a paragraph) are equal.  A grid's summary sets
-are computed all at once as summary masks, one 3-bit int per entity with bit
-b set iff label b occurs in its column, so comparing two sets compares ints.
-`label_chunk` takes the hard labels and summary masks of a whole chunk of
-predicted paragraphs at once; `predict` and dev scoring both read them there.
+entity receives anywhere in a paragraph) are equal.  Summary sets are kept
+as summary masks, one 3-bit int per entity with bit b set iff label b occurs
+in its column, so comparing two sets compares ints.  `predict`, `eval` and
+dev scoring take labels and masks a chunk of paragraphs at a time from
+`label_chunk`; `discretize` and `summary_set` give those of one grid.
 """
 
 from __future__ import annotations
@@ -64,26 +64,16 @@ class ConsistencyReport:
                 "comparisons": self.comparisons, "per_topic": self.per_topic}
 
 
-def discretize(grid: ChangeGrid) -> ChangeGrid:
-    """Argmax per cell; ties resolve to the earliest label in canonical order.
-
-    Hard grids pass through unchanged, so re-discretizing is a no-op.
-    """
-    if grid.is_hard:
-        return grid
-    return ChangeGrid.from_labels(np.argmax(grid.dists, axis=2))
-
-
-def score_grids(pred: ChangeGrid, gold: ChangeGrid) -> MetricsReport:
-    return score_corpus([(pred, gold)])
+def discretize(dists: np.ndarray) -> ChangeGrid:
+    """The hard grid of a paragraph's [steps, entities, N_CHANGES] distributions:
+    argmax per cell, ties to the earliest label in canonical order."""
+    return ChangeGrid.from_labels(np.argmax(dists, axis=2))
 
 
 def score_corpus(pairs: Iterable[tuple[ChangeGrid, ChangeGrid]]) -> MetricsReport:
-    """Micro-aggregated P/R/F1: counts over all grids' cells before the ratios."""
+    """Micro-aggregated P/R/F1 of (pred, gold) pairs: counts over all cells before the ratios."""
     preds, golds = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
     for pred, gold in pairs:
-        if not (pred.is_hard and gold.is_hard):
-            raise ValueError("score_grids needs hard grids; discretize first")
         if pred.shape != gold.shape:
             raise ValueError(f"grid shapes differ: {list(pred.shape)} vs {list(gold.shape)}")
         preds.append(pred.labels.reshape(-1))
@@ -93,14 +83,6 @@ def score_corpus(pairs: Iterable[tuple[ChangeGrid, ChangeGrid]]) -> MetricsRepor
     return MetricsReport.from_counts(int(np.count_nonzero(gold_pos)),
                                      int(np.count_nonzero(pred != _NONE)),
                                      int(np.count_nonzero(gold_pos & (pred == gold))))
-
-
-def summary_masks(grid: ChangeGrid) -> np.ndarray:
-    """Every entity's summary set as a 3-bit int: bit b is set iff label b,
-    not NONE, appears anywhere in the entity's column."""
-    if not grid.is_hard:
-        raise ValueError("summary_set needs a hard grid; discretize first")
-    return _column_masks(grid.labels, np.arange(grid.shape[1]), grid.shape[1])
 
 
 def _column_masks(labels: np.ndarray, columns: np.ndarray, n_columns: int) -> np.ndarray:
@@ -117,8 +99,7 @@ def label_chunk(examples: Sequence[ProcessExample],
     of its entity columns, from the [cells, N_CHANGES] distributions of a chunk
     of paragraphs whose cells run paragraph by paragraph, step-major.  One
     argmax labels the chunk, with ties to the earliest label as in
-    `discretize`; one pass over its entity columns gives masks equal to
-    `summary_masks` of each paragraph's labels."""
+    `discretize`; one pass over its entity columns gives every mask."""
     labels = np.argmax(dists, axis=1)
     ends = [0, *accumulate(ex.n_steps * ex.n_entities for ex in examples)]
     firsts = [0, *accumulate(ex.n_entities for ex in examples)]
@@ -133,14 +114,14 @@ def label_chunk(examples: Sequence[ProcessExample],
 
 def summary_set(grid: ChangeGrid, entity: int) -> frozenset[StateChange]:
     """Non-NONE labels appearing anywhere in the entity's column."""
-    mask = int(summary_masks(grid)[entity])
+    mask = int(_column_masks(grid.labels[:, entity], 0, 1)[0])
     return frozenset(c for c in StateChange if mask >> c & 1)
 
 
 def consistency_score(groups: Sequence[TopicGroup],
                       masks: Mapping[str, Sequence[int]]) -> ConsistencyReport:
     """Percentage of shared-entity paragraph pairs whose summary sets match
-    exactly, from each paragraph's summary masks by id (`summary_masks`).
+    exactly, from each paragraph's summary masks by id (`label_chunk`).
 
     Counting is per entity pair: a paragraph pair sharing two entities
     contributes two comparisons.  Topics with no comparisons are skipped.

@@ -27,12 +27,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import (N_CHANGES, UNK_TOKEN, ChangeGrid, EmbeddingTable, ProcessExample,
+from .corpus import (N_CHANGES, UNK_TOKEN, CorpusError, EmbeddingTable, ProcessExample,
                      TopicGroup, atomic_open, echo, matches, mismatch, read_json)
 
 CHECKPOINT_VERSION = 1
 
 PREDICT_CHUNK = 64  # paragraphs per encoder pass in predict_chunks
+_SUM_TOL = 1e-9  # how far a predicted cell's sum may be from 1
 
 
 class CheckpointError(ValueError):
@@ -285,7 +286,8 @@ def predict_chunks(params: ModelParams, examples: Sequence[ProcessExample],
     """Each PREDICT_CHUNK consecutive paragraphs with the [cells, N_CHANGES]
     distributions of all their cells, paragraph by paragraph and step-major,
     from one encoder pass, which bounds the memory.  `plans` are the
-    examples' `plan_chunks`, built here when not given."""
+    examples' `plan_chunks`, built here when not given.  A chunk with a
+    non-finite cell is a NumericalError, one that is not a distribution a CorpusError."""
     if plans is None:
         plans = plan_chunks(params.vocab, examples)
     for start, plan in zip(range(0, len(examples), PREDICT_CHUNK), plans, strict=True):
@@ -293,29 +295,19 @@ def predict_chunks(params: ModelParams, examples: Sequence[ProcessExample],
             dists = run_cells(params, plan).values
         if not np.isfinite(dists).all():
             raise NumericalError("the model predicts non-finite distributions")
-        ChangeGrid.from_dists(dists[:, None])  # checks every cell of the chunk at once
+        if dists.min() < 0.0:
+            raise CorpusError("distribution cells must be nonnegative")
+        if np.max(np.abs(dists.sum(axis=1) - 1.0)) > _SUM_TOL:
+            raise CorpusError("distribution cells must sum to 1")
         yield examples[start:start + PREDICT_CHUNK], dists
 
 
-def predict_grids(params: ModelParams, examples: Sequence[ProcessExample],
-                  plans: Sequence[CellPlan] | None = None) -> list[ChangeGrid]:
-    """`predict_grid` of each paragraph (a cell depends only on its own sentence,
-    up to rounding), as views of `predict_chunks`' distributions."""
-    grids = []
-    for chunk, dists in predict_chunks(params, examples, plans):
-        ends = np.cumsum([ex.n_steps * ex.n_entities for ex in chunk])[:-1]
-        grids += [ChangeGrid(dists=rows.reshape(ex.n_steps, ex.n_entities, N_CHANGES))
-                  for ex, rows in zip(chunk, np.split(dists, ends))]
-    return grids
-
-
-def predict_grid(params: ModelParams, example: ProcessExample) -> ChangeGrid:
-    """Distribution grid for a whole paragraph.
-
-    Pure function of (params, example): given immutable params it is safe to
-    call concurrently across examples.
-    """
-    return predict_grids(params, [example])[0]
+def predict_grid(params: ModelParams, example: ProcessExample) -> np.ndarray:
+    """The [steps, entities, N_CHANGES] distributions of a whole paragraph, from
+    one `predict_chunks` pass over it alone: a pure function of (params,
+    example), safe to call concurrently given immutable params."""
+    [(_, dists)] = predict_chunks(params, [example])
+    return dists.reshape(example.n_steps, example.n_entities, N_CHANGES)
 
 
 # ---------------------------------------------------------------------------

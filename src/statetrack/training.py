@@ -143,33 +143,6 @@ def consistency_matrices(steps: int, width: int,
             np.array(weight))
 
 
-def _cells(grid: ChangeGrid) -> Tensor:
-    if grid.is_hard:
-        raise ValueError("summaries need a distribution grid")
-    return Tensor(grid.dists.reshape(-1, N_CHANGES))
-
-
-def summarize(grid: ChangeGrid, entity: int) -> np.ndarray:
-    """Per-entity summary distribution: the entity's step distributions averaged over steps."""
-    steps, width = grid.shape[:2]
-    return (_averaging([(entity, width, steps)], steps * width) @ _cells(grid).values)[0]
-
-
-def consistency_loss(pred_a: ChangeGrid, example_a: ProcessExample,
-                     pred_b: ChangeGrid, example_b: ProcessExample) -> float:
-    """Mean squared error between summary distributions, averaged over shared entities.
-
-    Entities are matched by exact (case/space-insensitive) name; pairs with no
-    shared entity contribute 0 rather than a penalty.  This is the training
-    term of member a against primary b.
-    """
-    pairs = shared_entities(example_a, example_b)
-    if not pairs:
-        return 0.0
-    return ad.consistency(_cells(pred_b), _cells(pred_a),
-                          *consistency_matrices(*pred_b.shape, [(*pred_a.shape, pairs)])).item()
-
-
 def batch_loss(params: ModelParams, batch: Batch,
                cfg: TrainingConfig) -> tuple[Tensor, BatchStats]:
     """Differentiable loss for one batch plus its reporting components.

@@ -97,10 +97,7 @@ def validate(self: ProcessExample) -> None:
         if not (0 <= s < self.n_steps) or not (0 <= i < len(self.steps[s])):
             raise CorpusError(
                 f"example {_echo(self.id)}: verb index {[s, i]} outside its sentence")
-    if self.gold is not None:
-        if not self.gold.is_hard:
-            raise CorpusError(f"example {_echo(self.id)}: gold grid must hold hard labels")
-        if self.gold.shape != (self.n_steps, self.n_entities):
-            raise CorpusError(
-                f"example {_echo(self.id)}: gold grid shape {list(self.gold.shape)} does not "
-                f"match {self.n_steps} steps x {self.n_entities} entities")
+    if self.gold is not None and self.gold.shape != (self.n_steps, self.n_entities):
+        raise CorpusError(
+            f"example {_echo(self.id)}: gold grid shape {list(self.gold.shape)} does not "
+            f"match {self.n_steps} steps x {self.n_entities} entities")

@@ -14,8 +14,6 @@ from statetrack.evaluation import ConsistencyReport, MetricsReport
 
 
 def _positive_counts(pred: ChangeGrid, gold: ChangeGrid) -> tuple[int, int, int]:
-    if not (pred.is_hard and gold.is_hard):
-        raise ValueError("score_grids needs hard grids; discretize first")
     if pred.shape != gold.shape:
         raise ValueError(f"grid shapes differ: {list(pred.shape)} vs {list(gold.shape)}")
     none = StateChange.NONE.value
@@ -38,8 +36,6 @@ def score_corpus(pairs: Iterable[tuple[ChangeGrid, ChangeGrid]]) -> MetricsRepor
 
 def summary_set(grid: ChangeGrid, entity: int) -> frozenset[StateChange]:
     """Non-NONE labels appearing anywhere in the entity's column."""
-    if not grid.is_hard:
-        raise ValueError("summary_set needs a hard grid; discretize first")
     return frozenset(StateChange(v) for v in grid.labels[:, entity]
                      if v != StateChange.NONE.value)
 

@@ -1,10 +1,10 @@
 """A frozen copy of the per-paragraph output path of `predict` and
 `eval --out` from before labels and summaries were taken once per chunk:
-each grid of `model.predict_grids` is labelled alone by its argmax, written
-through `dataclasses.replace` and `example_to_json` with its summary sets
-read cell by cell, and encoded line by line with `json.dumps`; `eval`'s
-metrics come from the per-cell reference scorers.  Kept as the byte oracle
-for `cli.cmd_predict` and `cli.cmd_eval`."""
+each paragraph's rows of `model.predict_chunks` are labelled alone by their
+argmax, written through `dataclasses.replace` and `example_to_json` with its
+summary sets read cell by cell, and encoded line by line with `json.dumps`;
+`eval`'s metrics come from the per-cell reference scorers.  Kept as the byte
+oracle for `cli.cmd_predict` and `cli.cmd_eval`."""
 
 from __future__ import annotations
 
@@ -16,13 +16,23 @@ import evaluation_reference
 import numpy as np
 
 from statetrack import corpus, model
-from statetrack.corpus import ChangeGrid, ProcessExample, TopicGroup
+from statetrack.corpus import N_CHANGES, ChangeGrid, ProcessExample, TopicGroup
+
+
+def grids(params: model.ModelParams, examples: Sequence[ProcessExample]) -> list[np.ndarray]:
+    """Each paragraph's [steps, entities, N_CHANGES] distributions, as views
+    of the rows of `model.predict_chunks`."""
+    out = []
+    for chunk, dists in model.predict_chunks(params, examples):
+        ends = np.cumsum([ex.n_steps * ex.n_entities for ex in chunk])[:-1]
+        out += [rows.reshape(ex.n_steps, ex.n_entities, N_CHANGES)
+                for ex, rows in zip(chunk, np.split(dists, ends))]
+    return out
 
 
 def _hard_grids(params: model.ModelParams,
                 examples: Sequence[ProcessExample]) -> list[ChangeGrid]:
-    return [ChangeGrid.from_labels(np.argmax(grid.dists, axis=2))
-            for grid in model.predict_grids(params, examples)]
+    return [ChangeGrid.from_labels(np.argmax(grid, axis=2)) for grid in grids(params, examples)]
 
 
 def predict_bytes(params: model.ModelParams, examples: Sequence[ProcessExample]) -> bytes:

@@ -9,6 +9,8 @@ import json
 import time
 from contextlib import contextmanager
 
+import consistency_reference
+import gradcheck
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ import statetrack as st
 from statetrack import autodiff as ad
 from statetrack import evaluation as ev
 from statetrack import model as md
+from statetrack import training
 from statetrack.autodiff import Tensor
 from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, StateChange,
                                TopicGroup)
@@ -67,8 +70,8 @@ def test_criterion_1_gradient_correctness():
         _, stats = st.batch_loss(params, batch, cfg)
         assert stats.con_loss > 0.0, "consistency term must be active for this check"
 
-        errors = ad.check_gradients(lambda: st.batch_loss(params, batch, cfg)[0],
-                                    params.tensors)
+        errors = gradcheck.check_gradients(lambda: st.batch_loss(params, batch, cfg)[0],
+                                           params.tensors)
         elapsed = time.time() - started
         worst = max(errors.values())
         assert worst <= 1e-4, f"worst relative error {worst:.3e}: {errors}"
@@ -144,6 +147,10 @@ def test_criterion_2_loss_algebra():
 def test_criterion_3_consistency_loss_properties():
     """Zero on self, symmetric, bounded by 0.5, zero on disjoint entities,
     and the worked 0.03125 example."""
+    def consistency_loss(dists_a, a, dists_b, b):
+        # member a against primary b, as batch_loss builds the term
+        return consistency_reference.pair_loss(consistency_reference.fused, dists_a, a, dists_b, b)
+
     with criterion(3, "consistency-loss properties and the 0.03125 oracle"):
         a = hand_example("a", "moves")
         b = hand_example("b", "travels")
@@ -151,25 +158,25 @@ def test_criterion_3_consistency_loss_properties():
         for _ in range(50):
             raw = rng.uniform(0.01, 1.0, size=(2, 2, 2, 4))
             raw /= raw.sum(axis=3, keepdims=True)
-            ga, gb = ChangeGrid.from_dists(raw[0]), ChangeGrid.from_dists(raw[1])
-            lab = st.consistency_loss(ga, a, gb, b)
-            lba = st.consistency_loss(gb, b, ga, a)
+            ga, gb = raw
+            lab = consistency_loss(ga, a, gb, b)
+            lba = consistency_loss(gb, b, ga, a)
             assert abs(lab - lba) <= 1e-12
             assert 0.0 <= lab <= 0.5
-            assert st.consistency_loss(ga, a, ga, a) == 0.0
+            assert consistency_loss(ga, a, ga, a) == 0.0
 
-        one_hot = ChangeGrid.from_dists([[[1.0, 0, 0, 0], [1.0, 0, 0, 0]]])
-        other = ChangeGrid.from_dists([[[0, 1.0, 0, 0], [0, 1.0, 0, 0]]])
-        assert st.consistency_loss(one_hot, a, other, b) == 0.5
+        one_hot = [[[1.0, 0, 0, 0], [1.0, 0, 0, 0]]]
+        other = [[[0, 1.0, 0, 0], [0, 1.0, 0, 0]]]
+        assert consistency_loss(one_hot, a, other, b) == 0.5
 
         disjoint = hand_example("c", "moves", entities=("iron", "coal"))
-        assert st.consistency_loss(one_hot, a, other, disjoint) == 0.0
+        assert consistency_loss(one_hot, a, other, disjoint) == 0.0
 
         w = hand_example("w", "moves", entities=("water",), gold_rows=((0,), (2,)))
         x = hand_example("x", "flows", entities=("water",), gold_rows=((0,), (2,)))
-        gw = ChangeGrid.from_dists([[[1, 0, 0, 0]], [[0, 0, 1, 0]]])
-        gx = ChangeGrid.from_dists([[[0.5, 0.5, 0, 0]], [[0, 0, 1, 0]]])
-        assert st.consistency_loss(gw, w, gx, x) == pytest.approx(0.03125, abs=1e-15)
+        gw = [[[1, 0, 0, 0]], [[0, 0, 1, 0]]]
+        gx = [[[0.5, 0.5, 0, 0]], [[0, 0, 1, 0]]]
+        assert consistency_loss(gw, w, gx, x) == pytest.approx(0.03125, abs=1e-15)
 
 
 def test_criterion_4_batching_contract():
@@ -225,15 +232,12 @@ def _directional_run(seed, consistency_enabled, use_unlabeled, train_groups,
 
 
 def _train_consistency(params, groups):
-    masks = {ex.id: ev.summary_masks(ev.discretize(md.predict_grid(params, ex))).tolist()
-             for g in groups for ex in g.members}
-    return ev.consistency_score(groups, masks).score
+    return training._evaluate_split(params, groups)[1].score
 
 
 def _test_f1(params, groups):
-    pairs = [(ev.discretize(md.predict_grid(params, ex)), ex.gold)
-             for g in groups for ex in g.members]
-    return ev.score_corpus(pairs).f1
+    # every test paragraph keeps its gold labels, so every one is scored
+    return training._evaluate_split(params, groups)[0].f1
 
 
 def test_criterion_6_directional_ablation():
@@ -335,24 +339,27 @@ def test_criterion_8_metric_sanity():
     with criterion(8, "perfect predictions score 1.0 / 100%; metric examples exact"):
         groups = st.generate_synthetic(seed=4, topics=5, paragraphs_per_topic=3,
                                        noise=0.0)
-        preds = {ex.id: ex.gold for g in groups for ex in g.members}
-        report = ev.score_corpus((preds[ex.id], ex.gold)
-                                 for g in groups for ex in g.members)
+        # the gold grids as one-hot distributions, labelled as predict labels a chunk
+        examples = [ex for g in groups for ex in g.members]
+        dists = np.concatenate([np.eye(4)[ex.gold.labels].reshape(-1, 4) for ex in examples])
+        labelled = ev.label_chunk(examples, dists)
+        report = ev.score_corpus((ChangeGrid(labels), ex.gold)
+                                 for ex, (labels, _) in zip(examples, labelled))
         assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
         cons = ev.consistency_score(
-            groups, {i: ev.summary_masks(grid).tolist() for i, grid in preds.items()})
+            groups, {ex.id: masks for ex, (_, masks) in zip(examples, labelled)})
         assert cons.score == 100.0 and cons.comparisons > 0
 
         M, C, D, N = 0, 1, 2, 3
-        half = ev.score_grids(ChangeGrid.from_labels([[C], [M]]),
-                              ChangeGrid.from_labels([[C], [D]]))
+        half = ev.score_corpus([(ChangeGrid.from_labels([[C], [M]]),
+                                 ChangeGrid.from_labels([[C], [D]]))])
         assert (half.precision, half.recall, half.f1) == (0.5, 0.5, 0.5)
 
-        degenerate = ev.score_grids(ChangeGrid.from_labels([[N], [N]]),
-                                    ChangeGrid.from_labels([[C], [D]]))
+        degenerate = ev.score_corpus([(ChangeGrid.from_labels([[N], [N]]),
+                                       ChangeGrid.from_labels([[C], [D]]))])
         assert (degenerate.precision, degenerate.recall, degenerate.f1) == (0.0, 0.0, 0.0)
 
         assert ev.summary_set(ChangeGrid.from_labels([[M], [N], [D]]), 0) == \
             {StateChange.MOVE, StateChange.DESTROY}
 
-        assert ev.discretize(ChangeGrid.from_dists([[[0.25] * 4]])).labels[0, 0] == M
+        assert ev.discretize(np.full((1, 1, 4), 0.25)).labels[0, 0] == M

@@ -400,6 +400,49 @@ def test_out_of_memory_is_a_one_line_usage_error(tmp_path, gen_dir, capsys, monk
     assert list(out.iterdir()) == []  # no output and no temporary file left behind
 
 
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_ctrl_c_is_one_error_line_with_no_output(tmp_path, gen_dir, capsys, monkeypatch,
+                                                 command):
+    # the interrupt is raised in process; predict's comes while its output is open
+    _, ck, _ = train_small(tmp_path, gen_dir)
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(model, "predict_chunks", _interrupt)
+    monkeypatch.setattr(training, "train", _interrupt)
+    capsys.readouterr()
+    if command == "train":
+        code, _, _ = train_small(out, gen_dir)
+    else:
+        code = run_cli("predict", str(ck), str(gen_dir / "test.jsonl"),
+                       "--out", str(out / "preds.jsonl"))
+    assert code == cli.EXIT_INTERRUPT == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
+    assert list(out.iterdir()) == []  # no output and no temporary file left behind
+
+
+def _no_space(*args, **kwargs):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("call", ["posix_fallocate", "replace"])
+def test_a_failed_write_names_its_file_and_leaves_no_temporary(tmp_path, gen_dir, capsys,
+                                                               monkeypatch, call):
+    # the failure is simulated; no disk is filled
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(os, call, _no_space, raising=False)
+    capsys.readouterr()
+    code, ck, _ = train_small(out, gen_dir)
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{ck}'\n")
+    assert list(out.iterdir()) == []
+
+
 def test_unknown_flag_is_usage_error():
     assert run_cli("train", "--bogus") == cli.EXIT_USAGE
 
@@ -628,6 +671,25 @@ def test_predict_writes_discretized_names_and_sorted_summaries(tmp_path, gen_dir
         assert obj["gold"] == [[corpus.StateChange(v).name for v in row] for row in hard.labels]
         assert obj["summary"] == {ent.name: sorted(c.name for c in evaluation.summary_set(hard, j))
                                   for j, ent in enumerate(ex.entities)}
+
+
+def test_predict_output_passes_the_benchmark_output_checks(tmp_path, gen_dir):
+    # the calls that the benchmark makes on predict's output: every summary read
+    # back from the written labels, and the labels recomputed paragraph by paragraph
+    _, ck, _ = train_small(tmp_path, gen_dir, "--epochs", "2")
+    source, out = gen_dir / "test.jsonl", tmp_path / "preds.jsonl"
+    assert run_cli("predict", str(ck), str(source), "--out", str(out)) == 0
+    params = model.load_checkpoint(ck)
+    inputs, got = corpus.load_examples(source), corpus.load_examples(out)
+    raw = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [ex.id for ex in got] == [ex.id for ex in inputs] and len(raw) == len(got)
+    for obj, ex, src in zip(raw, got, inputs):
+        assert ex.gold.shape == (src.n_steps, src.n_entities)
+        summary_sets = [evaluation.summary_set(ex.gold, j) for j in range(ex.n_entities)]
+        assert obj["summary"] == {ent.name: sorted(c.name for c in summary_set)
+                                  for ent, summary_set in zip(ex.entities, summary_sets)}
+        want = evaluation.discretize(model.predict_grid(params, src)).labels
+        assert np.array_equal(ex.gold.labels, want)
 
 
 def test_train_and_predict_rewritten_over_their_outputs_are_byte_identical(tmp_path, gen_dir):

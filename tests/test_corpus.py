@@ -649,15 +649,6 @@ def test_atomic_open_works_without_posix_fallocate(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # grids
 
-def test_distribution_grid_validates():
-    ok = np.full((1, 1, 4), 0.25)
-    ChangeGrid.from_dists(ok)
-    bad = ok.copy()
-    bad[0, 0, 0] = 0.5
-    with pytest.raises(CorpusError):
-        ChangeGrid.from_dists(bad)
-
-
 def test_hard_grid_validates_label_range():
     with pytest.raises(CorpusError):
         ChangeGrid.from_labels([[4]])

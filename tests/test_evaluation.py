@@ -9,8 +9,7 @@ from hypothesis import strategies as hst
 from statetrack.corpus import (ChangeGrid, Entity, ProcessExample, StateChange,
                                TopicGroup, shared_entities)
 from statetrack.evaluation import (SUMMARY_NAMES, MetricsReport, consistency_score,
-                                   discretize, label_chunk, score_corpus, score_grids,
-                                   summary_masks, summary_set)
+                                   discretize, label_chunk, score_corpus, summary_set)
 
 M, C, D, N = (StateChange.MOVE.value, StateChange.CREATE.value,
               StateChange.DESTROY.value, StateChange.NONE.value)
@@ -18,6 +17,11 @@ M, C, D, N = (StateChange.MOVE.value, StateChange.CREATE.value,
 
 def hard(rows):
     return ChangeGrid.from_labels(rows)
+
+
+def one_hot(grid):
+    """The [steps, entities, 4] distributions that put all mass on the grid's labels."""
+    return np.eye(4)[grid.labels]
 
 
 def paragraph(id, topic, entities, gold_rows=None):
@@ -35,21 +39,18 @@ def paragraph(id, topic, entities, gold_rows=None):
 # discretize
 
 def test_discretize_argmax():
-    grid = ChangeGrid.from_dists([[[0.7, 0.1, 0.1, 0.1]]])
-    assert discretize(grid).labels[0, 0] == M
+    assert discretize(np.array([[[0.7, 0.1, 0.1, 0.1]]])).labels[0, 0] == M
 
 
 def test_discretize_tie_breaks_canonical():
-    grid = ChangeGrid.from_dists([[[0.25, 0.25, 0.25, 0.25]]])
-    assert discretize(grid).labels[0, 0] == M
-    grid = ChangeGrid.from_dists([[[0.1, 0.45, 0.45, 0.0]]])
-    assert discretize(grid).labels[0, 0] == C
+    assert discretize(np.array([[[0.25, 0.25, 0.25, 0.25]]])).labels[0, 0] == M
+    assert discretize(np.array([[[0.1, 0.45, 0.45, 0.0]]])).labels[0, 0] == C
 
 
 def test_discretize_idempotent():
-    grid = ChangeGrid.from_dists([[[0.7, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.4]]])
-    once = discretize(grid)
-    again = discretize(once)
+    # the one-hot distributions of a discretized grid discretize to the same labels
+    once = discretize(np.array([[[0.7, 0.1, 0.1, 0.1], [0.1, 0.2, 0.3, 0.4]]]))
+    again = discretize(one_hot(once))
     assert np.array_equal(once.labels, again.labels)
 
 
@@ -80,35 +81,41 @@ def test_chunk_labels_and_masks_equal_discretize_and_summary_masks_grid_by_grid(
     start = 0
     for ex, (labels, masks) in zip(examples, labelled):
         end = start + ex.n_steps * ex.n_entities
-        grid = discretize(ChangeGrid.from_dists(
-            dists[start:end].reshape(ex.n_steps, ex.n_entities, 4)))
+        grid = discretize(dists[start:end].reshape(ex.n_steps, ex.n_entities, 4))
         assert labels.dtype == grid.labels.dtype and np.array_equal(labels, grid.labels)
         # equal probabilities give the earlier label
         assert labels.reshape(-1).tolist() == [w.index(max(w)) for w in weights[start:end]]
-        assert masks == summary_masks(grid).tolist()
+        assert masks == [sum(1 << c for c in summary_set(grid, j))
+                         for j in range(ex.n_entities)]
+        assert masks == [sum(1 << c for c in reference.summary_set(grid, j))
+                         for j in range(ex.n_entities)]
         start = end
 
 
 # ---------------------------------------------------------------------------
 # P/R/F1
 
+def score_grid(pred, gold):
+    return score_corpus([(pred, gold)])
+
+
 def test_perfect_prediction_scores_one():
     g = hard([[C, N], [N, D]])
-    report = score_grids(g, g)
+    report = score_grid(g, g)
     assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
 
 
 def test_all_none_prediction_scores_zero():
     pred = hard([[N, N], [N, N]])
     gold = hard([[C, N], [N, D]])
-    report = score_grids(pred, gold)
+    report = score_grid(pred, gold)
     assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
 
 
 def test_half_right_scores_half():
     gold = hard([[C], [D]])
     pred = hard([[C], [M]])
-    report = score_grids(pred, gold)
+    report = score_grid(pred, gold)
     assert report.precision == 0.5
     assert report.recall == 0.5
     assert report.f1 == 0.5
@@ -116,7 +123,7 @@ def test_half_right_scores_half():
 
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shapes differ"):
-        score_grids(hard([[N]]), hard([[N, N]]))
+        score_grid(hard([[N]]), hard([[N, N]]))
 
 
 def test_micro_aggregation_equals_concatenation():
@@ -125,7 +132,7 @@ def test_micro_aggregation_equals_concatenation():
     combined = score_corpus([(pred1, gold1), (pred2, gold2)])
     concat_pred = hard([[C, N], [M, N]])
     concat_gold = hard([[C, D], [M, D]])
-    single = score_grids(concat_pred, concat_gold)
+    single = score_grid(concat_pred, concat_gold)
     assert combined == single
 
 
@@ -156,15 +163,20 @@ def test_summary_set_deduplicates():
 # ---------------------------------------------------------------------------
 # consistency score
 
-def masks_read(groups, preds):
-    """The summary masks, by id, of the predictions that consistency scoring
-    compares: those of paragraphs that share an entity with another."""
-    return {ex.id: summary_masks(preds[ex.id]).tolist() for g in groups
-            for a, b in combinations(g.members, 2) if shared_entities(a, b) for ex in (a, b)}
+def chunk_masks(examples, preds):
+    """The summary masks, by id, that `label_chunk` takes from one chunk of
+    the one-hot distributions of the examples' predicted grids."""
+    dists = np.concatenate([one_hot(preds[ex.id]).reshape(-1, 4) for ex in examples])
+    return {ex.id: masks for ex, (_, masks) in zip(examples, label_chunk(examples, dists))}
 
 
 def scored(groups, preds):
-    return consistency_score(groups, masks_read(groups, preds))
+    """The consistency score of predicted grids, given only the masks of the
+    paragraphs it compares: those that share an entity with another."""
+    masks = chunk_masks([ex for g in groups for ex in g.members], preds)
+    return consistency_score(groups, {
+        ex.id: masks[ex.id] for g in groups for a, b in combinations(g.members, 2)
+        if shared_entities(a, b) for ex in (a, b)})
 
 
 def topic_with_predictions(summaries_per_paragraph, topic="trees"):
@@ -278,10 +290,11 @@ def outcome(score, *args):
 @given(scored_topics())
 def test_mask_scoring_equals_the_per_cell_reference(case):
     groups, preds = case
-    for grid in preds.values():
-        masks = summary_masks(grid)
-        assert masks.shape == (grid.shape[1],)
-        for j, mask in enumerate(masks.tolist()):
+    examples = [ex for g in groups for ex in g.members]
+    for id_, masks in chunk_masks(examples, preds).items():
+        grid = preds[id_]
+        assert len(masks) == grid.shape[1]
+        for j, mask in enumerate(masks):
             want = reference.summary_set(grid, j)
             assert summary_set(grid, j) == want
             assert mask == sum(1 << c for c in want)
@@ -294,21 +307,12 @@ def test_mask_scoring_equals_the_per_cell_reference(case):
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(scored_topics(), hst.data())
-def test_soft_and_mismatched_grids_fail_like_the_reference(case, data):
-    # a soft grid fails consistency scoring only when some comparison reads it
+def test_mismatched_grids_fail_like_the_reference(case, data):
     groups, preds = case
-    soft_id = data.draw(hst.sampled_from(sorted(preds)))
-    steps, entities = preds[soft_id].shape
-    preds = {**preds, soft_id: ChangeGrid.from_dists(np.full((steps, entities, 4), 0.25))}
-    assert (outcome(scored, groups, preds)
-            == outcome(reference.consistency_score, groups, preds))
     pairs = scored_pairs(groups, preds)
     if pairs:
         k = data.draw(hst.integers(0, len(pairs) - 1))
         pred, gold = pairs[k]
-        if pred.is_hard:
-            pred = data.draw(hst.sampled_from([
-                hard(pred.labels[1:]), hard(pred.labels[:, 1:]),
-                ChangeGrid.from_dists(np.eye(4)[pred.labels])]))
+        pred = data.draw(hst.sampled_from([hard(pred.labels[1:]), hard(pred.labels[:, 1:])]))
         pairs[k] = data.draw(hst.sampled_from([(pred, gold), (gold, pred)]))
     assert outcome(score_corpus, pairs) == outcome(reference.score_corpus, pairs)

@@ -12,6 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import consistency_reference
+import gradcheck
+import predict_reference
 from probe import weighted_sum
 from statetrack import autodiff as ad
 from statetrack import cli, model, training
@@ -19,7 +22,7 @@ from statetrack.corpus import (ChangeGrid, CorpusError, EmbeddingTable, Entity, 
                                TopicGroup, generate_synthetic)
 from statetrack.model import (CheckpointError, build_vocab, init_params,
                               load_checkpoint, plan_cells, predict_grid,
-                              predict_grids, run_cells, save_checkpoint)
+                              run_cells, save_checkpoint)
 
 RNG = np.random.default_rng(77)
 
@@ -359,7 +362,8 @@ def test_encoder_gradient_matches_fd_on_ragged_batch():
     r = ad.Tensor(RNG.normal(size=(13, 4)))
     tensors = params.tensors
     assert not np.array_equal(tensors["wh"].values[0], tensors["wh"].values[1])
-    errs = ad.check_gradients(lambda: weighted_sum(encode_cells(params, items).dists, r), tensors)
+    errs = gradcheck.check_gradients(lambda: weighted_sum(encode_cells(params, items).dists, r),
+                                     tensors)
     assert max(errs.values()) < 1e-4, errs  # criterion 1's bound
 
 
@@ -470,7 +474,7 @@ def test_full_grid_matches_oracle_cellwise():
     for t in range(ex.n_steps):
         for j in range(ex.n_entities):
             _, _, dist_o = oracle_cell(params, ex, t, j)
-            assert grid.dists[t, j] == pytest.approx(dist_o, abs=1e-12)
+            assert grid[t, j] == pytest.approx(dist_o, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +485,9 @@ def test_grid_cells_are_distributions():
     ex = groups[0].labeled[0]
     params = init_params(build_vocab(groups), 8, 6, seed=0)
     grid = predict_grid(params, ex)
-    assert grid.dists.shape == (ex.n_steps, ex.n_entities, 4)
-    assert np.max(np.abs(grid.dists.sum(axis=2) - 1.0)) <= 1e-9
-    assert np.all(grid.dists > 0.0)
+    assert grid.shape == (ex.n_steps, ex.n_entities, 4)
+    assert np.max(np.abs(grid.sum(axis=2) - 1.0)) <= 1e-9
+    assert np.all(grid > 0.0)
 
 
 def test_predict_grid_is_pure():
@@ -491,7 +495,7 @@ def test_predict_grid_is_pure():
     params = tiny_params(ex, seed=8)
     a = predict_grid(params, ex)
     b = predict_grid(params, ex)
-    assert np.array_equal(a.dists, b.dists)
+    assert np.array_equal(a, b)
 
 
 def test_deleting_an_entity_leaves_other_columns_unchanged():
@@ -502,8 +506,8 @@ def test_deleting_an_entity_leaves_other_columns_unchanged():
         id=ex.id, topic=ex.topic, steps=ex.steps,
         entities=(ex.entities[0], ex.entities[2]), verbs=ex.verbs, gold=None)
     reduced = predict_grid(params, reduced_ex)
-    assert np.array_equal(reduced.dists[:, 0, :], full.dists[:, 0, :])
-    assert np.array_equal(reduced.dists[:, 1, :], full.dists[:, 2, :])
+    assert np.array_equal(reduced[:, 0, :], full[:, 0, :])
+    assert np.array_equal(reduced[:, 1, :], full[:, 2, :])
 
 
 def test_entity_permutation_permutes_columns():
@@ -514,8 +518,8 @@ def test_entity_permutation_permutes_columns():
     params = tiny_params(ex, seed=4)
     a = predict_grid(params, ex)
     b = predict_grid(params, swapped)
-    assert np.array_equal(a.dists[:, 0, :], b.dists[:, 1, :])
-    assert np.array_equal(a.dists[:, 1, :], b.dists[:, 0, :])
+    assert np.array_equal(a[:, 0, :], b[:, 1, :])
+    assert np.array_equal(a[:, 1, :], b[:, 0, :])
 
 
 def test_supervised_loss_gradient_matches_fd():
@@ -526,7 +530,7 @@ def test_supervised_loss_gradient_matches_fd():
         dists = encode_cells(params, [(ex, range(ex.n_entities))]).dists
         return ad.mean_nll(dists, ex.gold.labels.reshape(-1))
 
-    errs = ad.check_gradients(loss, params.tensors)
+    errs = gradcheck.check_gradients(loss, params.tensors)
     assert max(errs.values()) < 1e-4, errs
 
 
@@ -534,11 +538,11 @@ def test_predict_grid_is_thread_safe():
     groups = generate_synthetic(seed=42, topics=16, paragraphs_per_topic=3, noise=0.15)
     examples = [ex for g in groups for ex in g.members]
     params = init_params(build_vocab(groups), 16, 8, seed=1)
-    serial = [predict_grid(params, ex).dists.tobytes() for ex in examples]
+    serial = [predict_grid(params, ex).tobytes() for ex in examples]
     results = [[], []]
 
     def work(out):
-        out.extend(predict_grid(params, ex).dists.tobytes() for ex in examples)
+        out.extend(predict_grid(params, ex).tobytes() for ex in examples)
 
     threads = [threading.Thread(target=work, args=(out,)) for out in results]
     interval = sys.getswitchinterval()
@@ -555,12 +559,12 @@ def test_predict_grid_is_thread_safe():
 
 
 def assert_grids_match_one_by_one(params, examples):
-    grids = predict_grids(params, examples)
+    grids = predict_reference.grids(params, examples)
     assert len(grids) == len(examples)
     for ex, grid in zip(examples, grids):
-        alone = predict_grid(params, ex).dists
-        assert grid.dists.shape == alone.shape
-        assert np.max(np.abs(grid.dists - alone)) <= 1e-12
+        alone = predict_grid(params, ex)
+        assert grid.shape == alone.shape
+        assert np.max(np.abs(grid - alone)) <= 1e-12
 
 
 def test_predict_grids_match_predict_grid_on_ragged_batch():
@@ -577,7 +581,7 @@ def test_predict_grids_match_predict_grid_across_chunk_boundary():
 
 def test_predict_grids_of_no_paragraphs_is_empty():
     _, _, params = ragged_batch()
-    assert predict_grids(params, []) == []
+    assert list(model.predict_chunks(params, [])) == []
 
 
 @pytest.mark.parametrize("cell, message", [([-0.25, 0.5, 0.5, 0.25], "nonnegative"),
@@ -586,37 +590,32 @@ def test_predict_grids_check_each_chunk_once_and_return_views(monkeypatch, cell,
     groups = generate_synthetic(seed=5, topics=23, paragraphs_per_topic=3, noise=0.15)
     examples = [ex for g in groups for ex in g.members][:model.PREDICT_CHUNK + 1]
     params = init_params(build_vocab(groups), 6, 4, seed=3)
-    chunks, checks, from_dists = [], [], ChangeGrid.from_dists
+    chunks, bad = [], None  # the encoder's outputs; the one given a bad last cell
 
     def spy_run_cells(params, plan):
         out = run_cells(params, plan)
+        if len(chunks) == bad:
+            out.values[-1] = cell
         chunks.append(out.values)
         return out
 
-    def spy_from_dists(dists):
-        checks.append(dists)
-        return from_dists(dists)
-
+    # each chunk is yielded with the encoder's own array, and a paragraph's
+    # grid is a view of its chunk's
     monkeypatch.setattr(model, "run_cells", spy_run_cells)
-    monkeypatch.setattr(ChangeGrid, "from_dists", spy_from_dists)
-    grids = predict_grids(params, examples)
-    assert len(checks) == len(chunks) == 2
-    assert all(np.shares_memory(check, chunk) for check, chunk in zip(checks, chunks))
-    owners = [0] * model.PREDICT_CHUNK + [1]
-    assert all(np.shares_memory(grid.dists, chunks[k]) for grid, k in zip(grids, owners))
-    monkeypatch.undo()
+    yielded = list(model.predict_chunks(params, examples))
+    assert [chunk for chunk, _ in yielded] == [examples[:model.PREDICT_CHUNK], examples[-1:]]
+    assert len(chunks) == 2 and all(dists is out for (_, dists), out in zip(yielded, chunks))
+    assert np.shares_memory(predict_grid(params, examples[0]), chunks[-1])
 
-    def bad_run_cells(params, plan):
-        out = run_cells(params, plan)
-        out.values[-1] = cell
-        return out
-
-    # a bad cell anywhere in a chunk fails with the message of ChangeGrid.from_dists
-    monkeypatch.setattr(model, "run_cells", bad_run_cells)
-    with pytest.raises(CorpusError, match=message):
-        predict_grids(params, examples)
-    with pytest.raises(CorpusError, match=message):
-        ChangeGrid.from_dists(np.array([[cell]]))
+    # a bad cell fails its own chunk, after every chunk before it was yielded
+    for bad in range(2):
+        chunks.clear()
+        predicted = model.predict_chunks(params, examples)
+        for _ in range(bad):
+            next(predicted)
+        with pytest.raises(CorpusError, match=f"^distribution cells must (be )?{message}$"):
+            next(predicted)
+        assert len(chunks) == bad + 1
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +713,7 @@ def test_checkpoint_roundtrip(tmp_path):
         assert t.requires_grad == other.requires_grad
     a = predict_grid(params, ex)
     b = predict_grid(loaded, ex)
-    assert np.array_equal(a.dists, b.dists)
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["trained", "frozen"])
@@ -935,27 +934,29 @@ def test_batch_loss_gradients_match_fd_on_generated_corpora(case, consistency):
                                   hidden_size=params.hidden_size,
                                   embedding_dim=params.embedding_dim)
     for batch in training.make_batches(params.vocab, group, cfg):
-        errs = ad.check_gradients(lambda: training.batch_loss(params, batch, cfg)[0],
-                                  params.tensors)
+        errs = gradcheck.check_gradients(lambda: training.batch_loss(params, batch, cfg)[0],
+                                         params.tensors)
         assert max(errs.values()) <= 1e-4, errs  # criterion 1's bound
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(groups_and_params())
 def test_consistency_term_equals_float_losses_on_generated_corpora(case):
-    # the batched term sums the float API over the members; a self-pair gives 0
+    # the batched term sums the op-by-op reference over the members, each over
+    # its whole grid; a self-pair gives 0
     group, params = case
     cfg = training.TrainingConfig(sup_threshold=10.0, hidden_size=params.hidden_size,
                                   embedding_dim=params.embedding_dim)
-    grids = predict_grids(params, group.members)
+    grids = predict_reference.grids(params, group.members)
+    term = consistency_reference.consistency_sum
     for batch in training.make_batches(params.vocab, group, cfg):
         p, pg = batch.primary, grids[batch.primary_index]
         _, stats = training.batch_loss(params, batch, cfg)
-        expected = sum(training.consistency_loss(g, m, pg, p)
+        expected = sum(consistency_reference.pair_loss(term, g, m, pg, p)
                        for i, (m, g) in enumerate(zip(batch.members, grids))
                        if i != batch.primary_index)
         assert stats.con_loss == pytest.approx(expected, rel=1e-9, abs=1e-15)
-        assert training.consistency_loss(pg, p, pg, p) == 0.0
+        assert consistency_reference.pair_loss(term, pg, p, pg, p) == 0.0
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -965,8 +966,8 @@ def test_predict_grids_do_not_depend_on_order_or_chunking(case, rnd, chunk):
     examples = group.members
     order = list(range(len(examples)))
     rnd.shuffle(order)
-    grids = predict_grids(params, examples)
+    grids = predict_reference.grids(params, examples)
     with patch.object(model, "PREDICT_CHUNK", chunk):
-        shuffled = predict_grids(params, [examples[i] for i in order])
+        shuffled = predict_reference.grids(params, [examples[i] for i in order])
     for k, i in enumerate(order):
-        assert np.max(np.abs(shuffled[k].dists - grids[i].dists)) <= 1e-12
+        assert np.max(np.abs(shuffled[k] - grids[i])) <= 1e-12

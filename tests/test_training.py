@@ -5,6 +5,8 @@ import math
 import re
 from pathlib import Path
 
+import consistency_reference
+import gradcheck
 import numpy as np
 import project_reference
 import pytest
@@ -17,9 +19,8 @@ from statetrack import cli, model, training
 from statetrack.autodiff import ComputationTape, Tensor
 from statetrack.corpus import (ChangeGrid, EmbeddingTable, Entity, ProcessExample,
                                StateChange, TopicGroup, demote_labels, generate_synthetic)
-from statetrack.training import (NumericalError, TrainingConfig,
-                                 batch_loss, consistency_loss,
-                                 make_batches, summarize, train)
+from statetrack.training import (NumericalError, TrainingConfig, batch_loss,
+                                 consistency_matrices, make_batches, train)
 
 
 def example_with(id, topic, entities, gold_rows=None, verb="moves"):
@@ -41,7 +42,21 @@ def example_with(id, topic, entities, gold_rows=None, verb="moves"):
 
 
 def dist_grid(cells):
-    return ChangeGrid.from_dists(np.asarray(cells, dtype=np.float64))
+    return np.asarray(cells, dtype=np.float64)
+
+
+def summarize(grid, entity):
+    """An entity's summary distribution, its step distributions averaged over
+    steps, read through the primary averaging matrix of `consistency_matrices`."""
+    steps, width, _ = grid.shape
+    primary_avg = consistency_matrices(steps, width, [(steps, width, [(entity, entity)])])[1]
+    return (primary_avg @ grid.reshape(-1, 4))[0]
+
+
+def consistency_loss(grid_a, a, grid_b, b):
+    """The consistency term of member a against primary b through
+    `consistency_matrices` and `autodiff.consistency`, as `batch_loss` builds it."""
+    return consistency_reference.pair_loss(consistency_reference.fused, grid_a, a, grid_b, b)
 
 
 def two_paragraph_group(topic="t"):
@@ -151,8 +166,7 @@ def test_consistency_loss_disjoint_entities_is_zero():
 def test_consistency_loss_symmetric_and_bounded(raw_a, raw_b):
     def to_grid(raw):
         arr = np.array(raw).reshape(2, 1, 4)
-        arr /= arr.sum(axis=2, keepdims=True)
-        return ChangeGrid.from_dists(arr)
+        return arr / arr.sum(axis=2, keepdims=True)
 
     a = example_with("a", "t", ("water",))
     b = example_with("b", "t", ("water",))
@@ -235,7 +249,8 @@ def test_active_consistency_changes_the_loss():
 
 def test_consistency_term_equals_float_consistency_loss():
     # members with different step counts and different shared-entity sets:
-    # the tape's consistency sum must equal the float API summed over members
+    # the tape's consistency sum must equal the op-by-op reference summed over
+    # members, each over its whole grid
     a = example_with("a", "t", ("water", "sugar", "salt"), gold_rows=[[0, 3, 3], [3, 1, 3]])
     b = example_with("b", "t", ("salt", "water"), verb="travels")
     c = example_with("c", "t", ("sugar", "iron"), gold_rows=[[0, 3], [3, 2], [1, 3]])
@@ -245,7 +260,9 @@ def test_consistency_term_equals_float_consistency_loss():
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=4)
     _, stats = batch_loss(params, make_batches(params.vocab, g, cfg)[0], cfg)
     grids = {ex.id: model.predict_grid(params, ex) for ex in g.members}
-    expected = sum(consistency_loss(grids[m.id], m, grids["a"], a) for m in (b, c, d))
+    expected = sum(consistency_reference.pair_loss(consistency_reference.consistency_sum,
+                                                   grids[m.id], m, grids["a"], a)
+                   for m in (b, c, d))
     assert stats.con_loss == pytest.approx(expected, rel=1e-12)
 
 
@@ -315,8 +332,8 @@ def test_batch_loss_gradient_matches_fd_including_consistency():
     params = params_for([g], emb_dim=3, hidden=4, seed=2)
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=3)
     batch = make_batches(params.vocab, g, cfg)[0]
-    errs = ad.check_gradients(lambda: batch_loss(params, batch, cfg)[0],
-                              params.tensors)
+    errs = gradcheck.check_gradients(lambda: batch_loss(params, batch, cfg)[0],
+                                     params.tensors)
     assert max(errs.values()) < 1e-4, errs
 
 
@@ -444,7 +461,7 @@ def test_check_gradients_leaves_every_grad_a_view_of_the_gradient_vector():
     params = params_for([g], emb_dim=3, hidden=4, seed=2)
     cfg = TrainingConfig(sup_threshold=100.0, hidden_size=4, embedding_dim=3)
     batch = make_batches(params.vocab, g, cfg)[0]
-    ad.check_gradients(lambda: batch_loss(params, batch, cfg)[0], params.tensors)
+    gradcheck.check_gradients(lambda: batch_loss(params, batch, cfg)[0], params.tensors)
     for name, t in params.tensors.items():
         # at the place in the gradient vector that the values hold in `flat`
         assert t.grad.base is params.grads, name
@@ -650,8 +667,6 @@ def test_disabled_consistency_reports_zero_con_loss():
 def test_consistency_never_hurts_consistency_score_noise_free():
     # held-out paragraph per topic masked unlabeled; consistency arm must not
     # end up less self-consistent than the supervised arm at the same seed
-    from statetrack import evaluation as ev
-
     groups = generate_synthetic(seed=21, topics=5, paragraphs_per_topic=3, noise=0.0)
     masked, _ = demote_labels(groups, 0.66, seed=21, reuse_unlabeled=True)
 
@@ -659,8 +674,6 @@ def test_consistency_never_hurts_consistency_score_noise_free():
         cfg = TrainingConfig(epochs=25, seed=3, hidden_size=8, embedding_dim=12,
                              learning_rate=0.5, consistency_enabled=consistency_enabled)
         res = train(masked, cfg)
-        masks = {ex.id: ev.summary_masks(ev.discretize(model.predict_grid(res.params, ex)))
-                 .tolist() for g in masked for ex in g.members}
-        return ev.consistency_score(masked, masks).score
+        return training._evaluate_split(res.params, masked)[1].score
 
     assert final_consistency(True) >= final_consistency(False)
